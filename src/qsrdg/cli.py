@@ -134,7 +134,7 @@ def cmd_simulate(args):
     header += [f"z{i + 1}" for i in range(n)]
     header += ["ubar"] if m == 1 else [f"ubar{i + 1}" for i in range(m)]
     header += ["ybar"] if m == 1 else [f"ybar{i + 1}" for i in range(m)]
-    header += ["newton_residual"]
+    header += ["newton_residual", "newton_iterations"]
 
     rows = []
     for i in range(args.q + 1):
@@ -144,8 +144,9 @@ def cmd_simulate(args):
             row += [_fmt(v) for v in trajectory.averaged_inputs[i]]
             row += [_fmt(v) for v in trajectory.discrete_outputs[i]]
             row.append(_fmt(trajectory.newton_residuals[i]))
+            row.append(str(trajectory.newton_iterations[i]))
         else:
-            row += [""] * (2 * m + 1)
+            row += [""] * (2 * m + 2)
         rows.append(row)
 
     out = _resolve_out(args, f"qsr-dg-simulate-{args.example}")
@@ -213,21 +214,26 @@ def _cache_dir(args):
 
 
 def _reference_trajectory(example, case, horizon, cache_dir):
-    """Fine implicit-midpoint reference, cached on disk per example and grid."""
+    """Fine implicit-midpoint reference, cached on disk per example and grid.
+
+    A cache entry that cannot be read in full (corrupt, or written before
+    a column existed) is deleted and rebuilt.
+    """
     stepsize = TAU_MIN / REFERENCE_REFINEMENT
     num_steps = _num_steps(horizon, stepsize)
     key = f"reference-{example}-T{horizon:.17g}-tau{stepsize:.17g}.npz"
     path = cache_dir / key
     if path.exists():
         try:
-            bundle = np.load(path)
-            return Trajectory(
-                grid=TimeGrid(points=bundle["points"]),
-                states=bundle["states"],
-                averaged_inputs=bundle["averaged_inputs"],
-                discrete_outputs=bundle["discrete_outputs"],
-                newton_residuals=bundle["newton_residuals"],
-            )
+            with np.load(path) as bundle:
+                return Trajectory(
+                    grid=TimeGrid(points=bundle["points"]),
+                    states=bundle["states"],
+                    averaged_inputs=bundle["averaged_inputs"],
+                    discrete_outputs=bundle["discrete_outputs"],
+                    newton_residuals=bundle["newton_residuals"],
+                    newton_iterations=bundle["newton_iterations"],
+                )
         except Exception:
             path.unlink(missing_ok=True)
     config = SchemeConfig(scheme=IMPLICIT_MIDPOINT)
@@ -241,6 +247,7 @@ def _reference_trajectory(example, case, horizon, cache_dir):
         averaged_inputs=trajectory.averaged_inputs,
         discrete_outputs=trajectory.discrete_outputs,
         newton_residuals=trajectory.newton_residuals,
+        newton_iterations=trajectory.newton_iterations,
     )
     return trajectory
 

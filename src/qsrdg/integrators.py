@@ -135,13 +135,15 @@ class StepResult(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on the grid nodes plus per-step inputs, outputs, residuals."""
+    """States on the grid nodes plus per-step inputs, outputs, Newton
+    residuals and Newton iteration counts."""
 
     grid: TimeGrid
     states: np.ndarray
     averaged_inputs: np.ndarray
     discrete_outputs: np.ndarray
     newton_residuals: np.ndarray
+    newton_iterations: np.ndarray
 
 
 def projector(v, mode="onto", floor=0.0):
@@ -241,14 +243,17 @@ class _DgQsrStepper:
         self.newton = config.newton
         self.gradient_floor = config.gradient_floor
 
-    def _residual(self, z, h_at_z, floor_sq, ubar, tau):
+    def _residual(self, z, h_at_z, floor_sq, ubar, tau, last):
+        """The step's Newton residual; each call leaves its point and the
+        output terms ``hbar`` and ``dv`` there in ``last``."""
         system, kind = self.system, self.kind
         q_rows, s_rows = self.q_rows, self.s_rows
 
         def residual(w):
-            dg, g2, fv, bv, _, hbar, gam_num = _scheme_terms(
+            dg, g2, fv, bv, dv, hbar, gam_num = _scheme_terms(
                 system, kind, q_rows, s_rows, z, h_at_z, w
             )
+            last[:] = (tuple(w), hbar, dv)  # a copy: probes reuse their list
             g2v = value(g2)
             if g2v <= floor_sq or g2v == 0.0:
                 raise ZeroDirection(
@@ -264,7 +269,8 @@ class _DgQsrStepper:
 
         return residual
 
-    def step(self, z, ubar, tau):
+    def step(self, z, ubar, tau, start=None):
+        """One step from ``z``; Newton starts from ``start``, else from z."""
         z = [float(v) for v in z]
         h_at_z = self.system.storage.value(z)
         grad_z = self.system.storage.gradient(z)
@@ -274,18 +280,20 @@ class _DgQsrStepper:
                 "storage gradient nearly vanishes at the step base point",
                 stacklevel=2,
             )
-        residual = self._residual(z, h_at_z, floor * floor, ubar, tau)
-        w, its, res = newton_solve(residual, z, self.newton)
-        if res > self.newton.residual_tolerance:
-            warnings.warn(
-                f"Newton stalled at residual {res:.3e}",
-                NewtonDidNotConverge,
-                stacklevel=2,
-            )
-        w_list = [float(v) for v in w]
-        _, _, _, _, dv, hbar, _ = _scheme_terms(
-            self.system, self.kind, self.q_rows, self.s_rows, z, h_at_z, w_list
+        last = []
+        residual = self._residual(z, h_at_z, floor * floor, ubar, tau, last)
+        w, its, res = newton_solve(
+            residual, z if start is None else start, self.newton
         )
+        _warn_on_stall(res, self.newton)
+        w_list = w.tolist()
+        point, hbar, dv = last
+        if [value(v) for v in point] != w_list:
+            # the last call was not at the returned iterate (a
+            # finite-difference probe after a converged start)
+            _, _, _, _, dv, hbar, _ = _scheme_terms(
+                self.system, self.kind, self.q_rows, self.s_rows, z, h_at_z, w_list
+            )
         ybar = [
             value(hb) + dot([value(x) for x in drow], ubar)
             for hb, drow in zip(hbar, dv)
@@ -315,17 +323,15 @@ class _MidpointStepper:
 
         return residual
 
-    def step(self, z, ubar, tau):
+    def step(self, z, ubar, tau, start=None):
+        """One step from ``z``; Newton starts from ``start``, else from z."""
         z = [float(v) for v in z]
         residual = self._residual(z, ubar, tau)
-        w, its, res = newton_solve(residual, z, self.newton)
-        if res > self.newton.residual_tolerance:
-            warnings.warn(
-                f"Newton stalled at residual {res:.3e}",
-                NewtonDidNotConverge,
-                stacklevel=2,
-            )
-        w_list = [float(v) for v in w]
+        w, its, res = newton_solve(
+            residual, z if start is None else start, self.newton
+        )
+        _warn_on_stall(res, self.newton)
+        w_list = w.tolist()
         mid = [(a + b) * 0.5 for a, b in zip(z, w_list)]
         hv = self.system.output_map(mid)
         dv = self.system.feedthrough(mid)
@@ -334,6 +340,15 @@ class _MidpointStepper:
             for h, drow in zip(hv, dv)
         ]
         return StepResult(w, np.array(ubar), np.array(ybar), res, its)
+
+
+def _warn_on_stall(res, newton):
+    if res > newton.residual_tolerance:
+        warnings.warn(
+            f"Newton stalled at residual {res:.3e}",
+            NewtonDidNotConverge,
+            stacklevel=3,
+        )
 
 
 def _control_values(control, t, m):
@@ -381,6 +396,9 @@ def integrate(system, config, grid, control, z0):
     tolerance at the panel cap) are re-raised as :class:`IntegrationError`
     carrying the failing step index; Newton stalls only warn and are
     visible in the returned residuals.
+
+    From the second step on, Newton starts from the linear extrapolation
+    ``z_i + (tau_i / tau_{i-1}) (z_i - z_{i-1})`` of the last two states.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.n,):
@@ -392,8 +410,10 @@ def integrate(system, config, grid, control, z0):
     inputs = np.empty((q, system.m))
     outputs = np.empty((q, system.m))
     residuals = np.empty(q)
+    iterations = np.empty(q, dtype=int)
     states[0] = z0
-    z = z0
+    z = z0.tolist()
+    prev = start = None
     left = None
     for i in range(q):
         t = float(pts[i])
@@ -401,8 +421,11 @@ def integrate(system, config, grid, control, z0):
         ubar, left = _averaged_input(
             control, t, tau, config.input_rule, system.m, left
         )
+        if prev is not None:
+            ratio = tau / prev_tau
+            start = [a + ratio * (a - b) for a, b in zip(z, prev)]
         try:
-            result = stepper.step(z, ubar, tau)
+            result = stepper.step(z, ubar, tau, start)
         except (
             ZeroDirection,
             SingularMatrix,
@@ -410,12 +433,14 @@ def integrate(system, config, grid, control, z0):
             QuadratureNotConverged,
         ) as exc:
             raise IntegrationError(i, t, str(exc)) from exc
-        z = result.state
-        states[i + 1] = z
+        prev, prev_tau = z, tau
+        z = result.state.tolist()
+        states[i + 1] = result.state
         inputs[i] = result.averaged_input
         outputs[i] = result.discrete_output
         residuals[i] = result.newton_residual
-    return Trajectory(grid, states, inputs, outputs, residuals)
+        iterations[i] = result.iterations
+    return Trajectory(grid, states, inputs, outputs, residuals, iterations)
 
 
 def discrete_power_balance_residuals(system, trajectory):

@@ -6,6 +6,13 @@ sequence of scalars (floats or :class:`qsrdg._kernels.Dual`) and return a
 sequence of scalars built only from arithmetic and :mod:`qsrdg.gmath`
 calls.  That is what lets one evaluation produce value and Jacobian
 together in automatic-dual mode.
+
+Newton makes one Jacobian pass (a dual evaluation, or the probes of a
+central difference) per update and one float evaluation of the residual
+at each new iterate.  It stops on that float residual, so no Jacobian is
+ever computed only to confirm convergence: a converged step costs as many
+Jacobian passes as it made updates, or one when the start already meets
+the tolerance.
 """
 
 import math
@@ -59,8 +66,12 @@ def _values_of(out):
     return vals
 
 
-def _jacobian_with_values(f, x, mode):
-    """Jacobian rows and map values at ``x`` (a list of floats)."""
+def _jacobian_with_values(f, x, mode, vals=None):
+    """Jacobian rows and map values at ``x`` (a list of floats).
+
+    ``vals``, the float map values at ``x`` if already known, spare the
+    central-difference mode one evaluation.
+    """
     n = len(x)
     if mode == AUTOMATIC_DUAL:
         out = f(seed_duals(x))
@@ -79,7 +90,8 @@ def _jacobian_with_values(f, x, mode):
                 raise NonFiniteEvaluation("non-finite value or derivative")
         return rows, vals
     if mode == CENTRAL_FD:
-        vals = _values_of(f(x))
+        if vals is None:
+            vals = _values_of(f(x))
         rows = [[0.0] * n for _ in vals]
         probe = list(x)
         for k in range(n):
@@ -130,6 +142,10 @@ class NewtonResult(NamedTuple):
     residual: float
 
 
+def _norm(vals):
+    return math.sqrt(sum(v * v for v in vals))
+
+
 def newton_solve(
     f: Callable[[Sequence], Sequence],
     x0,
@@ -137,21 +153,30 @@ def newton_solve(
 ) -> NewtonResult:
     """Newton's method ``x <- x - J(x)^{-1} F(x)`` on a square system.
 
-    Stops as soon as ``||F(x)|| <= residual_tolerance`` (the initial guess
-    counts, so an exact guess reports zero iterations); otherwise returns
-    the iterate after ``max_iterations`` updates together with its
-    residual.  Non-convergence is not an error here; callers decide.
+    The pass pattern: one Jacobian pass with values at ``x0``; after each
+    update, ``F`` is evaluated in floats only, and a further Jacobian
+    pass is taken only while that float residual is above
+    ``residual_tolerance``.  So ``f`` sees one Jacobian pass per update
+    (one in all when ``x0`` already converges, which reports zero
+    iterations) and one float call per update, the last of them at the
+    returned iterate.  After ``max_iterations`` updates the last iterate
+    is returned with its float residual.  Non-convergence is not an
+    error here; callers decide.
     """
+    mode = settings.jacobian_mode
     x = [float(v) for v in x0]
+    rows, vals = _jacobian_with_values(f, x, mode)
+    res = _norm(vals)
     its = 0
-    while True:
-        rows, vals = _jacobian_with_values(f, x, settings.jacobian_mode)
-        res = math.sqrt(sum(v * v for v in vals))
-        if res <= settings.residual_tolerance or its >= settings.max_iterations:
-            return NewtonResult(np.array(x), its, res)
+    while res > settings.residual_tolerance and its < settings.max_iterations:
+        if its:
+            rows, vals = _jacobian_with_values(f, x, mode, vals)
         dx = lu_solve(rows, vals)
         x = [a - b for a, b in zip(x, dx)]
         its += 1
+        vals = _values_of(f(x))
+        res = _norm(vals)
+    return NewtonResult(np.array(x), its, res)
 
 
 _GL_CACHE: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}

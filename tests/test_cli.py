@@ -39,11 +39,15 @@ def test_simulate_writes_trajectory_and_meta(tmp_path):
     )
     assert code == 0
     header, rows = read_csv(out)
-    assert header == ["t", "z1", "z2", "ubar", "ybar", "newton_residual"]
+    assert header == [
+        "t", "z1", "z2", "ubar", "ybar", "newton_residual", "newton_iterations"
+    ]
     assert len(rows) == 51
     # interior rows carry step data, the final row only the state
     assert all(field for field in rows[0])
     assert rows[-1][3] == "" and rows[-1][4] == "" and rows[-1][5] == ""
+    assert rows[-1][6] == ""
+    assert all(1 <= int(row[6]) <= 10 for row in rows[:-1])
     assert float(rows[-1][0]) == 1.0
 
     meta = json.loads((tmp_path / "run.meta.json").read_text())
@@ -90,6 +94,7 @@ def test_simulate_zero_input_holds_integrator_fixed_point(tmp_path):
     _, rows = read_csv(out)
     assert all(float(row[1]) == 1.0 for row in rows)
     assert all(float(row[2]) == 0.0 for row in rows[:-1])
+    assert all(row[5] == "0" for row in rows[:-1])
 
 
 @pytest.mark.parametrize("example", ("pendulum", "lti-ocp", "pi", "synthetic"))
@@ -172,6 +177,30 @@ def test_convergence_recovers_from_corrupt_cache(tmp_path):
     first = out.read_bytes()
     assert run(args) == 0
     assert out.read_bytes() == first
+
+
+def test_convergence_rebuilds_cache_without_iterations_column(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    out = tmp_path / "conv.csv"
+    args = [
+        "convergence", "--example", "pi", "--s-max", 2, "--T", 1.0,
+        "--cache-dir", cache, "--out", out,
+    ]
+    assert run(args) == 0
+    first = out.read_bytes()
+    (entry,) = cache.glob("reference-pi-*.npz")
+    with np.load(entry) as bundle:
+        fields = {k: bundle[k] for k in bundle.files if k != "newton_iterations"}
+    # an entry as written before the column existed, with states that
+    # would change the result if they were read
+    fields["states"] = fields["states"] + 1.0
+    np.savez(entry, **fields)
+    assert run(args) == 0
+    assert out.read_bytes() == first
+    with np.load(entry) as bundle:
+        assert "newton_iterations" in bundle.files
+        assert np.all(bundle["newton_iterations"] >= 1)
 
 
 def test_convergence_cache_dir_from_environment(tmp_path, monkeypatch):

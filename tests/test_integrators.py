@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from qsrdg import gmath as gm
+from qsrdg import integrators
+from qsrdg._kernels import Dual
 from qsrdg.dgradients import GONZALEZ, ITOH_ABE, StorageFunction, mean_value
 from qsrdg.errors import (
     GridMismatch,
@@ -32,7 +34,7 @@ from qsrdg.integrators import (
     relative_error,
 )
 from qsrdg.model import QsrSystem, SupplyRate, supply_value
-from qsrdg.numerics import NewtonSettings
+from qsrdg.numerics import CENTRAL_FD, NewtonSettings
 from qsrdg.systems import (
     PendulumParams,
     benchmark_settings,
@@ -392,6 +394,110 @@ def test_integration_error_wraps_unconverged_quadrature():
         integrate(sys_, config, grid, lambda t: 2.0, (-0.5,))
     assert info.value.step_index == 0
     assert isinstance(info.value.__cause__, QuadratureNotConverged)
+
+
+def _output_defects(system, kind, traj):
+    """|recorded output - (recovered output + D(mid) ubar)| per step."""
+    states = traj.states
+    defects = []
+    for i in range(traj.grid.num_steps):
+        z0, z1 = states[i], states[i + 1]
+        dv = np.asarray(system.feedthrough((0.5 * (z0 + z1)).tolist()), dtype=float)
+        u = traj.averaged_inputs[i]
+        expected = recovered_output(system, kind, z0, z1) + dv @ u
+        defects.append(float(np.max(np.abs(traj.discrete_outputs[i] - expected))))
+    return defects
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
+@pytest.mark.parametrize("name", ("pendulum", "lti-ocp", "pi", "synthetic"))
+def test_discrete_output_belongs_to_the_accepted_state(name, kind):
+    # the output is taken from the residual's terms at the returned
+    # iterate, never from an earlier iterate or a Jacobian probe
+    case = benchmark_settings(name)
+    grid = TimeGrid.equidistant(0.5, 20)
+    traj = integrate(
+        case.system, SchemeConfig(dg_kind=kind), grid, case.control,
+        case.initial_state,
+    )
+    assert max(_output_defects(case.system, kind, traj)) <= 1e-14
+
+
+def test_discrete_output_at_a_converged_start_under_finite_differences():
+    # at the zero-input fixed point every step converges with 0 updates,
+    # so the last residual call is a finite-difference probe, not the
+    # returned state
+    sys_ = make_pi()
+    config = SchemeConfig(newton=NewtonSettings(jacobian_mode=CENTRAL_FD))
+    grid = TimeGrid.equidistant(0.5, 5)
+    traj = integrate(sys_, config, grid, zero_control, (1.0,))
+    assert np.all(traj.newton_iterations == 0)
+    assert np.all(traj.states == 1.0)
+    assert max(_output_defects(sys_, GONZALEZ, traj)) <= 1e-14
+
+
+def _counting_newton(monkeypatch):
+    """Counts, over a run, the residual calls with dual and with float
+    arguments, the Newton updates, and records each start."""
+    counts = {"dual": 0, "float": 0, "updates": 0, "starts": []}
+    real = integrators.newton_solve
+
+    def newton(f, x0, settings):
+        def residual(w):
+            counts["dual" if isinstance(w[0], Dual) else "float"] += 1
+            return f(w)
+
+        counts["starts"].append([float(v) for v in x0])
+        result = real(residual, x0, settings)
+        counts["updates"] += result.iterations
+        return result
+
+    monkeypatch.setattr(integrators, "newton_solve", newton)
+    return counts
+
+
+def test_one_jacobian_pass_and_one_float_residual_per_newton_update(monkeypatch):
+    # a confirmation Jacobian pass or a rebuild of the output terms would
+    # break these equalities
+    counts = _counting_newton(monkeypatch)
+    case = benchmark_settings("pendulum")
+    grid = TimeGrid.equidistant(1.0, 100)
+    traj = integrate(
+        case.system, SchemeConfig(dg_kind=GONZALEZ), grid, case.control,
+        case.initial_state,
+    )
+    assert counts["updates"] == int(np.sum(traj.newton_iterations)) > 100
+    assert counts["dual"] == counts["float"] == counts["updates"]
+
+
+@pytest.mark.parametrize("scheme", (DG_QSR, IMPLICIT_MIDPOINT))
+def test_newton_starts_from_extrapolated_state(scheme, monkeypatch):
+    counts = _counting_newton(monkeypatch)
+    case = benchmark_settings("pendulum")
+    grid = TimeGrid(np.array([0.0, 0.01, 0.03, 0.04, 0.07]))
+    traj = integrate(
+        case.system, SchemeConfig(scheme=scheme), grid, case.control,
+        case.initial_state,
+    )
+    z, taus = traj.states, grid.steps
+    assert counts["starts"][0] == z[0].tolist()
+    for i in range(1, grid.num_steps):
+        guess = z[i] + (taus[i] / taus[i - 1]) * (z[i] - z[i - 1])
+        np.testing.assert_allclose(counts["starts"][i], guess, rtol=1e-15, atol=0.0)
+
+
+def test_trajectory_records_newton_iterations():
+    grid = TimeGrid.equidistant(1.0, 10)
+    still = integrate(make_pi(), SchemeConfig(), grid, zero_control, (1.0,))
+    assert still.newton_iterations.dtype.kind == "i"
+    assert np.all(still.newton_iterations == 0)
+
+    case = benchmark_settings("pendulum")
+    config = SchemeConfig()
+    traj = integrate(case.system, config, grid, case.control, case.initial_state)
+    assert traj.newton_iterations.shape == (10,)
+    assert np.all(traj.newton_iterations >= 1)
+    assert np.all(traj.newton_iterations <= config.newton.max_iterations)
 
 
 def test_newton_stall_warns_but_continues():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qsrdg import gmath
+from qsrdg._kernels import Dual
 from qsrdg.errors import NonFiniteEvaluation, SingularMatrix
 from qsrdg.numerics import (
     AUTOMATIC_DUAL,
@@ -95,6 +96,39 @@ def test_newton_exact_guess_does_no_work():
     result = newton_solve(lambda x: (x[0],), (0.0,))
     assert result.iterations == 0
     assert result.residual == 0.0
+
+
+def _recording(f):
+    calls = []
+
+    def recorded(x):
+        calls.append("dual" if isinstance(x[0], Dual) else "float")
+        return f(x)
+
+    return recorded, calls
+
+
+def test_newton_exact_guess_makes_one_pass():
+    f, calls = _recording(lambda x: (x[0] * x[0] - 4.0,))
+    result = newton_solve(f, (2.0,))
+    assert result.iterations == 0
+    assert calls == ["dual"]
+
+
+def test_newton_single_update_returns_its_float_residual():
+    f, calls = _recording(lambda x: (gmath.exp(x[0]),))
+    result = newton_solve(f, (0.0,), NewtonSettings(max_iterations=1))
+    assert result.iterations == 1
+    assert result.x[0] == -1.0
+    assert result.residual == math.exp(-1.0)
+    assert calls == ["dual", "float"]
+
+
+def test_newton_pass_pattern_is_one_jacobian_pass_per_update():
+    f, calls = _recording(lambda x: (x[0] * x[0] - 4.0,))
+    result = newton_solve(f, (3.0,))
+    assert result.iterations >= 3
+    assert calls == ["dual", "float"] * result.iterations
 
 
 def test_newton_coupled_system():
