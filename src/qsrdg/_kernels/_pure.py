@@ -1,8 +1,9 @@
 """Pure-Python kernels: dual scalars and small dense linear algebra.
 
 This module is the reference implementation of the kernel API; the Cython
-twin ``_core`` mirrors it exactly and is preferred at import time when
-available.  Everything here works on *generic scalars*: plain floats or
+twin ``_core`` mirrors it and is preferred at import time when available.
+The twin still rounds a dual quotient's value as ``a * (1 / b)``, which
+can differ from the true quotient ``a / b`` computed here by one ulp.  Everything here works on *generic scalars*: plain floats or
 :class:`Dual` numbers carrying a gradient, so the same map evaluation code
 serves both plain propagation and forward-mode differentiation.
 
@@ -14,6 +15,9 @@ that size.
 """
 
 import math
+from operator import add as _add
+from operator import neg as _neg
+from operator import sub as _sub
 
 from qsrdg.errors import SingularMatrix
 
@@ -38,6 +42,13 @@ class Dual:
     directions (the length of ``grad``).  Transcendental functions are
     provided as methods under their numpy ufunc names so object arrays
     dispatch to them, and so :mod:`qsrdg.gmath` can route generically.
+
+    Value parts are computed exactly as the float operation would, so a
+    map evaluated on duals returns the same value bits as on floats.
+    Gradients are built with ``map`` or list comprehensions: a generator
+    expression inside ``tuple`` costs about twice as much at the one- and
+    two-entry gradients of the states of interest.  Binary operations on
+    two duals raise :class:`ValueError` when the gradient lengths differ.
     """
 
     __slots__ = ("val", "grad")
@@ -53,78 +64,78 @@ class Dual:
 
     def __add__(self, other):
         if isinstance(other, Dual):
-            return Dual(
-                self.val + other.val,
-                tuple(a + b for a, b in zip(self.grad, other.grad, strict=True)),
-            )
+            ga, gb = self.grad, other.grad
+            if len(ga) != len(gb):
+                raise _length_mismatch(ga, gb)
+            return Dual(self.val + other.val, tuple(map(_add, ga, gb)))
         return Dual(self.val + other, self.grad)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Dual):
-            return Dual(
-                self.val - other.val,
-                tuple(a - b for a, b in zip(self.grad, other.grad, strict=True)),
-            )
+            ga, gb = self.grad, other.grad
+            if len(ga) != len(gb):
+                raise _length_mismatch(ga, gb)
+            return Dual(self.val - other.val, tuple(map(_sub, ga, gb)))
         return Dual(self.val - other, self.grad)
 
     def __rsub__(self, other):
-        return Dual(other - self.val, tuple(-a for a in self.grad))
+        return Dual(other - self.val, tuple(map(_neg, self.grad)))
 
     def __mul__(self, other):
         if isinstance(other, Dual):
-            return Dual(
-                self.val * other.val,
-                tuple(
-                    self.val * b + other.val * a
-                    for a, b in zip(self.grad, other.grad, strict=True)
-                ),
-            )
-        return Dual(self.val * other, tuple(other * a for a in self.grad))
+            ga, gb = self.grad, other.grad
+            if len(ga) != len(gb):
+                raise _length_mismatch(ga, gb)
+            va, vb = self.val, other.val
+            return Dual(va * vb, tuple([va * b + vb * a for a, b in zip(ga, gb)]))
+        return Dual(self.val * other, tuple([other * a for a in self.grad]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
+            ga, gb = self.grad, other.grad
+            if len(ga) != len(gb):
+                raise _length_mismatch(ga, gb)
+            # the value must match float division bit for bit; the
+            # gradient needs no such match and keeps the reciprocal form
             inv = 1.0 / other.val
             q = self.val * inv
             return Dual(
-                q,
-                tuple(
-                    (a - q * b) * inv
-                    for a, b in zip(self.grad, other.grad, strict=True)
-                ),
+                self.val / other.val,
+                tuple([(a - q * b) * inv for a, b in zip(ga, gb)]),
             )
         inv = 1.0 / other
-        return Dual(self.val * inv, tuple(a * inv for a in self.grad))
+        return Dual(self.val / other, tuple([a * inv for a in self.grad]))
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.val
-        q = other * inv
-        return Dual(q, tuple(-q * inv * a for a in self.grad))
+        c = -(other * inv) * inv
+        return Dual(other / self.val, tuple([c * a for a in self.grad]))
 
     def __pow__(self, p):
         if isinstance(p, Dual):
             return (p * self.log()).exp()
         v = self.val**p
         c = p * self.val ** (p - 1)
-        return Dual(v, tuple(c * a for a in self.grad))
+        return Dual(v, tuple([c * a for a in self.grad]))
 
     def __rpow__(self, base):
         c = math.log(base)
         v = base**self.val
-        return Dual(v, tuple(v * c * a for a in self.grad))
+        return Dual(v, tuple([v * c * a for a in self.grad]))
 
     def __neg__(self):
-        return Dual(-self.val, tuple(-a for a in self.grad))
+        return Dual(-self.val, tuple(map(_neg, self.grad)))
 
     def __pos__(self):
         return self
 
     def __abs__(self):
         s = -1.0 if self.val < 0.0 else 1.0
-        return Dual(abs(self.val), tuple(s * a for a in self.grad))
+        return Dual(abs(self.val), tuple([s * a for a in self.grad]))
 
     # comparisons act on the value part, which is what branch guards need
 
@@ -157,46 +168,50 @@ class Dual:
 
     def sin(self):
         c = math.cos(self.val)
-        return Dual(math.sin(self.val), tuple(c * a for a in self.grad))
+        return Dual(math.sin(self.val), tuple([c * a for a in self.grad]))
 
     def cos(self):
         s = -math.sin(self.val)
-        return Dual(math.cos(self.val), tuple(s * a for a in self.grad))
+        return Dual(math.cos(self.val), tuple([s * a for a in self.grad]))
 
     def tan(self):
         t = math.tan(self.val)
         c = 1.0 + t * t
-        return Dual(t, tuple(c * a for a in self.grad))
+        return Dual(t, tuple([c * a for a in self.grad]))
 
     def exp(self):
         v = math.exp(self.val)
-        return Dual(v, tuple(v * a for a in self.grad))
+        return Dual(v, tuple([v * a for a in self.grad]))
 
     def log(self):
         c = 1.0 / self.val
-        return Dual(math.log(self.val), tuple(c * a for a in self.grad))
+        return Dual(math.log(self.val), tuple([c * a for a in self.grad]))
 
     def sqrt(self):
         v = math.sqrt(self.val)
         c = 0.5 / v
-        return Dual(v, tuple(c * a for a in self.grad))
+        return Dual(v, tuple([c * a for a in self.grad]))
 
     def arctan(self):
         c = 1.0 / (1.0 + self.val * self.val)
-        return Dual(math.atan(self.val), tuple(c * a for a in self.grad))
+        return Dual(math.atan(self.val), tuple([c * a for a in self.grad]))
 
     def sinh(self):
         c = math.cosh(self.val)
-        return Dual(math.sinh(self.val), tuple(c * a for a in self.grad))
+        return Dual(math.sinh(self.val), tuple([c * a for a in self.grad]))
 
     def cosh(self):
         s = math.sinh(self.val)
-        return Dual(math.cosh(self.val), tuple(s * a for a in self.grad))
+        return Dual(math.cosh(self.val), tuple([s * a for a in self.grad]))
 
     def tanh(self):
         t = math.tanh(self.val)
         c = 1.0 - t * t
-        return Dual(t, tuple(c * a for a in self.grad))
+        return Dual(t, tuple([c * a for a in self.grad]))
+
+
+def _length_mismatch(ga, gb):
+    return ValueError(f"gradient lengths differ: {len(ga)} and {len(gb)}")
 
 
 def _other_val(other):

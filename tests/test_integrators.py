@@ -9,7 +9,7 @@ import pytest
 
 from qsrdg import gmath as gm
 from qsrdg import integrators
-from qsrdg._kernels import Dual
+from qsrdg._kernels import BACKEND, Dual, seed_duals, value
 from qsrdg.dgradients import GONZALEZ, ITOH_ABE, StorageFunction, mean_value
 from qsrdg.errors import (
     GridMismatch,
@@ -480,10 +480,21 @@ def test_newton_starts_from_extrapolated_state(scheme, monkeypatch):
         case.initial_state,
     )
     z, taus = traj.states, grid.steps
-    assert counts["starts"][0] == z[0].tolist()
-    for i in range(1, grid.num_steps):
-        guess = z[i] + (taus[i] / taus[i - 1]) * (z[i] - z[i - 1])
-        np.testing.assert_allclose(counts["starts"][i], guess, rtol=1e-15, atol=0.0)
+    starts = counts["starts"]
+    assert len(starts) == grid.num_steps
+    # step 0 from z, step 1 from the linear extrapolation
+    assert starts[0] == z[0].tolist()
+    linear = z[1] + (taus[1] / taus[0]) * (z[1] - z[0])
+    np.testing.assert_allclose(starts[1], linear, rtol=1e-15, atol=0.0)
+    # from step 2 on, the quadratic through the last three states
+    for i in range(2, grid.num_steps):
+        tau, h1, h0 = taus[i], taus[i - 1], taus[i - 2]
+        d1 = z[i] - z[i - 1]
+        d0 = z[i - 1] - z[i - 2]
+        quadratic = (
+            z[i] + (tau / h1) * d1 + tau * (tau + h1) / (h1 + h0) * (d1 / h1 - d0 / h0)
+        )
+        np.testing.assert_allclose(starts[i], quadratic, rtol=1e-15, atol=0.0)
 
 
 def test_trajectory_records_newton_iterations():
@@ -491,6 +502,8 @@ def test_trajectory_records_newton_iterations():
     still = integrate(make_pi(), SchemeConfig(), grid, zero_control, (1.0,))
     assert still.newton_iterations.dtype.kind == "i"
     assert np.all(still.newton_iterations == 0)
+    # the quadratic start returns an unmoved state bit for bit
+    assert np.all(still.states == 1.0)
 
     case = benchmark_settings("pendulum")
     config = SchemeConfig()
@@ -498,6 +511,69 @@ def test_trajectory_records_newton_iterations():
     assert traj.newton_iterations.shape == (10,)
     assert np.all(traj.newton_iterations >= 1)
     assert np.all(traj.newton_iterations <= config.newton.max_iterations)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
+@pytest.mark.parametrize("name", ("pendulum", "lti-ocp", "pi", "synthetic"))
+def test_smooth_run_needs_one_newton_update_per_step_from_the_third(name, kind):
+    # at the benchmark step the quadratic start is accurate enough that
+    # every step after the first two converges with a single update
+    case = benchmark_settings(name)
+    grid = TimeGrid.with_step(5e-3, 100)
+    traj = integrate(
+        case.system, SchemeConfig(dg_kind=kind), grid, case.control,
+        case.initial_state,
+    )
+    assert np.all(traj.newton_iterations[2:] == 1)
+    assert np.all(traj.newton_iterations[:2] <= 3)
+
+
+def _random_pairs(case, rng, count):
+    """``count`` (z, w, ubar) triples around the case's initial state."""
+    n, m = case.system.n, case.system.m
+    for _ in range(count):
+        z = case.initial_state + rng.uniform(-2.0, 2.0, n)
+        w = z + 0.1 * rng.standard_normal(n)
+        yield z.tolist(), w.tolist(), rng.standard_normal(m).tolist()
+
+
+def _value_mismatches(residual, w):
+    floats = residual(w)
+    duals = residual(seed_duals(w))
+    return sum(value(d) != f for d, f in zip(duals, floats))
+
+
+# the compiled twin still rounds a dual quotient's value as a * (1 / b)
+pure_kernels_only = pytest.mark.skipif(
+    BACKEND != "pure", reason="compiled kernels round dual quotients differently"
+)
+
+
+@pure_kernels_only
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
+@pytest.mark.parametrize("name", ("pendulum", "lti-ocp", "pi", "synthetic"))
+def test_dual_pass_values_equal_float_residual_bit_for_bit(name, kind, rng):
+    # Newton stops on the float residual but updates from the dual pass's
+    # values; both must be the same numbers
+    case = benchmark_settings(name)
+    stepper = integrators._DgQsrStepper(case.system, SchemeConfig(dg_kind=kind))
+    storage = case.system.storage
+    mismatches = 0
+    for z, w, ubar in _random_pairs(case, rng, 200):
+        residual = stepper._residual(z, storage.value(z), 0.0, ubar, 0.05, [])
+        mismatches += _value_mismatches(residual, w)
+    assert mismatches == 0
+
+
+@pure_kernels_only
+@pytest.mark.parametrize("name", ("pendulum", "lti-ocp", "pi", "synthetic"))
+def test_midpoint_dual_pass_values_equal_float_residual_bit_for_bit(name, rng):
+    case = benchmark_settings(name)
+    stepper = integrators._MidpointStepper(case.system, SchemeConfig())
+    mismatches = 0
+    for z, w, ubar in _random_pairs(case, rng, 200):
+        mismatches += _value_mismatches(stepper._residual(z, ubar, 0.05), w)
+    assert mismatches == 0
 
 
 def test_newton_stall_warns_but_continues():

@@ -6,6 +6,7 @@ directly when both are importable.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -51,6 +52,30 @@ def test_add_sub_mul_div_values_and_gradients():
     assert p.val == 6.0 and p.grad == (2.0, 3.0)
     q = a / b
     assert q.val == 1.5 and q.grad == (0.5, -0.75)
+
+
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul, operator.truediv],
+    ids=["add", "sub", "mul", "truediv"],
+)
+def test_binary_ops_reject_gradients_of_different_lengths(op):
+    short = Dual(2.0, (1.0,))
+    long = Dual(3.0, (0.0, 1.0))
+    with pytest.raises(ValueError):
+        op(short, long)
+    with pytest.raises(ValueError):
+        op(long, short)
+
+
+def test_division_values_are_true_quotients():
+    # the value part must be a / b, not a * (1 / b), so that dual and
+    # float evaluations of a map agree bit for bit
+    # (the compiled twin still rounds as a * (1 / b))
+    a, b = 0.1, 1.9
+    assert a * (1.0 / b) != a / b
+    assert (_pure.Dual(a, (1.0, 0.0)) / _pure.Dual(b, (0.0, 1.0))).val == a / b
+    assert (_pure.Dual(a, (1.0,)) / b).val == a / b
+    assert (a / _pure.Dual(b, (1.0,))).val == a / b
 
 
 def test_scalar_mixing_and_reflected_ops():
