@@ -41,11 +41,9 @@ from qsrdg.integrators import (
     StepResult,
     TimeGrid,
     Trajectory,
-    dg_qsr_step,
     discrete_power_balance_residuals,
     drift_coefficient,
     integrate,
-    midpoint_step,
     projector,
     recovered_output,
     relative_error,
@@ -61,7 +59,6 @@ from qsrdg.model import (
 from qsrdg.numerics import (
     NewtonResult,
     NewtonSettings,
-    gauss_legendre,
     jacobian,
     newton_solve,
     solve_dense,
@@ -107,7 +104,6 @@ __all__ = [
     "NewtonSettings",
     "NewtonResult",
     "newton_solve",
-    "gauss_legendre",
     # integrators
     "TimeGrid",
     "SchemeConfig",
@@ -116,8 +112,6 @@ __all__ = [
     "projector",
     "recovered_output",
     "drift_coefficient",
-    "dg_qsr_step",
-    "midpoint_step",
     "integrate",
     "discrete_power_balance_residuals",
     "relative_error",

@@ -1,44 +1,28 @@
-"""Kernel backend selection.
+"""Kernels: dual scalars and small dense linear algebra.
 
-Prefers the compiled Cython kernels when they are importable; otherwise
-falls back to the pure-Python twin.  Setting the environment variable
-``QSRDG_PURE_PYTHON`` to a non-empty value forces the fallback, which is
-how the backend benchmark gets a like-for-like comparison.
+There is one backend, the pure-Python :mod:`qsrdg._kernels._pure`;
+``BACKEND`` names it for run records.
 """
 
-import os
+from qsrdg._kernels._pure import (
+    Dual,
+    dot,
+    lu_solve,
+    matvec,
+    norm_sq,
+    seed_duals,
+    solve_generic,
+    tmatvec,
+    value,
+)
 
-if os.environ.get("QSRDG_PURE_PYTHON"):
-    from qsrdg._kernels import _pure as _impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from qsrdg._kernels import _core as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from qsrdg._kernels import _pure as _impl  # type: ignore[no-redef]
-
-        BACKEND = "pure"
-
-Dual = _impl.Dual
-value = _impl.value
-seed_duals = _impl.seed_duals
-isfinite_scalar = _impl.isfinite_scalar
-dot = _impl.dot
-norm_sq = _impl.norm_sq
-matvec = _impl.matvec
-tmatvec = _impl.tmatvec
-lu_solve = _impl.lu_solve
-solve_generic = _impl.solve_generic
+BACKEND = "pure"
 
 __all__ = [
     "BACKEND",
     "Dual",
     "value",
     "seed_duals",
-    "isfinite_scalar",
     "dot",
     "norm_sq",
     "matvec",

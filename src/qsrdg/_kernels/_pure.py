@@ -1,11 +1,8 @@
 """Pure-Python kernels: dual scalars and small dense linear algebra.
 
-This module is the reference implementation of the kernel API; the Cython
-twin ``_core`` mirrors it and is preferred at import time when available.
-The twin still rounds a dual quotient's value as ``a * (1 / b)``, which
-can differ from the true quotient ``a / b`` computed here by one ulp.  Everything here works on *generic scalars*: plain floats or
-:class:`Dual` numbers carrying a gradient, so the same map evaluation code
-serves both plain propagation and forward-mode differentiation.
+Everything here works on *generic scalars*: plain floats or :class:`Dual`
+numbers carrying a gradient, so the same map evaluation code serves both
+plain propagation and forward-mode differentiation.
 
 Vectors are plain sequences of scalars and matrices are sequences of row
 sequences.  numpy arrays of floats are accepted anywhere a sequence is;
@@ -15,9 +12,6 @@ that size.
 """
 
 import math
-from operator import add as _add
-from operator import neg as _neg
-from operator import sub as _sub
 
 from qsrdg.errors import SingularMatrix
 
@@ -25,7 +19,6 @@ __all__ = [
     "Dual",
     "value",
     "seed_duals",
-    "isfinite_scalar",
     "dot",
     "norm_sq",
     "matvec",
@@ -45,10 +38,9 @@ class Dual:
 
     Value parts are computed exactly as the float operation would, so a
     map evaluated on duals returns the same value bits as on floats.
-    Gradients are built with ``map`` or list comprehensions: a generator
-    expression inside ``tuple`` costs about twice as much at the one- and
-    two-entry gradients of the states of interest.  Binary operations on
-    two duals raise :class:`ValueError` when the gradient lengths differ.
+    Every gradient comes from one of two kernels, :func:`_scale` or
+    :func:`_axpby`.  Binary operations on two duals raise
+    :class:`ValueError` when the gradient lengths differ.
     """
 
     __slots__ = ("val", "grad")
@@ -64,78 +56,63 @@ class Dual:
 
     def __add__(self, other):
         if isinstance(other, Dual):
-            ga, gb = self.grad, other.grad
-            if len(ga) != len(gb):
-                raise _length_mismatch(ga, gb)
-            return Dual(self.val + other.val, tuple(map(_add, ga, gb)))
+            return Dual(
+                self.val + other.val, _axpby(self.grad, other.grad, 1.0, 1.0)
+            )
         return Dual(self.val + other, self.grad)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Dual):
-            ga, gb = self.grad, other.grad
-            if len(ga) != len(gb):
-                raise _length_mismatch(ga, gb)
-            return Dual(self.val - other.val, tuple(map(_sub, ga, gb)))
+            return Dual(
+                self.val - other.val, _axpby(self.grad, other.grad, 1.0, -1.0)
+            )
         return Dual(self.val - other, self.grad)
 
     def __rsub__(self, other):
-        return Dual(other - self.val, tuple(map(_neg, self.grad)))
+        return Dual(other - self.val, _scale(self.grad, -1.0))
 
     def __mul__(self, other):
         if isinstance(other, Dual):
-            ga, gb = self.grad, other.grad
-            if len(ga) != len(gb):
-                raise _length_mismatch(ga, gb)
             va, vb = self.val, other.val
-            return Dual(va * vb, tuple([va * b + vb * a for a, b in zip(ga, gb)]))
-        return Dual(self.val * other, tuple([other * a for a in self.grad]))
+            return Dual(va * vb, _axpby(self.grad, other.grad, vb, va))
+        return Dual(self.val * other, _scale(self.grad, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # the value must match float division bit for bit; the gradient
+        # needs no such match and uses the reciprocal
         if isinstance(other, Dual):
-            ga, gb = self.grad, other.grad
-            if len(ga) != len(gb):
-                raise _length_mismatch(ga, gb)
-            # the value must match float division bit for bit; the
-            # gradient needs no such match and keeps the reciprocal form
             inv = 1.0 / other.val
-            q = self.val * inv
-            return Dual(
-                self.val / other.val,
-                tuple([(a - q * b) * inv for a, b in zip(ga, gb)]),
-            )
-        inv = 1.0 / other
-        return Dual(self.val / other, tuple([a * inv for a in self.grad]))
+            q = self.val / other.val
+            return Dual(q, _axpby(self.grad, other.grad, inv, -q * inv))
+        return Dual(self.val / other, _scale(self.grad, 1.0 / other))
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.val
-        c = -(other * inv) * inv
-        return Dual(other / self.val, tuple([c * a for a in self.grad]))
+        q = other / self.val
+        return Dual(q, _scale(self.grad, -q * inv))
 
     def __pow__(self, p):
         if isinstance(p, Dual):
             return (p * self.log()).exp()
-        v = self.val**p
-        c = p * self.val ** (p - 1)
-        return Dual(v, tuple([c * a for a in self.grad]))
+        return Dual(self.val**p, _scale(self.grad, p * self.val ** (p - 1)))
 
     def __rpow__(self, base):
-        c = math.log(base)
         v = base**self.val
-        return Dual(v, tuple([v * c * a for a in self.grad]))
+        return Dual(v, _scale(self.grad, v * math.log(base)))
 
     def __neg__(self):
-        return Dual(-self.val, tuple(map(_neg, self.grad)))
+        return Dual(-self.val, _scale(self.grad, -1.0))
 
     def __pos__(self):
         return self
 
     def __abs__(self):
         s = -1.0 if self.val < 0.0 else 1.0
-        return Dual(abs(self.val), tuple([s * a for a in self.grad]))
+        return Dual(abs(self.val), _scale(self.grad, s))
 
     # comparisons act on the value part, which is what branch guards need
 
@@ -167,47 +144,66 @@ class Dual:
     # transcendentals (numpy ufunc method names) ----------------------
 
     def sin(self):
-        c = math.cos(self.val)
-        return Dual(math.sin(self.val), tuple([c * a for a in self.grad]))
+        return Dual(math.sin(self.val), _scale(self.grad, math.cos(self.val)))
 
     def cos(self):
-        s = -math.sin(self.val)
-        return Dual(math.cos(self.val), tuple([s * a for a in self.grad]))
+        return Dual(math.cos(self.val), _scale(self.grad, -math.sin(self.val)))
 
     def tan(self):
         t = math.tan(self.val)
-        c = 1.0 + t * t
-        return Dual(t, tuple([c * a for a in self.grad]))
+        return Dual(t, _scale(self.grad, 1.0 + t * t))
 
     def exp(self):
         v = math.exp(self.val)
-        return Dual(v, tuple([v * a for a in self.grad]))
+        return Dual(v, _scale(self.grad, v))
 
     def log(self):
-        c = 1.0 / self.val
-        return Dual(math.log(self.val), tuple([c * a for a in self.grad]))
+        return Dual(math.log(self.val), _scale(self.grad, 1.0 / self.val))
 
     def sqrt(self):
         v = math.sqrt(self.val)
-        c = 0.5 / v
-        return Dual(v, tuple([c * a for a in self.grad]))
+        return Dual(v, _scale(self.grad, 0.5 / v))
 
     def arctan(self):
         c = 1.0 / (1.0 + self.val * self.val)
-        return Dual(math.atan(self.val), tuple([c * a for a in self.grad]))
+        return Dual(math.atan(self.val), _scale(self.grad, c))
 
     def sinh(self):
-        c = math.cosh(self.val)
-        return Dual(math.sinh(self.val), tuple([c * a for a in self.grad]))
+        return Dual(math.sinh(self.val), _scale(self.grad, math.cosh(self.val)))
 
     def cosh(self):
-        s = math.sinh(self.val)
-        return Dual(math.cosh(self.val), tuple([s * a for a in self.grad]))
+        return Dual(math.cosh(self.val), _scale(self.grad, math.sinh(self.val)))
 
     def tanh(self):
         t = math.tanh(self.val)
-        c = 1.0 - t * t
-        return Dual(t, tuple([c * a for a in self.grad]))
+        return Dual(t, _scale(self.grad, 1.0 - t * t))
+
+
+# gradient kernels: the one- and two-entry tangents of the states of
+# interest are written out, which is several times cheaper than building
+# a tuple from a comprehension; longer tangents take the generic path
+
+
+def _scale(g, c):
+    """The gradient ``c * g``."""
+    n = len(g)
+    if n == 1:
+        return (c * g[0],)
+    if n == 2:
+        return (c * g[0], c * g[1])
+    return tuple([c * x for x in g])
+
+
+def _axpby(ga, gb, a, b):
+    """The gradient ``a * ga + b * gb``; the lengths must agree."""
+    n = len(ga)
+    if n != len(gb):
+        raise _length_mismatch(ga, gb)
+    if n == 1:
+        return (a * ga[0] + b * gb[0],)
+    if n == 2:
+        return (a * ga[0] + b * gb[0], a * ga[1] + b * gb[1])
+    return tuple([a * x + b * y for x, y in zip(ga, gb)])
 
 
 def _length_mismatch(ga, gb):
@@ -235,13 +231,6 @@ def seed_duals(values):
         Dual(v, tuple(1.0 if j == k else 0.0 for j in range(n)))
         for k, v in enumerate(vals)
     ]
-
-
-def isfinite_scalar(x):
-    """True when the value and every gradient entry are finite."""
-    if isinstance(x, Dual):
-        return math.isfinite(x.val) and all(math.isfinite(a) for a in x.grad)
-    return math.isfinite(x)
 
 
 # small dense algebra on generic scalars ------------------------------

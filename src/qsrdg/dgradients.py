@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from qsrdg._kernels import dot, norm_sq, value
+from qsrdg._kernels import Dual, dot, norm_sq, value
 from qsrdg.errors import NonFiniteEvaluation, QuadratureNotConverged
 from qsrdg.numerics import gauss_legendre_nodes
 
@@ -142,17 +142,19 @@ def _mean_value(storage, z, w, order, h_at_z):
     if h_at_z is None:
         h_at_z = storage.value(z)
     h_at_w = storage.value(w_vals)
+    # the panel count is chosen on value parts only, so the dual Newton
+    # residual and the float evaluation agree on it; past the first panel
+    # it is searched in floats, and a dual ``w`` gets its composite once,
+    # at the chosen count
+    d = _composite_gauss(storage, z, w, nodes, weights, 1)
     panels = 1
     while True:
-        d = _composite_gauss(storage, z, w, nodes, weights, panels)
-        # the panel count is chosen on value parts only, so the dual
-        # Newton residual and the float evaluation agree on it
         terms = [value(dk) * sk for dk, sk in zip(d, step)]
         defect = abs(h_at_w - h_at_z - sum(terms))
         scale = abs(h_at_z) + abs(h_at_w) + sum(abs(t) for t in terms)
         tol = max(_MEAN_VALUE_TOL, _MEAN_VALUE_ULPS * _EPS * scale)
         if defect <= tol:
-            return d
+            break
         if not math.isfinite(defect):
             raise NonFiniteEvaluation(f"mean-value secant defect is {defect!r}")
         if panels >= _MAX_PANELS:
@@ -161,6 +163,10 @@ def _mean_value(storage, z, w, order, h_at_z):
                 f"with {panels} panels of order {order}"
             )
         panels *= 2
+        d = _composite_gauss(storage, z, w_vals, nodes, weights, panels)
+    if panels > 1 and any(isinstance(b, Dual) for b in w):
+        return _composite_gauss(storage, z, w, nodes, weights, panels)
+    return d
 
 
 def _evaluate(kind, storage, z, w, h_at_z=None):

@@ -43,8 +43,6 @@ __all__ = [
     "projector",
     "recovered_output",
     "drift_coefficient",
-    "dg_qsr_step",
-    "midpoint_step",
     "integrate",
     "discrete_power_balance_residuals",
     "relative_error",
@@ -259,11 +257,10 @@ class _DgQsrStepper:
                 raise ZeroDirection(
                     f"discrete gradient norm {math.sqrt(g2v):.3e} below floor"
                 )
-            gam = gam_num / g2
-            cf = dot(dg, fv) / g2
+            coef = (gam_num - dot(dg, fv)) / g2
             bu = matvec(bv, ubar)
             return [
-                wk - zk - tau * (gam * dk + fk - cf * dk + bk)
+                wk - zk - tau * (coef * dk + fk + bk)
                 for wk, zk, dk, fk, bk in zip(w, z, dg, fv, bu)
             ]
 
@@ -376,18 +373,6 @@ def _make_stepper(system, config):
     return _MidpointStepper(system, config)
 
 
-def dg_qsr_step(system, config, control, z, t, tau):
-    """One step of the structure-preserving scheme from ``z`` at ``t``."""
-    ubar, _ = _averaged_input(control, t, tau, config.input_rule, system.m)
-    return _DgQsrStepper(system, config).step(z, ubar, tau)
-
-
-def midpoint_step(system, config, control, z, t, tau):
-    """One implicit midpoint step from ``z`` at ``t``."""
-    ubar, _ = _averaged_input(control, t, tau, config.input_rule, system.m)
-    return _MidpointStepper(system, config).step(z, ubar, tau)
-
-
 def integrate(system, config, grid, control, z0):
     """March the configured scheme over ``grid`` from ``z0``.
 
@@ -474,25 +459,25 @@ def discrete_power_balance_residuals(system, trajectory):
     scheme these are at Newton-residual level; for the midpoint scheme
     they are O(tau^2).
     """
-    states = trajectory.states
-    taus = trajectory.grid.steps
-    q = trajectory.grid.num_steps
+    states = trajectory.states.tolist()
+    inputs = trajectory.averaged_inputs.tolist()
+    taus = trajectory.grid.steps.tolist()
+    supplies = supply_value(
+        system.supply, trajectory.averaged_inputs, trajectory.discrete_outputs
+    ).tolist()
     hval = system.storage.value
-    out = np.empty(q)
-    for i in range(q):
-        z0 = states[i]
-        z1 = states[i + 1]
-        mid = 0.5 * (z0 + z1)
-        lv = np.asarray(system.loss_state(mid), dtype=float)
-        wv = np.asarray(system.loss_input(mid), dtype=float)
-        u = trajectory.averaged_inputs[i]
-        y = trajectory.discrete_outputs[i]
-        sig = lv + wv @ u
-        diss = float(sig @ sig)
-        sup = supply_value(system.supply, u, y)
-        dh = (hval(z1.tolist()) - hval(z0.tolist())) / float(taus[i])
-        out[i] = abs(dh - sup + diss)
-    return out
+    h = [hval(z) for z in states]
+    out = []
+    for i, (z0, z1, u, tau, sup) in enumerate(
+        zip(states, states[1:], inputs, taus, supplies)
+    ):
+        mid = [(a + b) * 0.5 for a, b in zip(z0, z1)]
+        wv = system.loss_input(mid)
+        sig = [lk + dot(row, u) for lk, row in zip(system.loss_state(mid), wv)]
+        diss = norm_sq(sig)
+        dh = (h[i + 1] - h[i]) / tau
+        out.append(abs(dh - sup + diss))
+    return np.array(out)
 
 
 def relative_error(trajectory, reference, node_tolerance=1e-12):

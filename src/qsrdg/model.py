@@ -96,10 +96,19 @@ class QsrSystem:
 
 
 def supply_value(supply, u, y):
-    """Evaluate ``y^T Q y + 2 y^T S u + u^T R u``."""
+    """Evaluate ``y^T Q y + 2 y^T S u + u^T R u``.
+
+    Scalars and vectors give a float.  Stacked rows (``u`` and ``y`` of
+    shape ``(k, m)``) give an array of the ``k`` row-wise values.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(y @ supply.q @ y + 2.0 * (y @ supply.s @ u) + u @ supply.r @ u)
+    out = (
+        np.einsum("...i,ij,...j->...", y, supply.q, y)
+        + 2.0 * np.einsum("...i,ij,...j->...", y, supply.s, u)
+        + np.einsum("...i,ij,...j->...", u, supply.r, u)
+    )
+    return float(out) if out.ndim == 0 else out
 
 
 def dissipation_rate(system, z, u):

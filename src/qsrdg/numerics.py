@@ -1,4 +1,4 @@
-"""Dense solves, Jacobians, Newton iteration and Gauss-Legendre quadrature.
+"""Dense solves, Jacobians, Newton iteration and Gauss-Legendre nodes.
 
 The implicit steppers funnel through :func:`newton_solve`, so the residual
 maps they hand over must follow the generic-scalar contract: accept a
@@ -31,7 +31,6 @@ __all__ = [
     "NewtonSettings",
     "NewtonResult",
     "newton_solve",
-    "gauss_legendre",
     "gauss_legendre_nodes",
     "SingularMatrix",
     "NonFiniteEvaluation",
@@ -192,14 +191,3 @@ def gauss_legendre_nodes(order):
         cached = (tuple((xi + 1.0) / 2.0 for xi in x), tuple(wi / 2.0 for wi in w))
         _GL_CACHE[order] = cached
     return cached
-
-def gauss_legendre(f, order):
-    """Approximate the componentwise integral of ``f`` over [0, 1].
-
-    Exact for polynomial integrands of degree up to ``2*order - 1``.
-    """
-    nodes, weights = gauss_legendre_nodes(order)
-    acc = weights[0] * np.asarray(f(nodes[0]), dtype=float)
-    for s, w in zip(nodes[1:], weights[1:]):
-        acc = acc + w * np.asarray(f(s), dtype=float)
-    return acc

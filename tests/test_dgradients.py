@@ -247,6 +247,31 @@ def test_mean_value_refines_on_dual_newton_path():
     assert refined >= 50
 
 
+def test_mean_value_refinement_takes_one_dual_composite():
+    # (-1, 3) on the synthetic storage needs 32 panels of order 5: one
+    # dual panel, the search over 2..32 panels in floats, then the dual
+    # composite once at 32 panels
+    storage = make_synthetic().storage
+    calls = {"dual": 0, "float": 0}
+
+    def counted_gradient(z):
+        calls["dual" if isinstance(z[0], Dual) else "float"] += 1
+        return storage.gradient(z)
+
+    counting = StorageFunction(storage.value, counted_gradient, storage.dim)
+    kind = mean_value()
+    d = _evaluate(kind, counting, [-1.0], seed_duals([3.0]))
+    assert calls == {"dual": 5 + 5 * 32, "float": 5 * (2 + 4 + 8 + 16 + 32)}
+    assert value(d[0]) == discrete_gradient(kind, storage, (-1.0,), (3.0,))[0]
+    calls.update(dual=0, float=0)
+    discrete_gradient(kind, counting, (-1.0,), (3.0,))
+    assert calls == {"dual": 0, "float": 5 * (1 + 2 + 4 + 8 + 16 + 32)}
+    # a segment that one panel meets costs one dual panel only
+    calls.update(dual=0, float=0)
+    _evaluate(kind, counting, [-1.0], seed_duals([1.0]))
+    assert calls == {"dual": 5, "float": 0}
+
+
 def test_mean_value_raises_at_panel_cap_on_singular_gradient():
     # H = sqrt(|x|): the gradient is integrable but unbounded at 0, so
     # composite Gauss converges too slowly to reach the tolerance

@@ -9,7 +9,7 @@ import pytest
 
 from qsrdg import gmath as gm
 from qsrdg import integrators
-from qsrdg._kernels import BACKEND, Dual, seed_duals, value
+from qsrdg._kernels import Dual, seed_duals, value
 from qsrdg.dgradients import GONZALEZ, ITOH_ABE, StorageFunction, mean_value
 from qsrdg.errors import (
     GridMismatch,
@@ -24,11 +24,9 @@ from qsrdg.integrators import (
     MIDPOINT_SAMPLE,
     SchemeConfig,
     TimeGrid,
-    dg_qsr_step,
     discrete_power_balance_residuals,
     drift_coefficient,
     integrate,
-    midpoint_step,
     projector,
     recovered_output,
     relative_error,
@@ -197,13 +195,18 @@ def test_scheme_direction_consistency_at_base_points(rng):
 # single steps ----------------------------------------------------------
 
 
+def one_step(system, config, control, z, tau):
+    """The one-step trajectory from ``z`` at t = 0."""
+    return integrate(system, config, TimeGrid.with_step(tau, 1), control, z)
+
+
 def test_pi_stays_at_fixed_point_with_zero_input():
     sys_ = make_pi()
     config = SchemeConfig()
-    result = dg_qsr_step(sys_, config, zero_control, (1.0,), 0.0, 0.1)
-    assert result.state[0] == 1.0
-    assert result.iterations == 0
-    assert result.discrete_output[0] == 1.0
+    traj = one_step(sys_, config, zero_control, (1.0,), 0.1)
+    assert traj.states[1][0] == 1.0
+    assert traj.newton_iterations[0] == 0
+    assert traj.discrete_outputs[0][0] == 1.0
 
 
 def test_conservative_pendulum_single_step_preserves_energy():
@@ -211,16 +214,16 @@ def test_conservative_pendulum_single_step_preserves_energy():
     config = SchemeConfig()
     z0 = (math.pi / 4.0, -1.0)
     h0 = sys_.storage.value(z0)
-    result = dg_qsr_step(sys_, config, zero_control, z0, 0.0, 0.05)
-    h1 = sys_.storage.value(result.state.tolist())
+    traj = one_step(sys_, config, zero_control, z0, 0.05)
+    h1 = sys_.storage.value(traj.states[1].tolist())
     assert abs(h1 - h0) <= 1e-13 * (1.0 + abs(h0))
 
 
 def test_midpoint_step_scalar_decay_oracle():
     sys_ = scalar_decay_system()
     config = SchemeConfig(scheme=IMPLICIT_MIDPOINT)
-    result = midpoint_step(sys_, config, zero_control, (1.0,), 0.0, 0.1)
-    assert math.isclose(result.state[0], 0.95 / 1.05, rel_tol=1e-13)
+    traj = one_step(sys_, config, zero_control, (1.0,), 0.1)
+    assert math.isclose(traj.states[1][0], 0.95 / 1.05, rel_tol=1e-13)
 
 
 def test_dg_step_third_order_local_error():
@@ -230,8 +233,8 @@ def test_dg_step_third_order_local_error():
     config = SchemeConfig()
 
     def local_error(tau):
-        result = dg_qsr_step(sys_, config, zero_control, (1.0,), 0.0, tau)
-        return abs(result.state[0] - math.exp(-tau))
+        traj = one_step(sys_, config, zero_control, (1.0,), tau)
+        return abs(traj.states[1][0] - math.exp(-tau))
 
     ratio = local_error(0.2) / local_error(0.1)
     assert 7.0 <= ratio <= 9.0
@@ -240,35 +243,35 @@ def test_dg_step_third_order_local_error():
 def test_step_records_newton_diagnostics():
     case = benchmark_settings("pendulum")
     config = SchemeConfig()
-    result = dg_qsr_step(
-        case.system, config, case.control, case.initial_state, 0.0, 0.01
-    )
-    assert result.newton_residual <= config.newton.residual_tolerance
-    assert 1 <= result.iterations <= config.newton.max_iterations
-    assert result.averaged_input.shape == (1,)
-    assert result.discrete_output.shape == (1,)
+    traj = one_step(case.system, config, case.control, case.initial_state, 0.01)
+    assert traj.newton_residuals[0] <= config.newton.residual_tolerance
+    assert 1 <= traj.newton_iterations[0] <= config.newton.max_iterations
+    assert traj.averaged_inputs[0].shape == (1,)
+    assert traj.discrete_outputs[0].shape == (1,)
 
 
 def test_input_rules_trapezoidal_vs_midpoint_sample():
+    # a step at t = 1, taken as the first step of a grid on the shifted
+    # control
     case = benchmark_settings("pendulum")
     tau = 0.25
-    trap = dg_qsr_step(
-        case.system, SchemeConfig(), case.control, case.initial_state, 1.0, tau
-    )
-    samp = dg_qsr_step(
+
+    def shifted(t):
+        return case.control(1.0 + t)
+
+    trap = one_step(case.system, SchemeConfig(), shifted, case.initial_state, tau)
+    samp = one_step(
         case.system,
         SchemeConfig(input_rule=MIDPOINT_SAMPLE),
-        case.control,
+        shifted,
         case.initial_state,
-        1.0,
         tau,
     )
     u0, u1 = case.control(1.0), case.control(1.0 + tau)
-    assert math.isclose(trap.averaged_input[0], 0.5 * (u0 + u1), rel_tol=1e-15)
+    assert math.isclose(trap.averaged_inputs[0][0], 0.5 * (u0 + u1), rel_tol=1e-15)
     assert math.isclose(
-        samp.averaged_input[0], case.control(1.0 + 0.5 * tau), rel_tol=1e-15
+        samp.averaged_inputs[0][0], case.control(1.0 + 0.5 * tau), rel_tol=1e-15
     )
-    assert trap.state[0] != samp.state[0]
 
 
 # integration loop ------------------------------------------------------
@@ -543,13 +546,6 @@ def _value_mismatches(residual, w):
     return sum(value(d) != f for d, f in zip(duals, floats))
 
 
-# the compiled twin still rounds a dual quotient's value as a * (1 / b)
-pure_kernels_only = pytest.mark.skipif(
-    BACKEND != "pure", reason="compiled kernels round dual quotients differently"
-)
-
-
-@pure_kernels_only
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
 @pytest.mark.parametrize("name", ("pendulum", "lti-ocp", "pi", "synthetic"))
 def test_dual_pass_values_equal_float_residual_bit_for_bit(name, kind, rng):
@@ -565,7 +561,6 @@ def test_dual_pass_values_equal_float_residual_bit_for_bit(name, kind, rng):
     assert mismatches == 0
 
 
-@pure_kernels_only
 @pytest.mark.parametrize("name", ("pendulum", "lti-ocp", "pi", "synthetic"))
 def test_midpoint_dual_pass_values_equal_float_residual_bit_for_bit(name, rng):
     case = benchmark_settings(name)
@@ -574,6 +569,75 @@ def test_midpoint_dual_pass_values_equal_float_residual_bit_for_bit(name, rng):
     for z, w, ubar in _random_pairs(case, rng, 200):
         mismatches += _value_mismatches(stepper._residual(z, ubar, 0.05), w)
     assert mismatches == 0
+
+
+def _audit_per_step(system, trajectory):
+    """The balance defect of each step, step by step in numpy."""
+    states = trajectory.states
+    taus = trajectory.grid.steps
+    hval = system.storage.value
+    out = []
+    for i in range(trajectory.grid.num_steps):
+        z0, z1 = states[i], states[i + 1]
+        mid = 0.5 * (z0 + z1)
+        lv = np.asarray(system.loss_state(mid), dtype=float)
+        wv = np.asarray(system.loss_input(mid), dtype=float)
+        u = trajectory.averaged_inputs[i]
+        y = trajectory.discrete_outputs[i]
+        sig = lv + wv @ u
+        sup = supply_value(system.supply, u, y)
+        dh = (hval(z1.tolist()) - hval(z0.tolist())) / float(taus[i])
+        out.append(abs(dh - sup + float(sig @ sig)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("scheme", (DG_QSR, IMPLICIT_MIDPOINT))
+@pytest.mark.parametrize("name", ("pendulum", "lti-ocp", "pi", "synthetic"))
+def test_balance_audit_matches_per_step_formula(name, scheme):
+    case = benchmark_settings(name)
+    traj = integrate(
+        case.system,
+        SchemeConfig(scheme=scheme),
+        TimeGrid.with_step(0.05, 40),
+        case.control,
+        case.initial_state,
+    )
+    got = discrete_power_balance_residuals(case.system, traj)
+    np.testing.assert_allclose(
+        got, _audit_per_step(case.system, traj), rtol=0.0, atol=1e-15
+    )
+
+
+@pytest.mark.parametrize("drift", ("pi", "coupled"))
+def test_residual_jacobian_on_three_channels_matches_central_differences(drift, rng):
+    # three states take the kernels' generic (list comprehension) branch;
+    # the pi drift vanishes, so its scheme coefficient is 0, and a coupled
+    # nonlinear drift makes the coefficient depend on the state as well
+    system = make_pi(channels=3)
+    if drift == "coupled":
+        system = dataclasses.replace(
+            system,
+            drift=lambda z: [z[1] * z[2], z[2] - z[0], gm.sin(z[0]) - z[2]],
+        )
+    h = 1e-6
+    for kind in ALL_KINDS:
+        stepper = integrators._DgQsrStepper(system, SchemeConfig(dg_kind=kind))
+        for _ in range(5):
+            z = rng.uniform(0.5, 1.5, 3).tolist()
+            w = (np.array(z) + 0.1 * rng.standard_normal(3)).tolist()
+            ubar = rng.standard_normal(3).tolist()
+            residual = stepper._residual(
+                z, system.storage.value(z), 0.0, ubar, 0.05, []
+            )
+            rows = [d.grad for d in residual(seed_duals(w))]
+            for k in range(3):
+                up, dn = list(w), list(w)
+                up[k] += h
+                dn[k] -= h
+                column = (np.array(residual(up)) - np.array(residual(dn))) / (2 * h)
+                np.testing.assert_allclose(
+                    [row[k] for row in rows], column, rtol=0.0, atol=1e-7
+                )
 
 
 def test_newton_stall_warns_but_continues():

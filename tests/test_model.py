@@ -55,6 +55,27 @@ def test_supply_value_multichannel():
     assert math.isclose(supply_value(sr, u, y), -4.0, rel_tol=1e-15)
 
 
+def test_supply_value_on_stacked_rows_matches_row_by_row(rng):
+    q = rng.standard_normal((2, 2))
+    r = rng.standard_normal((2, 2))
+    sr = SupplyRate(q=q + q.T, s=rng.standard_normal((2, 2)), r=r + r.T)
+    u = rng.standard_normal((7, 2))
+    y = rng.standard_normal((7, 2))
+    got = supply_value(sr, u, y)
+    assert got.shape == (7,)
+    # the summation order may differ from a single row's, by roundoff
+    np.testing.assert_allclose(
+        got, [supply_value(sr, ui, yi) for ui, yi in zip(u, y)], rtol=0.0, atol=1e-14
+    )
+    # one channel, rows of length one and plain scalars
+    sr = SupplyRate(q=-0.2, s=0.5, r=0.1)
+    u = rng.standard_normal((5, 1))
+    y = rng.standard_normal((5, 1))
+    want = [supply_value(sr, float(ui[0]), float(yi[0])) for ui, yi in zip(u, y)]
+    assert supply_value(sr, u, y).tolist() == want
+    assert isinstance(supply_value(sr, 1.0, 2.0), float)
+
+
 def test_dissipation_rate_oracles():
     # the pendulum realization keeps its damping in the supply weight q,
     # so the factorized dissipation signal is identically zero
