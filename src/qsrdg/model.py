@@ -103,12 +103,14 @@ def supply_value(supply, u, y):
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if u.ndim == 1 and y.ndim == 1:
+        return float(y @ supply.q @ y + 2.0 * (y @ supply.s @ u) + u @ supply.r @ u)
     out = (
         np.einsum("...i,ij,...j->...", y, supply.q, y)
         + 2.0 * np.einsum("...i,ij,...j->...", y, supply.s, u)
         + np.einsum("...i,ij,...j->...", u, supply.r, u)
     )
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def dissipation_rate(system, z, u):

@@ -272,6 +272,7 @@ def test_input_rules_trapezoidal_vs_midpoint_sample():
     assert math.isclose(
         samp.averaged_inputs[0][0], case.control(1.0 + 0.5 * tau), rel_tol=1e-15
     )
+    assert trap.states[1][0] != samp.states[1][0]
 
 
 # integration loop ------------------------------------------------------
