@@ -19,7 +19,6 @@ from qsrdg.dgradients import (
     ITOH_ABE,
     DiscreteGradientKind,
     StorageFunction,
-    check_mean_value,
     discrete_gradient,
     mean_value,
 )
@@ -38,14 +37,10 @@ from qsrdg.errors import (
 )
 from qsrdg.integrators import (
     SchemeConfig,
-    StepResult,
     TimeGrid,
     Trajectory,
     discrete_power_balance_residuals,
-    drift_coefficient,
     integrate,
-    projector,
-    recovered_output,
     relative_error,
 )
 from qsrdg.model import (
@@ -59,7 +54,6 @@ from qsrdg.model import (
 from qsrdg.numerics import (
     NewtonResult,
     NewtonSettings,
-    jacobian,
     newton_solve,
     solve_dense,
 )
@@ -90,7 +84,6 @@ __all__ = [
     "ITOH_ABE",
     "mean_value",
     "discrete_gradient",
-    "check_mean_value",
     # model
     "SupplyRate",
     "QsrSystem",
@@ -100,18 +93,13 @@ __all__ = [
     "continuous_power_balance_residual",
     # numerics
     "solve_dense",
-    "jacobian",
     "NewtonSettings",
     "NewtonResult",
     "newton_solve",
     # integrators
     "TimeGrid",
     "SchemeConfig",
-    "StepResult",
     "Trajectory",
-    "projector",
-    "recovered_output",
-    "drift_coefficient",
     "integrate",
     "discrete_power_balance_residuals",
     "relative_error",

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from ._kernels import BACKEND
-from .dgradients import GONZALEZ, ITOH_ABE, DiscreteGradientKind, mean_value
+from .dgradients import GONZALEZ, ITOH_ABE, mean_value
 from .errors import GridMismatch, IntegrationError
 from .integrators import (
     DG_QSR,

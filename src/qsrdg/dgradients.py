@@ -33,7 +33,6 @@ __all__ = [
     "ITOH_ABE",
     "mean_value",
     "discrete_gradient",
-    "check_mean_value",
 ]
 
 _VARIANTS = ("gonzalez", "itoh-abe", "mean-value")
@@ -52,7 +51,7 @@ class StorageFunction:
 
     Both callables must follow the generic-scalar contract (accept
     sequences of floats or duals, use :mod:`qsrdg.gmath` for
-    transcendentals) if the automatic-dual Newton mode is to be used.
+    transcendentals): Newton differentiates them with dual numbers.
     """
 
     value: Callable
@@ -184,15 +183,3 @@ def discrete_gradient(kind, storage, z, w):
     w = [float(v) for v in w]
     return np.array([value(g) for g in _evaluate(kind, storage, z, w)])
 
-
-def check_mean_value(kind, storage, z, w):
-    """Relative defect of the mean value property for one pair.
-
-    Returns ``|H(w) - H(z) - d.(w - z)| / (1 + |H(w) - H(z)|)``.
-    """
-    z = [float(v) for v in z]
-    w = [float(v) for v in w]
-    d = discrete_gradient(kind, storage, z, w)
-    dh = storage.value(w) - storage.value(z)
-    lhs = float(sum(di * (wi - zi) for di, zi, wi in zip(d, z, w)))
-    return abs(dh - lhs) / (1.0 + abs(dh))

@@ -11,13 +11,13 @@ balance.  An implicit midpoint stepper over the same averaged maps serves
 as the second-order reference scheme without the balance guarantee.
 
 All two-point averages are midpoint evaluations, phi((z + w) / 2); the
-averaged input is a trapezoidal endpoint mean by default.
+averaged input is the trapezoidal endpoint mean (u(t_i) + u(t_{i+1})) / 2.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +38,7 @@ from qsrdg.numerics import NewtonSettings, newton_solve
 __all__ = [
     "TimeGrid",
     "SchemeConfig",
-    "StepResult",
     "Trajectory",
-    "projector",
-    "recovered_output",
-    "drift_coefficient",
     "integrate",
     "discrete_power_balance_residuals",
     "relative_error",
@@ -50,9 +46,6 @@ __all__ = [
 
 DG_QSR = "dg-qsr"
 IMPLICIT_MIDPOINT = "implicit-midpoint"
-
-TRAPEZOIDAL = "trapezoidal"
-MIDPOINT_SAMPLE = "midpoint-sample"
 
 
 @dataclass(frozen=True)
@@ -101,7 +94,8 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme selection and numerical knobs for one integration run.
+    """Scheme, discrete gradient, Newton settings and gradient floor for
+    one integration run.
 
     ``gradient_floor`` is a relative coefficient: a step from z treats
     discrete gradients shorter than ``gradient_floor * (1 + |grad H(z)|)``
@@ -112,18 +106,15 @@ class SchemeConfig:
     dg_kind: DiscreteGradientKind = GONZALEZ
     newton: NewtonSettings = field(default_factory=NewtonSettings)
     gradient_floor: float = 1e-12
-    input_rule: str = TRAPEZOIDAL
 
     def __post_init__(self):
         if self.scheme not in (DG_QSR, IMPLICIT_MIDPOINT):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.input_rule not in (TRAPEZOIDAL, MIDPOINT_SAMPLE):
-            raise ValueError(f"unknown input rule {self.input_rule!r}")
         if self.gradient_floor < 0.0:
             raise ValueError("gradient_floor must be nonnegative")
 
 
-class StepResult(NamedTuple):
+class _StepResult(NamedTuple):
     state: np.ndarray
     averaged_input: np.ndarray
     discrete_output: np.ndarray
@@ -142,20 +133,6 @@ class Trajectory:
     discrete_outputs: np.ndarray
     newton_residuals: np.ndarray
     newton_iterations: np.ndarray
-
-
-def projector(v, mode="onto", floor=0.0):
-    """Orthogonal projector onto ``span(v)`` or its complement."""
-    if mode not in ("onto", "orthogonal"):
-        raise ValueError(f"unknown projector mode {mode!r}")
-    v = np.asarray(v, dtype=float)
-    nsq = float(v @ v)
-    if nsq <= floor * floor or nsq == 0.0:
-        raise ZeroDirection(f"direction norm {math.sqrt(nsq):.3e} at or below floor")
-    p = np.outer(v, v) / nsq
-    if mode == "onto":
-        return p
-    return np.eye(v.size) - p
 
 
 def _as_rows(mat):
@@ -196,40 +173,6 @@ def _scheme_terms(system, kind, q_rows, s_rows, z, h_at_z, w):
     return dg, g2, fv, bv, dv, hbar, gam_num
 
 
-def recovered_output(system, kind, z, w):
-    """Two-point output reconstructed from the storage and loss data.
-
-    Consistent with the output map: at w = z it returns h(z) whenever the
-    structure identities hold.
-    """
-    z = [float(v) for v in z]
-    w = [float(v) for v in w]
-    q_rows = _as_rows(system.supply.q)
-    s_rows = _as_rows(system.supply.s)
-    terms = _scheme_terms(system, kind, q_rows, s_rows, z, None, w)
-    return np.array([value(x) for x in terms[5]])
-
-
-def drift_coefficient(system, kind, z, w, gradient_floor=0.0):
-    """Coefficient applied to the discrete gradient by the scheme.
-
-    Equals (zero-input supply minus dissipation) over the squared length
-    of the discrete gradient; raises :class:`ZeroDirection` when that
-    length is at or below ``gradient_floor``.
-    """
-    z = [float(v) for v in z]
-    w = [float(v) for v in w]
-    q_rows = _as_rows(system.supply.q)
-    s_rows = _as_rows(system.supply.s)
-    dg, g2, _, _, _, _, gam_num = _scheme_terms(
-        system, kind, q_rows, s_rows, z, None, w
-    )
-    g2 = value(g2)
-    if g2 <= gradient_floor * gradient_floor or g2 == 0.0:
-        raise ZeroDirection("discrete gradient vanished")
-    return value(gam_num) / g2
-
-
 class _DgQsrStepper:
     """Per-run machinery for the structure-preserving scheme."""
 
@@ -242,8 +185,8 @@ class _DgQsrStepper:
         self.gradient_floor = config.gradient_floor
 
     def _residual(self, z, h_at_z, floor_sq, ubar, tau, last):
-        """The step's Newton residual; each call leaves its point and the
-        output terms ``hbar`` and ``dv`` there in ``last``."""
+        """The step's Newton residual; each call leaves the output terms
+        ``hbar`` and ``dv`` at its point in ``last``."""
         system, kind = self.system, self.kind
         q_rows, s_rows = self.q_rows, self.s_rows
 
@@ -251,7 +194,7 @@ class _DgQsrStepper:
             dg, g2, fv, bv, dv, hbar, gam_num = _scheme_terms(
                 system, kind, q_rows, s_rows, z, h_at_z, w
             )
-            last[:] = (tuple(w), hbar, dv)  # a copy: probes reuse their list
+            last[:] = (hbar, dv)
             g2v = value(g2)
             if g2v <= floor_sq or g2v == 0.0:
                 raise ZeroDirection(
@@ -271,8 +214,9 @@ class _DgQsrStepper:
         z = [float(v) for v in z]
         h_at_z = self.system.storage.value(z)
         grad_z = self.system.storage.gradient(z)
-        floor = self.gradient_floor * (1.0 + math.sqrt(norm_sq(grad_z)))
-        if math.sqrt(norm_sq(grad_z)) <= floor:
+        grad_norm = math.sqrt(norm_sq(grad_z))
+        floor = self.gradient_floor * (1.0 + grad_norm)
+        if grad_norm <= floor:
             warnings.warn(
                 "storage gradient nearly vanishes at the step base point",
                 stacklevel=2,
@@ -283,19 +227,13 @@ class _DgQsrStepper:
             residual, z if start is None else start, self.newton
         )
         _warn_on_stall(res, self.newton)
-        w_list = w.tolist()
-        point, hbar, dv = last
-        if [value(v) for v in point] != w_list:
-            # the last call was not at the returned iterate (a
-            # finite-difference probe after a converged start)
-            _, _, _, _, dv, hbar, _ = _scheme_terms(
-                self.system, self.kind, self.q_rows, self.s_rows, z, h_at_z, w_list
-            )
+        # newton_solve's last residual call is at the returned iterate
+        hbar, dv = last
         ybar = [
             value(hb) + dot([value(x) for x in drow], ubar)
             for hb, drow in zip(hbar, dv)
         ]
-        return StepResult(w, np.array(ubar), np.array(ybar), res, its)
+        return _StepResult(w, np.array(ubar), np.array(ybar), res, its)
 
 
 class _MidpointStepper:
@@ -336,7 +274,7 @@ class _MidpointStepper:
             float(value(h)) + dot([value(x) for x in drow], ubar)
             for h, drow in zip(hv, dv)
         ]
-        return StepResult(w, np.array(ubar), np.array(ybar), res, its)
+        return _StepResult(w, np.array(ubar), np.array(ybar), res, its)
 
 
 def _warn_on_stall(res, newton):
@@ -359,12 +297,12 @@ def _control_values(control, t, m):
     return vals
 
 
-def _averaged_input(control, t, tau, rule, m, left=None):
-    if rule == TRAPEZOIDAL:
-        u0 = _control_values(control, t, m) if left is None else left
-        u1 = _control_values(control, t + tau, m)
-        return tuple(0.5 * (a + b) for a, b in zip(u0, u1)), u1
-    return _control_values(control, t + 0.5 * tau, m), None
+def _averaged_input(control, t, tau, m, left=None):
+    """Trapezoidal mean of the control over [t, t + tau] and its right
+    end value, which the next step reuses as ``left``."""
+    u0 = _control_values(control, t, m) if left is None else left
+    u1 = _control_values(control, t + tau, m)
+    return tuple(0.5 * (a + b) for a, b in zip(u0, u1)), u1
 
 
 def _make_stepper(system, config):
@@ -416,9 +354,7 @@ def integrate(system, config, grid, control, z0):
     for i in range(q):
         t = float(pts[i])
         tau = float(pts[i + 1] - pts[i])
-        ubar, left = _averaged_input(
-            control, t, tau, config.input_rule, system.m, left
-        )
+        ubar, left = _averaged_input(control, t, tau, system.m, left)
         if prev2 is not None:
             ratio = tau / prev_tau
             curve = tau * (tau + prev_tau) / (prev_tau + prev2_tau)

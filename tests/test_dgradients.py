@@ -21,7 +21,6 @@ from qsrdg.dgradients import (
     DiscreteGradientKind,
     StorageFunction,
     _evaluate,
-    check_mean_value,
     discrete_gradient,
     mean_value,
 )
@@ -214,8 +213,8 @@ def test_mean_value_quadrature_error_measured_bounds(rng):
         w = sampler.uniform(-2.0, 2.0, 2)
         worst5 = max(worst5, one_panel_defect(5, pendulum_energy, z, w))
         worst8 = max(worst8, one_panel_defect(8, pendulum_energy, z, w))
-        refined5 = max(refined5, check_mean_value(mean_value(5), pendulum_energy, z, w))
-        refined8 = max(refined8, check_mean_value(mean_value(8), pendulum_energy, z, w))
+        refined5 = max(refined5, secant_defect(mean_value(5), pendulum_energy, z, w))
+        refined8 = max(refined8, secant_defect(mean_value(8), pendulum_energy, z, w))
     assert 1e-8 < worst5 < 1e-6
     assert worst8 < worst5 / 100.0
     assert refined5 <= 1e-8
@@ -293,13 +292,6 @@ def test_mean_value_non_finite_defect_raises_at_once():
     )
     with pytest.raises(NonFiniteEvaluation):
         discrete_gradient(mean_value(), storage, (0.0,), (1e100,))
-
-
-def test_check_mean_value_agrees_with_direct_defect(rng):
-    z = rng.uniform(-2.0, 2.0, 2)
-    w = rng.uniform(-2.0, 2.0, 2)
-    got = check_mean_value(GONZALEZ, pendulum_energy, z, w)
-    assert abs(got - secant_defect(GONZALEZ, pendulum_energy, z, w)) <= 1e-15
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)

@@ -1,4 +1,4 @@
-"""Dense solves, Jacobians, Newton iteration, quadrature."""
+"""Dense solves, the dual Jacobian pass, Newton iteration, quadrature."""
 
 import math
 
@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from qsrdg import gmath
-from qsrdg._kernels import Dual
+from qsrdg._kernels import Dual, value
 from qsrdg.errors import NonFiniteEvaluation, SingularMatrix
 from qsrdg.numerics import (
-    AUTOMATIC_DUAL,
-    CENTRAL_FD,
     NewtonSettings,
+    _jacobian_with_values,
     gauss_legendre_nodes,
-    jacobian,
     newton_solve,
     solve_dense,
 )
@@ -47,18 +45,39 @@ def _map(x):
     return (x[0] * x[1], x[0] * x[0])
 
 
+def jacobian(f, x):
+    """The Jacobian of ``f`` at ``x`` from Newton's dual pass."""
+    rows, _ = _jacobian_with_values(f, [float(v) for v in x])
+    return np.array(rows)
+
+
+def central_differences(f, x):
+    """Symmetric difference quotients with step sqrt(eps) (1 + |x_k|)."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for k in range(x.size):
+        h = math.sqrt(np.finfo(float).eps) * (1.0 + abs(x[k]))
+        e = np.zeros(x.size)
+        e[k] = h
+        up = np.array(f((x + e).tolist()), dtype=float)
+        dn = np.array(f((x - e).tolist()), dtype=float)
+        cols.append((up - dn) / (2.0 * h))
+    return np.column_stack(cols)
+
+
 def test_jacobian_dual_exact_values():
     j = jacobian(_map, (1.0, 2.0))
     np.testing.assert_allclose(j, [[2.0, 1.0], [2.0, 0.0]], atol=1e-15)
 
 
 def test_jacobian_modes_agree():
+    # the dual pass against test-local central differences
     def f(x):
         return (gmath.sin(x[0]) * x[1], gmath.exp(x[0] - x[1]), x[0] * x[1] * x[1])
 
     x0 = (0.4, -1.1)
-    jd = jacobian(f, x0, mode=AUTOMATIC_DUAL)
-    jf = jacobian(f, x0, mode=CENTRAL_FD)
+    jd = jacobian(f, x0)
+    jf = central_differences(f, x0)
     np.testing.assert_allclose(jd, jf, rtol=1e-6, atol=1e-8)
 
 
@@ -98,36 +117,43 @@ def test_newton_exact_guess_does_no_work():
 
 
 def _recording(f):
+    """``f`` wrapped to record each call's kind ("dual" or "float") in
+    ``calls`` and its argument values in ``points``."""
     calls = []
+    points = []
 
     def recorded(x):
         calls.append("dual" if isinstance(x[0], Dual) else "float")
+        points.append([value(v) for v in x])
         return f(x)
 
-    return recorded, calls
+    return recorded, calls, points
 
 
 def test_newton_exact_guess_makes_one_pass():
-    f, calls = _recording(lambda x: (x[0] * x[0] - 4.0,))
+    f, calls, points = _recording(lambda x: (x[0] * x[0] - 4.0,))
     result = newton_solve(f, (2.0,))
     assert result.iterations == 0
     assert calls == ["dual"]
+    assert points[-1] == result.x.tolist()
 
 
 def test_newton_single_update_returns_its_float_residual():
-    f, calls = _recording(lambda x: (gmath.exp(x[0]),))
+    f, calls, points = _recording(lambda x: (gmath.exp(x[0]),))
     result = newton_solve(f, (0.0,), NewtonSettings(max_iterations=1))
     assert result.iterations == 1
     assert result.x[0] == -1.0
     assert result.residual == math.exp(-1.0)
     assert calls == ["dual", "float"]
+    assert points[-1] == result.x.tolist()
 
 
 def test_newton_pass_pattern_is_one_jacobian_pass_per_update():
-    f, calls = _recording(lambda x: (x[0] * x[0] - 4.0,))
+    f, calls, points = _recording(lambda x: (x[0] * x[0] - 4.0,))
     result = newton_solve(f, (3.0,))
     assert result.iterations >= 3
     assert calls == ["dual", "float"] * result.iterations
+    assert points[-1] == result.x.tolist()
 
 
 def test_newton_coupled_system():
@@ -143,15 +169,12 @@ def test_newton_respects_iteration_cap():
     # exp has no root; every update subtracts one, so the loop must stop
     # at the cap and report the final residual
     settings = NewtonSettings(max_iterations=4)
-    result = newton_solve(lambda x: (gmath.exp(x[0]),), (0.0,), settings)
+    f, calls, points = _recording(lambda x: (gmath.exp(x[0]),))
+    result = newton_solve(f, (0.0,), settings)
     assert result.iterations == 4
     assert math.isclose(result.residual, math.exp(-4.0), rel_tol=1e-12)
-
-
-def test_newton_finite_difference_mode():
-    settings = NewtonSettings(jacobian_mode=CENTRAL_FD, residual_tolerance=1e-12)
-    result = newton_solve(lambda x: (math.sin(x[0]) - 0.5,), (0.4,), settings)
-    assert abs(result.x[0] - math.pi / 6.0) <= 1e-10
+    assert calls == ["dual", "float"] * 4
+    assert points[-1] == result.x.tolist()
 
 
 def test_newton_settings_validation():
@@ -159,8 +182,6 @@ def test_newton_settings_validation():
         NewtonSettings(max_iterations=0)
     with pytest.raises(ValueError):
         NewtonSettings(residual_tolerance=0.0)
-    with pytest.raises(ValueError):
-        NewtonSettings(jacobian_mode="secant")
 
 
 def test_gauss_nodes_shape_and_interval():
