@@ -1,4 +1,4 @@
-"""Pure-Python kernels: dual scalars and small dense linear algebra.
+"""Kernels: dual scalars and small dense linear algebra.
 
 Everything here works on *generic scalars*: plain floats or :class:`Dual`
 numbers carrying a gradient, so the same map evaluation code serves both
@@ -8,7 +8,8 @@ Vectors are plain sequences of scalars and matrices are sequences of row
 sequences.  numpy arrays of floats are accepted anywhere a sequence is;
 the hot loops deliberately avoid numpy because the state dimensions of
 interest are tiny (one or two) and per-call array overhead dominates at
-that size.
+that size.  These pure-Python kernels are the only backend; ``BACKEND``
+names it for run records.
 """
 
 import math
@@ -16,6 +17,7 @@ import math
 from qsrdg.errors import SingularMatrix
 
 __all__ = [
+    "BACKEND",
     "Dual",
     "value",
     "seed_duals",
@@ -26,6 +28,11 @@ __all__ = [
     "lu_solve",
     "solve_generic",
 ]
+
+BACKEND = "pure"
+
+# pivots below this fraction of the largest row max-norm count as singular
+_PIVOT_RTOL = 1e-14
 
 
 class Dual:
@@ -263,16 +270,16 @@ def tmatvec(a, x):
     return out
 
 
-def lu_solve(a, b, pivot_rtol=1e-14):
+def lu_solve(a, b):
     """Solve ``a x = b`` for float data by row-pivoted elimination.
 
     Raises :class:`SingularMatrix` when a pivot magnitude falls below
-    ``pivot_rtol`` times the largest row max-norm of ``a``.
+    1e-14 times the largest row max-norm of ``a``.
     """
     n = len(b)
     m = [[float(v) for v in row] for row in a]
     x = [float(v) for v in b]
-    limit = pivot_rtol * max(max(abs(v) for v in row) for row in m)
+    limit = _PIVOT_RTOL * max(max(abs(v) for v in row) for row in m)
     for k in range(n):
         p = k
         best = abs(m[k][k])
@@ -304,7 +311,7 @@ def lu_solve(a, b, pivot_rtol=1e-14):
     return x
 
 
-def solve_generic(a, b, pivot_rtol=1e-14):
+def solve_generic(a, b):
     """Row-pivoted elimination for generic scalars (floats or duals).
 
     Pivot choice and the singularity test act on value parts; arithmetic
@@ -313,9 +320,7 @@ def solve_generic(a, b, pivot_rtol=1e-14):
     n = len(b)
     m = [list(row) for row in a]
     x = list(b)
-    limit = pivot_rtol * max(
-        max(abs(value(v)) for v in row) for row in m
-    )
+    limit = _PIVOT_RTOL * max(max(abs(value(v)) for v in row) for row in m)
     for k in range(n):
         p = k
         best = abs(value(m[k][k]))

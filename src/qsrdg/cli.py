@@ -213,16 +213,18 @@ def _cache_dir(args):
     return Path.home() / ".cache" / "qsrdg"
 
 
-def _reference_trajectory(example, case, horizon, cache_dir):
-    """Fine implicit-midpoint reference, cached on disk per example and grid.
+def _reference_trajectory(args, case):
+    """Fine implicit-midpoint reference, cached on disk per example, input
+    and grid.
 
     A cache entry that cannot be read in full (corrupt, or written before
     a column existed) is deleted and rebuilt.
     """
     stepsize = TAU_MIN / REFERENCE_REFINEMENT
-    num_steps = _num_steps(horizon, stepsize)
-    key = f"reference-{example}-T{horizon:.17g}-tau{stepsize:.17g}.npz"
-    path = cache_dir / key
+    num_steps = _num_steps(args.T, stepsize)
+    inputs = "zero-input" if args.zero_input else "benchmark-input"
+    key = f"reference-{args.example}-{inputs}-T{args.T:.17g}-tau{stepsize:.17g}.npz"
+    path = _cache_dir(args) / key
     if path.exists():
         try:
             with np.load(path) as bundle:
@@ -239,7 +241,7 @@ def _reference_trajectory(example, case, horizon, cache_dir):
     config = SchemeConfig(scheme=IMPLICIT_MIDPOINT)
     grid = TimeGrid.with_step(stepsize, num_steps)
     trajectory = integrate(case.system, config, grid, case.control, case.initial_state)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     np.savez(
         path,
         points=trajectory.grid.points,
@@ -258,7 +260,7 @@ def cmd_convergence(args):
         return 2
     case = _case(args)
     config = SchemeConfig(scheme=DG_QSR, dg_kind=_DG_CHOICES[args.dg])
-    reference = _reference_trajectory(args.example, case, args.T, _cache_dir(args))
+    reference = _reference_trajectory(args, case)
 
     stepsizes = []
     errors = []
@@ -278,18 +280,22 @@ def cmd_convergence(args):
         stepsizes.append(stepsize)
         errors.append(relative_error(trajectory, reference))
 
-    orders = [
-        math.log2(errors[i - 1] / errors[i]) for i in range(1, len(errors))
+    # orders[i] is the order observed between stepsizes i - 1 and i; it is
+    # None for the first stepsize and for a pair with a zero error
+    orders = [None] + [
+        math.log2(coarse / fine) if coarse > 0.0 and fine > 0.0 else None
+        for coarse, fine in zip(errors, errors[1:])
     ]
-    rows = []
-    for i in range(len(stepsizes)):
-        order = _fmt(orders[i - 1]) if i > 0 else ""
-        rows.append([_fmt(stepsizes[i]), _fmt(errors[i]), order])
+    runs = list(zip(stepsizes, errors, orders))
+    rows = [
+        [_fmt(tau), _fmt(err), "" if order is None else _fmt(order)]
+        for tau, err, order in runs
+    ]
     out = _resolve_out(args, f"qsr-dg-convergence-{args.example}")
     _write_rows(out, ["tau", "rel_error", "observed_order"], rows)
 
-    window = orders[-min(3, len(orders)):]
-    median = statistics.median(window)
+    window = orders[1:][-3:]
+    median = None if None in window else statistics.median(window)
     meta = _write_meta(
         out,
         {
@@ -301,18 +307,21 @@ def cmd_convergence(args):
             "tau_min": TAU_MIN,
             "reference_refinement": REFERENCE_REFINEMENT,
             "zero_input": bool(args.zero_input),
-            "observed_orders": orders,
+            "observed_orders": orders[1:],
             "median_order": median,
             "order_window": list(ORDER_WINDOW),
         },
     )
-    for i, stepsize in enumerate(stepsizes):
-        tail = f"  order {orders[i - 1]:.3f}" if i > 0 else ""
-        print(f"tau = {stepsize:.6g}  rel_error = {errors[i]:.6e}{tail}")
-    print(f"median order (finest pairs) = {median:.3f}")
+    for tau, err, order in runs:
+        tail = "" if order is None else f"  order {order:.3f}"
+        print(f"tau = {tau:.6g}  rel_error = {err:.6e}{tail}")
+    if median is None:
+        print("no median order: a pair among the finest has a zero error")
+    else:
+        print(f"median order (finest pairs) = {median:.3f}")
     print(f"wrote {out} and {meta}")
     low, high = ORDER_WINDOW
-    if low <= median <= high:
+    if median is not None and low <= median <= high:
         print(f"PASS (window [{low}, {high}])")
         return 0
     print(f"FAIL (window [{low}, {high}])")

@@ -10,10 +10,11 @@ midpoint and adds a rank-one correction along w - z, which enforces the
 mean value property exactly.  Itoh-Abe telescopes coordinate-wise
 difference quotients (exact as well, but not symmetric in z and w).  The
 mean-value kind integrates the gradient along the segment by composite
-Gauss-Legendre quadrature.  It starts from one panel and doubles the
-number of equal panels until the secant defect, computed in floats, is at
-most 1e-12 (or a few ulps of the storage values, whichever is larger); it
-raises :class:`QuadratureNotConverged` if the panel cap is reached first.
+five-point Gauss-Legendre quadrature.  It starts from one panel and
+doubles the number of equal panels until the secant defect, computed in
+floats, is at most 1e-12 (or a few ulps of the storage values, whichever
+is larger); it raises :class:`QuadratureNotConverged` if the panel cap is
+reached first.
 """
 
 import math
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from qsrdg._kernels import Dual, dot, norm_sq, value
 from qsrdg.errors import NonFiniteEvaluation, QuadratureNotConverged
-from qsrdg.numerics import gauss_legendre_nodes
 
 __all__ = [
     "StorageFunction",
@@ -44,6 +45,12 @@ _MEAN_VALUE_ULPS = 8.0
 _MAX_PANELS = 1024
 _EPS = np.finfo(float).eps
 
+# the five-point Gauss rule on [0, 1], applied on every panel; Python
+# floats, because a numpy scalar times a Dual takes numpy's slow object path
+_GAUSS_NODES, _GAUSS_WEIGHTS = zip(
+    *((float(x + 1.0) / 2.0, float(w) / 2.0) for x, w in zip(*leggauss(5)))
+)
+
 
 @dataclass(frozen=True)
 class StorageFunction:
@@ -62,27 +69,24 @@ class StorageFunction:
 @dataclass(frozen=True)
 class DiscreteGradientKind:
     variant: str
-    order: int = 5
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown discrete gradient variant {self.variant!r}")
-        if self.variant == "mean-value" and not 1 <= self.order <= 10:
-            raise ValueError(f"quadrature order must be in 1..10, got {self.order}")
 
 
 GONZALEZ = DiscreteGradientKind("gonzalez")
 ITOH_ABE = DiscreteGradientKind("itoh-abe")
 
 
-def mean_value(order=5):
-    """Mean-value kind with an ``order``-point Gauss-Legendre rule per panel.
+def mean_value():
+    """Mean-value kind with a five-point Gauss-Legendre rule per panel.
 
     The panel count doubles from one until the secant defect
     ``|H(w) - H(z) - d.(w - z)|`` is at most 1e-12 or a few ulps of
     ``|H(z)| + |H(w)| + sum_k |d_k (w_k - z_k)|``, whichever is larger.
     """
-    return DiscreteGradientKind("mean-value", order)
+    return DiscreteGradientKind("mean-value")
 
 
 def _gonzalez(storage, z, w, h_at_z):
@@ -119,10 +123,10 @@ def _itoh_abe(storage, z, w, h_at_z):
     return out
 
 
-def _composite_gauss(storage, z, w, nodes, weights, panels):
+def _composite_gauss(storage, z, w, panels):
     acc = None
     for j in range(panels):
-        for x, wx in zip(nodes, weights):
+        for x, wx in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
             s = (j + x) / panels
             wq = wx / panels
             pt = [(1.0 - s) * a + s * b for a, b in zip(z, w)]
@@ -134,8 +138,7 @@ def _composite_gauss(storage, z, w, nodes, weights, panels):
     return acc
 
 
-def _mean_value(storage, z, w, order, h_at_z):
-    nodes, weights = gauss_legendre_nodes(order)
+def _mean_value(storage, z, w, h_at_z):
     w_vals = [value(b) for b in w]
     step = [b - a for a, b in zip(z, w_vals)]
     if h_at_z is None:
@@ -145,7 +148,7 @@ def _mean_value(storage, z, w, order, h_at_z):
     # residual and the float evaluation agree on it; past the first panel
     # it is searched in floats, and a dual ``w`` gets its composite once,
     # at the chosen count
-    d = _composite_gauss(storage, z, w, nodes, weights, 1)
+    d = _composite_gauss(storage, z, w, 1)
     panels = 1
     while True:
         terms = [value(dk) * sk for dk, sk in zip(d, step)]
@@ -159,12 +162,12 @@ def _mean_value(storage, z, w, order, h_at_z):
         if panels >= _MAX_PANELS:
             raise QuadratureNotConverged(
                 f"mean-value secant defect {defect:.3e} above {tol:.3e} "
-                f"with {panels} panels of order {order}"
+                f"with {panels} panels"
             )
         panels *= 2
-        d = _composite_gauss(storage, z, w_vals, nodes, weights, panels)
+        d = _composite_gauss(storage, z, w_vals, panels)
     if panels > 1 and any(isinstance(b, Dual) for b in w):
-        return _composite_gauss(storage, z, w, nodes, weights, panels)
+        return _composite_gauss(storage, z, w, panels)
     return d
 
 
@@ -174,7 +177,7 @@ def _evaluate(kind, storage, z, w, h_at_z=None):
         return _gonzalez(storage, z, w, h_at_z)
     if kind.variant == "itoh-abe":
         return _itoh_abe(storage, z, w, h_at_z)
-    return _mean_value(storage, z, w, kind.order, h_at_z)
+    return _mean_value(storage, z, w, h_at_z)
 
 
 def discrete_gradient(kind, storage, z, w):

@@ -16,7 +16,7 @@ averaged input is the trapezoidal endpoint mean (u(t_i) + u(t_{i+1})) / 2.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +46,13 @@ __all__ = [
 
 DG_QSR = "dg-qsr"
 IMPLICIT_MIDPOINT = "implicit-midpoint"
+
+_NEWTON = NewtonSettings()
+# a step from z treats discrete gradients shorter than this times
+# (1 + |grad H(z)|) as vanishing
+_GRADIENT_FLOOR = 1e-12
+# grid nodes this close coincide
+_NODE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,24 +101,23 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme, discrete gradient, Newton settings and gradient floor for
-    one integration run.
+    """Scheme and discrete gradient for one integration run.
 
-    ``gradient_floor`` is a relative coefficient: a step from z treats
-    discrete gradients shorter than ``gradient_floor * (1 + |grad H(z)|)``
-    as vanishing and refuses to divide by them.
+    Every other number of a step is fixed.  Newton runs with the defaults
+    of :class:`NewtonSettings`, and a step from z treats discrete
+    gradients shorter than ``1e-12 * (1 + |grad H(z)|)`` as vanishing and
+    refuses to divide by them.
     """
 
     scheme: str = DG_QSR
     dg_kind: DiscreteGradientKind = GONZALEZ
-    newton: NewtonSettings = field(default_factory=NewtonSettings)
-    gradient_floor: float = 1e-12
+
+    # not a field: callers read it to check recorded Newton residuals
+    newton = _NEWTON
 
     def __post_init__(self):
         if self.scheme not in (DG_QSR, IMPLICIT_MIDPOINT):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.gradient_floor < 0.0:
-            raise ValueError("gradient_floor must be nonnegative")
 
 
 class _StepResult(NamedTuple):
@@ -181,8 +187,6 @@ class _DgQsrStepper:
         self.kind = config.dg_kind
         self.q_rows = _as_rows(system.supply.q)
         self.s_rows = _as_rows(system.supply.s)
-        self.newton = config.newton
-        self.gradient_floor = config.gradient_floor
 
     def _residual(self, z, h_at_z, floor_sq, ubar, tau, last):
         """The step's Newton residual; each call leaves the output terms
@@ -210,23 +214,26 @@ class _DgQsrStepper:
         return residual
 
     def step(self, z, ubar, tau, start=None):
-        """One step from ``z``; Newton starts from ``start``, else from z."""
+        """One step from ``z``; Newton starts from ``start``, else from z,
+        or, where grad H(z) = dg(z, z) vanishes, from the explicit Euler
+        predictor z + tau (f(z) + B(z) ubar), which any forcing moves off z.
+        """
         z = [float(v) for v in z]
         h_at_z = self.system.storage.value(z)
-        grad_z = self.system.storage.gradient(z)
-        grad_norm = math.sqrt(norm_sq(grad_z))
-        floor = self.gradient_floor * (1.0 + grad_norm)
-        if grad_norm <= floor:
-            warnings.warn(
-                "storage gradient nearly vanishes at the step base point",
-                stacklevel=2,
-            )
+        grad_norm = math.sqrt(norm_sq(self.system.storage.gradient(z)))
+        floor = _GRADIENT_FLOOR * (1.0 + grad_norm)
+        if start is None:
+            start = z
+            if grad_norm <= floor:
+                bu = matvec(self.system.input_map(z), ubar)
+                start = [
+                    zk + tau * (fk + bk)
+                    for zk, fk, bk in zip(z, self.system.drift(z), bu)
+                ]
         last = []
         residual = self._residual(z, h_at_z, floor * floor, ubar, tau, last)
-        w, its, res = newton_solve(
-            residual, z if start is None else start, self.newton
-        )
-        _warn_on_stall(res, self.newton)
+        w, its, res = newton_solve(residual, start, _NEWTON)
+        _warn_on_stall(res)
         # newton_solve's last residual call is at the returned iterate
         hbar, dv = last
         ybar = [
@@ -239,9 +246,8 @@ class _DgQsrStepper:
 class _MidpointStepper:
     """Implicit midpoint over the same averaged maps (reference scheme)."""
 
-    def __init__(self, system, config):
+    def __init__(self, system):
         self.system = system
-        self.newton = config.newton
 
     def _residual(self, z, ubar, tau):
         drift = self.system.drift
@@ -262,10 +268,8 @@ class _MidpointStepper:
         """One step from ``z``; Newton starts from ``start``, else from z."""
         z = [float(v) for v in z]
         residual = self._residual(z, ubar, tau)
-        w, its, res = newton_solve(
-            residual, z if start is None else start, self.newton
-        )
-        _warn_on_stall(res, self.newton)
+        w, its, res = newton_solve(residual, z if start is None else start, _NEWTON)
+        _warn_on_stall(res)
         w_list = w.tolist()
         mid = [(a + b) * 0.5 for a, b in zip(z, w_list)]
         hv = self.system.output_map(mid)
@@ -277,8 +281,8 @@ class _MidpointStepper:
         return _StepResult(w, np.array(ubar), np.array(ybar), res, its)
 
 
-def _warn_on_stall(res, newton):
-    if res > newton.residual_tolerance:
+def _warn_on_stall(res):
+    if res > _NEWTON.residual_tolerance:
         warnings.warn(
             f"Newton stalled at residual {res:.3e}",
             NewtonDidNotConverge,
@@ -308,7 +312,7 @@ def _averaged_input(control, t, tau, m, left=None):
 def _make_stepper(system, config):
     if config.scheme == DG_QSR:
         return _DgQsrStepper(system, config)
-    return _MidpointStepper(system, config)
+    return _MidpointStepper(system)
 
 
 def integrate(system, config, grid, control, z0):
@@ -331,10 +335,10 @@ def integrate(system, config, grid, control, z0):
 
     which is O(tau^3) accurate on smooth runs, so a step usually needs a
     single Newton update.  The first two steps differ: the first starts
-    from z_0 and the second from the linear extrapolation
-    ``z_1 + (tau_1 / tau_0) (z_1 - z_0)``.  The difference form returns
-    z_i bit for bit when the last three states are equal, so fixed points
-    stay exact.
+    from z_0 (or, at a critical point of H, its Euler predictor) and the
+    second from the linear extrapolation ``z_1 + (tau_1 / tau_0) (z_1 - z_0)``.
+    The difference form returns z_i bit for bit when the last three states
+    are equal, so fixed points stay exact.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.n,):
@@ -416,11 +420,11 @@ def discrete_power_balance_residuals(system, trajectory):
     return np.array(out)
 
 
-def relative_error(trajectory, reference, node_tolerance=1e-12):
+def relative_error(trajectory, reference):
     """Max-norm deviation from a reference run on shared nodes.
 
     Every node of ``trajectory`` must coincide with a node of
-    ``reference`` within ``node_tolerance``; otherwise
+    ``reference`` within 1e-12; otherwise
     :class:`GridMismatch` is raised.  The deviation is normalized by the
     largest reference state norm over the shared nodes.
     """
@@ -430,7 +434,7 @@ def relative_error(trajectory, reference, node_tolerance=1e-12):
         j = int(np.searchsorted(rp, t))
         best = -1
         for cand in (j - 1, j, j + 1):
-            if 0 <= cand < rp.size and abs(rp[cand] - t) <= node_tolerance:
+            if 0 <= cand < rp.size and abs(rp[cand] - t) <= _NODE_TOLERANCE:
                 best = cand
                 break
         if best < 0:

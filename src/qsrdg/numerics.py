@@ -1,4 +1,4 @@
-"""Dense solves, Newton iteration and Gauss-Legendre nodes.
+"""Dense solves and Newton iteration.
 
 The implicit steppers funnel through :func:`newton_solve`, so the residual
 maps they hand over must follow the generic-scalar contract: accept a
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from qsrdg._kernels import Dual, lu_solve, seed_duals, value
 from qsrdg.errors import NonFiniteEvaluation, SingularMatrix
@@ -29,23 +28,22 @@ __all__ = [
     "NewtonSettings",
     "NewtonResult",
     "newton_solve",
-    "gauss_legendre_nodes",
     "SingularMatrix",
     "NonFiniteEvaluation",
 ]
 
 
-def solve_dense(a, b, pivot_rtol=1e-14):
+def solve_dense(a, b):
     """Solve the square system ``a x = b`` by row-pivoted elimination.
 
     Raises :class:`SingularMatrix` when a pivot magnitude falls below
-    ``pivot_rtol`` relative to the largest row max-norm.
+    1e-14 relative to the largest row max-norm.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    return np.array(lu_solve(a.tolist(), b.tolist(), pivot_rtol))
+    return np.array(lu_solve(a.tolist(), b.tolist()))
 
 
 def _values_of(out):
@@ -134,17 +132,3 @@ def newton_solve(
         res = _norm(vals)
     return NewtonResult(np.array(x), its, res)
 
-
-_GL_CACHE: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-
-
-def gauss_legendre_nodes(order):
-    """Nodes and weights of the ``order``-point Gauss rule on [0, 1]."""
-    if not isinstance(order, int) or not 1 <= order <= 10:
-        raise ValueError(f"quadrature order must be an integer in 1..10, got {order!r}")
-    cached = _GL_CACHE.get(order)
-    if cached is None:
-        x, w = leggauss(order)
-        cached = (tuple((xi + 1.0) / 2.0 for xi in x), tuple(wi / 2.0 for wi in w))
-        _GL_CACHE[order] = cached
-    return cached

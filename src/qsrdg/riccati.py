@@ -13,6 +13,10 @@ from qsrdg.numerics import solve_dense
 
 __all__ = ["solve_are", "lyapunov_solve", "stabilizing_gain"]
 
+# residual tolerance and round cap of the Newton-Kleinman iteration
+_TOL = 1e-12
+_MAX_ROUNDS = 100
+
 
 def lyapunov_solve(a_cl, rhs):
     """Solve ``a_cl^T P + P a_cl = rhs`` by vectorization."""
@@ -50,39 +54,32 @@ def _residual_norm(a, b, c, p):
     return float(np.linalg.norm(res))
 
 
-def solve_are(a, b, c, seed_gain=None, tol=1e-12, max_iterations=100):
+def solve_are(a, b, c):
     """Stabilizing solution of the Riccati equation for (A, B, C).
 
-    ``seed_gain`` overrides the stabilizing-gain scan; iterates are
-    symmetrized each round.  Raises :class:`AreNotConverged` when the
-    residual is still above ``tol`` after ``max_iterations`` rounds and
-    :class:`NotStabilizing` when the resulting closed loop is not
-    Hurwitz.
+    Newton-Kleinman starts from the gain :func:`stabilizing_gain` finds;
+    iterates are symmetrized each round.  Raises :class:`AreNotConverged`
+    when the residual is still above 1e-12 after 100 rounds and
+    :class:`NotStabilizing` when no starting gain is found or the
+    resulting closed loop is not Hurwitz.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("A must be square")
-    gain = (
-        np.asarray(seed_gain, dtype=float)
-        if seed_gain is not None
-        else stabilizing_gain(a, b)
-    )
-    if not _is_hurwitz(a - b @ gain):
-        raise NotStabilizing("seed gain does not stabilize A - B K")
-    p = None
-    for _ in range(max_iterations):
+    gain = stabilizing_gain(a, b)
+    for _ in range(_MAX_ROUNDS):
         a_cl = a - b @ gain
         rhs = -(c.T @ c + gain.T @ gain)
         p = lyapunov_solve(a_cl, rhs)
         p = 0.5 * (p + p.T)
         gain = b.T @ p
-        if _residual_norm(a, b, c, p) <= tol:
+        if _residual_norm(a, b, c, p) <= _TOL:
             break
     else:
         raise AreNotConverged(
-            f"residual {_residual_norm(a, b, c, p):.3e} after {max_iterations} rounds"
+            f"residual {_residual_norm(a, b, c, p):.3e} after {_MAX_ROUNDS} rounds"
         )
     if not _is_hurwitz(a - b @ b.T @ p):
         raise NotStabilizing("converged iterate is not stabilizing")

@@ -180,16 +180,16 @@ def test_criterion_4_discrete_gradient_axioms_exact_kinds():
 
 
 def test_criterion_4_discrete_gradient_axioms_mean_value_kind():
-    """Secant property of the mean-value kind at order 5, required <= 1e-8.
+    """Secant property of the mean-value kind, required <= 1e-8.
 
-    One order-5 Gauss panel is not exact for the non-polynomial example
+    One five-point Gauss panel is not exact for the non-polynomial example
     storages, and on pairs sampled from the full [-2, 2]^n box its defect
     exceeds the stated bound by orders of magnitude (the saturating
     rational storage has poles near the integration segment).  The kind
     refines its panels until the defect is below tolerance, so the bound
     holds as stated; see the sibling test for the 1e-12 exact kinds.
     """
-    kind = mean_value(5)
+    kind = mean_value()
     worst = {}
     for name in EXAMPLE_NAMES:
         storage = benchmark_settings(name).system.storage
@@ -207,7 +207,7 @@ def test_criterion_4_discrete_gradient_axioms_mean_value_kind():
         ),
     )
     assert overall <= 1e-8, (
-        "order-5 quadrature misses the required 1e-8 on wide boxes: "
+        "five-point quadrature misses the required 1e-8 on wide boxes: "
         + ", ".join(f"{k} {v:.3e}" for k, v in worst.items())
     )
 

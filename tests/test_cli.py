@@ -217,7 +217,7 @@ def test_convergence_gate_failure_exit_code(tmp_path, cache_dir, monkeypatch):
     calls = {"n": 0}
     real = cli.relative_error
 
-    def flat_error(trajectory, reference, node_tolerance=1e-12):
+    def flat_error(trajectory, reference):
         real(trajectory, reference)  # still exercise the node matching
         calls["n"] += 1
         return 1e-6  # no decay with tau: observed order 0
@@ -230,6 +230,44 @@ def test_convergence_gate_failure_exit_code(tmp_path, cache_dir, monkeypatch):
     )
     assert code == 1
     assert calls["n"] == 3
+
+
+def test_convergence_cache_keeps_forced_and_zero_input_apart(tmp_path):
+    # a zero-input sweep must not reuse the forced reference cached for
+    # the same example and grid
+    base = ["convergence", "--example", "lti-ocp", "--s-max", 2, "--T", 1.0]
+    shared = tmp_path / "shared"
+    forced = tmp_path / "forced.csv"
+    assert run(base + ["--cache-dir", shared, "--out", forced]) == 0
+    zero = base + ["--zero-input"]
+    reused = tmp_path / "reused.csv"
+    fresh = tmp_path / "fresh.csv"
+    assert run(zero + ["--cache-dir", shared, "--out", reused]) == 0
+    assert run(zero + ["--cache-dir", tmp_path / "fresh", "--out", fresh]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert len(list(shared.glob("reference-lti-ocp-*.npz"))) == 2
+
+
+def test_convergence_exact_result_has_no_observed_order(tmp_path, capsys):
+    # the zero-input pi run sits at a fixed point, so every error is 0:
+    # no pair has an order and the gate fails without a traceback
+    out = tmp_path / "exact.csv"
+    code = run(
+        [
+            "convergence", "--example", "pi", "--zero-input", "--s-max", 2,
+            "--T", 1.0, "--cache-dir", tmp_path / "cache", "--out", out,
+        ]
+    )
+    assert code == 1
+    _, rows = read_csv(out)
+    assert [float(r[1]) for r in rows] == [0.0, 0.0, 0.0]
+    assert [r[2] for r in rows] == ["", "", ""]
+    meta = json.loads(out.with_suffix(".meta.json").read_text())
+    assert meta["observed_orders"] == [None, None]
+    assert meta["median_order"] is None
+    printed = capsys.readouterr().out
+    assert "no median order: a pair among the finest has a zero error" in printed
+    assert "FAIL" in printed
 
 
 def test_checks_pass_and_report(tmp_path, capsys):
@@ -264,7 +302,7 @@ def test_integration_failure_maps_to_exit_three(monkeypatch, tmp_path):
 
 
 def test_grid_mismatch_maps_to_exit_four(monkeypatch, tmp_path, cache_dir):
-    def mismatch(trajectory, reference, node_tolerance=1e-12):
+    def mismatch(trajectory, reference):
         raise GridMismatch("node not on the reference grid")
 
     monkeypatch.setattr(cli, "relative_error", mismatch)

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from qsrdg._kernels import Dual, seed_duals, value
 from qsrdg.dgradients import (
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
     GONZALEZ,
     ITOH_ABE,
     DiscreteGradientKind,
@@ -26,7 +28,6 @@ from qsrdg.dgradients import (
 )
 from qsrdg.errors import NonFiniteEvaluation, QsrdgError, QuadratureNotConverged
 from qsrdg.gmath import cos, sin, sqrt
-from qsrdg.numerics import gauss_legendre_nodes
 from qsrdg.systems import make_synthetic
 
 PENDULUM_GRAVITY = 9.81
@@ -76,11 +77,6 @@ def secant_defect(kind, storage, z, w):
 def test_kind_validation():
     with pytest.raises(ValueError):
         DiscreteGradientKind("averaged")
-    with pytest.raises(ValueError):
-        mean_value(0)
-    with pytest.raises(ValueError):
-        mean_value(11)
-    assert mean_value(3).order == 3
 
 
 def test_gonzalez_simple_quadratic_oracle():
@@ -184,41 +180,33 @@ def test_mean_value_exact_for_quadratics(rng):
         )
 
 
-def one_panel_defect(order, storage, z, w):
-    """Relative secant defect of a single ``order``-point Gauss panel."""
-    nodes, weights = gauss_legendre_nodes(order)
+def one_panel_defect(storage, z, w):
+    """Relative secant defect of a single five-point Gauss panel."""
     d = sum(
         wq * np.asarray(storage.gradient((1.0 - s) * z + s * w), dtype=float)
-        for s, wq in zip(nodes, weights)
+        for s, wq in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)
     )
     dh = storage.value(w) - storage.value(z)
     return abs(dh - float(d @ (w - z))) / (1.0 + abs(dh))
 
 
 def test_mean_value_quadrature_error_measured_bounds(rng):
-    """One order-5 Gauss panel on the pendulum storage is not exact.
+    """One five-point Gauss panel on the pendulum storage is not exact.
 
     Measured over 1000 uniform pairs in [-2, 2]^2 (seed 0): the one-panel
-    defect reaches a few 1e-7 and a higher order shrinks it.  The
-    mean-value kind refines the panels, so at either order it meets the
-    1e-8 secant bound on the same pairs.
+    defect reaches a few 1e-7.  The mean-value kind refines the panels,
+    so it meets the 1e-8 secant bound on the same pairs.
     """
     sampler = np.random.default_rng(0)
-    worst5 = 0.0
-    worst8 = 0.0
-    refined5 = 0.0
-    refined8 = 0.0
+    worst = 0.0
+    refined = 0.0
     for _ in range(1000):
         z = sampler.uniform(-2.0, 2.0, 2)
         w = sampler.uniform(-2.0, 2.0, 2)
-        worst5 = max(worst5, one_panel_defect(5, pendulum_energy, z, w))
-        worst8 = max(worst8, one_panel_defect(8, pendulum_energy, z, w))
-        refined5 = max(refined5, secant_defect(mean_value(5), pendulum_energy, z, w))
-        refined8 = max(refined8, secant_defect(mean_value(8), pendulum_energy, z, w))
-    assert 1e-8 < worst5 < 1e-6
-    assert worst8 < worst5 / 100.0
-    assert refined5 <= 1e-8
-    assert refined8 <= 1e-8
+        worst = max(worst, one_panel_defect(pendulum_energy, z, w))
+        refined = max(refined, secant_defect(mean_value(), pendulum_energy, z, w))
+    assert 1e-8 < worst < 1e-6
+    assert refined <= 1e-8
 
 
 def test_mean_value_refines_on_dual_newton_path():
@@ -232,7 +220,7 @@ def test_mean_value_refines_on_dual_newton_path():
     for _ in range(200):
         z = sampler.uniform(-2.0, 2.0, 1)
         w = sampler.uniform(-2.0, 2.0, 1)
-        if one_panel_defect(kind.order, storage, z, w) <= 1e-8:
+        if one_panel_defect(storage, z, w) <= 1e-8:
             continue
         refined += 1
         d = _evaluate(kind, storage, z.tolist(), seed_duals(w.tolist()))
@@ -247,7 +235,7 @@ def test_mean_value_refines_on_dual_newton_path():
 
 
 def test_mean_value_refinement_takes_one_dual_composite():
-    # (-1, 3) on the synthetic storage needs 32 panels of order 5: one
+    # (-1, 3) on the synthetic storage needs 32 five-point panels: one
     # dual panel, the search over 2..32 panels in floats, then the dual
     # composite once at 32 panels
     storage = make_synthetic().storage
@@ -297,7 +285,7 @@ def test_mean_value_non_finite_defect_raises_at_once():
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
 def test_quartic_well_secant_property(kind):
     # all three kinds are exact here; for mean-value the line integrand
-    # is cubic, well inside order-5 quadrature
+    # is cubic, well inside five-point quadrature
     z = (-1.5,)
     w = (2.0,)
     d = discrete_gradient(kind, quartic_well, z, w)

@@ -7,11 +7,11 @@ import pytest
 
 from qsrdg import gmath
 from qsrdg._kernels import Dual, value
+from qsrdg.dgradients import _GAUSS_NODES, _GAUSS_WEIGHTS
 from qsrdg.errors import NonFiniteEvaluation, SingularMatrix
 from qsrdg.numerics import (
     NewtonSettings,
     _jacobian_with_values,
-    gauss_legendre_nodes,
     newton_solve,
     solve_dense,
 )
@@ -185,32 +185,25 @@ def test_newton_settings_validation():
 
 
 def test_gauss_nodes_shape_and_interval():
-    for order in range(1, 11):
-        nodes, weights = gauss_legendre_nodes(order)
-        assert len(nodes) == order == len(weights)
-        assert all(0.0 < s < 1.0 for s in nodes)
-        assert math.isclose(sum(weights), 1.0, rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        gauss_legendre_nodes(0)
-    with pytest.raises(ValueError):
-        gauss_legendre_nodes(11)
+    # the five-point rule the mean-value discrete gradient uses per panel
+    assert len(_GAUSS_NODES) == 5 == len(_GAUSS_WEIGHTS)
+    assert all(0.0 < s < 1.0 for s in _GAUSS_NODES)
+    assert math.isclose(sum(_GAUSS_WEIGHTS), 1.0, rel_tol=1e-14)
 
 
-def gauss(f, order):
-    """The ``order``-point Gauss rule for the integral of ``f`` over [0, 1]."""
-    nodes, weights = gauss_legendre_nodes(order)
-    return sum(w * f(s) for s, w in zip(nodes, weights))
+def gauss(f):
+    """The five-point Gauss rule for the integral of ``f`` over [0, 1]."""
+    return sum(w * f(s) for s, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS))
 
 
 def test_gauss_polynomial_exactness():
-    # order k is exact for polynomials up to degree 2k - 1
-    for order in range(1, 11):
-        for deg in range(0, 2 * order):
-            got = gauss(lambda s, d=deg: s**d, order)
-            assert abs(got - 1.0 / (deg + 1.0)) <= 1e-13
+    # five points are exact for polynomials up to degree 9
+    for deg in range(0, 10):
+        got = gauss(lambda s, d=deg: s**d)
+        assert abs(got - 1.0 / (deg + 1.0)) <= 1e-13
 
 
 def test_gauss_known_integrals():
-    assert abs(gauss(lambda s: s * s, 2) - 1.0 / 3.0) <= 1e-15
-    got = gauss(lambda s: math.sin(math.pi * s), 5)
+    assert abs(gauss(lambda s: s * s) - 1.0 / 3.0) <= 1e-15
+    got = gauss(lambda s: math.sin(math.pi * s))
     assert abs(got - 2.0 / math.pi) <= 1e-6

@@ -169,16 +169,6 @@ def test_are_regulator_frozen_solution():
     assert np.all(np.linalg.eigvals(a - b @ b.T @ p).real < 0.0)
 
 
-def test_are_seed_invariance():
-    params = LtiOcpParams()
-    a = np.asarray(params.a, dtype=float)
-    b = np.asarray(params.b, dtype=float)
-    c = np.asarray(params.c, dtype=float)
-    p0 = solve_are(a, b, c)
-    p1 = solve_are(a, b, c, seed_gain=np.array([[5.0, 5.0]]))
-    np.testing.assert_allclose(p0, p1, rtol=1e-9, atol=1e-12)
-
-
 def test_stabilizing_gain_scan():
     a = np.array([[0.1, 1.0], [-1.0, 0.1]])
     b = np.array([[0.0], [1.0]])
