@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from qsrdg._kernels import Dual, dot, norm_sq, value
+from qsrdg._kernels import dot, norm_sq, value
 from qsrdg.errors import NonFiniteEvaluation, QuadratureNotConverged
 
 __all__ = [
@@ -46,7 +46,8 @@ _MAX_PANELS = 1024
 _EPS = np.finfo(float).eps
 
 # the five-point Gauss rule on [0, 1], applied on every panel; Python
-# floats, because a numpy scalar times a Dual takes numpy's slow object path
+# floats, because a numpy scalar times a complex makes a slower numpy
+# complex
 _GAUSS_NODES, _GAUSS_WEIGHTS = zip(
     *((float(x + 1.0) / 2.0, float(w) / 2.0) for x, w in zip(*leggauss(5)))
 )
@@ -56,9 +57,10 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = zip(
 class StorageFunction:
     """Scalar storage (energy) function with its gradient map.
 
-    Both callables must follow the generic-scalar contract (accept
-    sequences of floats or duals, use :mod:`qsrdg.gmath` for
-    transcendentals): Newton differentiates them with dual numbers.
+    Both callables must follow the generic-scalar contract of
+    :mod:`qsrdg.gmath` (accept sequences of floats or complex pass
+    scalars, use its functions for transcendentals and ``abs``, branch on
+    value parts): Newton differentiates them by complex steps.
     """
 
     value: Callable
@@ -144,10 +146,10 @@ def _mean_value(storage, z, w, h_at_z):
     if h_at_z is None:
         h_at_z = storage.value(z)
     h_at_w = storage.value(w_vals)
-    # the panel count is chosen on value parts only, so the dual Newton
-    # residual and the float evaluation agree on it; past the first panel
-    # it is searched in floats, and a dual ``w`` gets its composite once,
-    # at the chosen count
+    # the panel count is chosen on value parts only, so a Jacobian pass
+    # and the float evaluation agree on it; past the first panel it is
+    # searched in floats, and a complex ``w`` gets its composite once, at
+    # the chosen count
     d = _composite_gauss(storage, z, w, 1)
     panels = 1
     while True:
@@ -166,13 +168,13 @@ def _mean_value(storage, z, w, h_at_z):
             )
         panels *= 2
         d = _composite_gauss(storage, z, w_vals, panels)
-    if panels > 1 and any(isinstance(b, Dual) for b in w):
+    if panels > 1 and any(isinstance(b, complex) for b in w):
         return _composite_gauss(storage, z, w, panels)
     return d
 
 
 def _evaluate(kind, storage, z, w, h_at_z=None):
-    """Generic-scalar evaluation: ``z`` is float, ``w`` may carry duals."""
+    """Generic-scalar evaluation: ``z`` is float, ``w`` may be complex."""
     if kind.variant == "gonzalez":
         return _gonzalez(storage, z, w, h_at_z)
     if kind.variant == "itoh-abe":

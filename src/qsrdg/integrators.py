@@ -10,6 +10,14 @@ exactly (up to the Newton residual), mirroring the continuous power
 balance.  An implicit midpoint stepper over the same averaged maps serves
 as the second-order reference scheme without the balance guarantee.
 
+"Up to the Newton residual" has a size.  With r the residual at the
+accepted state and dg the discrete gradient there, the balance defect of
+a step is |dg . r| / tau.  So the 1e-13 residual tolerance alone bounds
+it only by |dg| 1e-13 / tau, about 1.4e-10 for the pendulum at
+tau = 5e-3.  The benchmark runs measure at most 1.4e-11 only because
+the last Newton update lands at the rounding floor, far below the
+tolerance.
+
 All two-point averages are midpoint evaluations, phi((z + w) / 2); the
 averaged input is the trapezoidal endpoint mean (u(t_i) + u(t_{i+1})) / 2.
 """
@@ -148,7 +156,7 @@ def _as_rows(mat):
 def _scheme_terms(system, kind, q_rows, s_rows, z, h_at_z, w):
     """Shared two-point quantities of the structure-preserving step.
 
-    Works on generic scalars: ``z`` holds floats, ``w`` may carry duals.
+    Works on generic scalars: ``z`` holds floats, ``w`` may be complex.
     Returns the discrete gradient, its squared norm, the midpoint drift,
     input and feedthrough evaluations, the recovered output, and the
     numerator of the drift coefficient.
@@ -214,22 +222,31 @@ class _DgQsrStepper:
         return residual
 
     def step(self, z, ubar, tau, start=None):
-        """One step from ``z``; Newton starts from ``start``, else from z,
-        or, where grad H(z) = dg(z, z) vanishes, from the explicit Euler
-        predictor z + tau (f(z) + B(z) ubar), which any forcing moves off z.
+        """One step from ``z``; Newton starts from ``start``, else from z.
+
+        Where grad H(z) = dg(z, z) vanishes, Newton starts from the Euler
+        predictor z + tau (f(z) + B(z) ubar) whatever ``start`` is.  If
+        that does not move, w = z solves the step exactly (supply minus
+        dissipation is grad H . (f + B ubar) = 0 there) and is returned
+        with output h(z) + D(z) ubar, residual 0 and no Newton update.
         """
+        system = self.system
         z = [float(v) for v in z]
-        h_at_z = self.system.storage.value(z)
-        grad_norm = math.sqrt(norm_sq(self.system.storage.gradient(z)))
+        h_at_z = system.storage.value(z)
+        grad_norm = math.sqrt(norm_sq(system.storage.gradient(z)))
         floor = _GRADIENT_FLOOR * (1.0 + grad_norm)
-        if start is None:
-            start = z
-            if grad_norm <= floor:
-                bu = matvec(self.system.input_map(z), ubar)
-                start = [
-                    zk + tau * (fk + bk)
-                    for zk, fk, bk in zip(z, self.system.drift(z), bu)
+        if grad_norm <= floor:
+            bu = matvec(system.input_map(z), ubar)
+            rate = [fk + bk for fk, bk in zip(system.drift(z), bu)]
+            if not any(rate):
+                ybar = [
+                    hk + dot(drow, ubar)
+                    for hk, drow in zip(system.output_map(z), system.feedthrough(z))
                 ]
+                return _StepResult(np.array(z), np.array(ubar), np.array(ybar), 0.0, 0)
+            start = [zk + tau * rk for zk, rk in zip(z, rate)]
+        elif start is None:
+            start = z
         last = []
         residual = self._residual(z, h_at_z, floor * floor, ubar, tau, last)
         w, its, res = newton_solve(residual, start, _NEWTON)
@@ -335,8 +352,9 @@ def integrate(system, config, grid, control, z0):
 
     which is O(tau^3) accurate on smooth runs, so a step usually needs a
     single Newton update.  The first two steps differ: the first starts
-    from z_0 (or, at a critical point of H, its Euler predictor) and the
-    second from the linear extrapolation ``z_1 + (tau_1 / tau_0) (z_1 - z_0)``.
+    from z_0 and the second from the linear extrapolation
+    ``z_1 + (tau_1 / tau_0) (z_1 - z_0)``; a dg-qsr step from a critical
+    point of H overrides the start (see ``_DgQsrStepper.step``).
     The difference form returns z_i bit for bit when the last three states
     are equal, so fixed points stay exact.
     """

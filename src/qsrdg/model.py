@@ -68,8 +68,9 @@ class QsrSystem:
     rows): ``drift`` is f, ``input_map`` is B (n x m), ``output_map`` is
     h, ``feedthrough`` is D (m x m), ``loss_state`` is l (length p) and
     ``loss_input`` is W (p x m).  ``storage`` supplies H and its
-    gradient.  Maps must follow the generic-scalar contract for use with
-    automatic-dual Newton.
+    gradient.  Maps must follow the generic-scalar contract of
+    :mod:`qsrdg.gmath`, because Newton differentiates them by complex
+    steps.
     """
 
     storage: StorageFunction

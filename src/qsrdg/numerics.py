@@ -2,16 +2,27 @@
 
 The implicit steppers funnel through :func:`newton_solve`, so the residual
 maps they hand over must follow the generic-scalar contract: accept a
-sequence of scalars (floats or :class:`qsrdg._kernels.Dual`) and return a
-sequence of scalars built only from arithmetic and :mod:`qsrdg.gmath`
-calls.  That is what lets one dual evaluation produce value and Jacobian
-together.
+sequence of scalars (floats, or the ``complex`` scalars of a Jacobian
+pass) and return a sequence of scalars built only from arithmetic and
+:mod:`qsrdg.gmath` calls (see there for the three rules a map keeps).
 
-Newton makes one Jacobian pass (a dual evaluation) per update and one
-float evaluation of the residual at each new iterate.  It stops on that
-float residual, so no Jacobian is ever computed only to confirm
-convergence: a converged step costs as many Jacobian passes as it made
-updates, or one when the start already meets the tolerance.
+A Jacobian pass is n complex-step evaluations of the map (Squire &
+Trapp, 1998; Martins, Sturdza & Alonso, 2003).  Evaluation k replaces
+entry k of x by ``complex(x_k, h)`` with h = 2**-600 and keeps the other
+entries as floats; column k of the Jacobian is the imaginary part over
+h, and the values are the real parts.  Because h is a power of two,
+scaling by it is exact, and because it is so small the product of two
+imaginary parts underflows to zero.  So the real part of every
+``+ - * /`` is the float result bit for bit, and the Jacobian is exact
+to rounding, with no subtractive cancellation.  Only a Jacobian entry
+below about 2**-474 (1e-143) in magnitude loses digits, because its
+scaled tangent is subnormal; its absolute error is of that order.
+
+Newton makes one Jacobian pass per update and one float evaluation of
+the residual at each new iterate.  It stops on that float residual, so
+no Jacobian is ever computed only to confirm convergence: a converged
+step costs as many Jacobian passes as it made updates, or one when the
+start already meets the tolerance.
 """
 
 import math
@@ -20,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from qsrdg._kernels import Dual, lu_solve, seed_duals, value
+from qsrdg._kernels import lu_solve, value
 from qsrdg.errors import NonFiniteEvaluation, SingularMatrix
 
 __all__ = [
@@ -56,20 +67,25 @@ def _values_of(out):
     return vals
 
 
+# the complex step and its reciprocal, both exact powers of two
+_H = 2.0**-600
+_INV_H = 2.0**600
+
+
 def _jacobian_with_values(f, x):
     """Jacobian rows and map values at ``x`` (a list of floats), from one
-    dual pass."""
-    n = len(x)
-    vals = []
-    rows = []
-    for comp in f(seed_duals(x)):
-        if isinstance(comp, Dual):
-            vals.append(comp.val)
-            rows.append(list(comp.grad))
-        else:
-            # component did not depend on the input at all
-            vals.append(float(comp))
-            rows.append([0.0] * n)
+    complex-step evaluation per coordinate; every evaluation has the
+    float values as its real parts."""
+    cols = []
+    for k, xk in enumerate(x):
+        probe = list(x)
+        probe[k] = complex(xk, _H)
+        out = f(probe)
+        # a component that does not depend on x may come back as a float,
+        # whose imaginary part is 0
+        cols.append([c.imag * _INV_H for c in out])
+    vals = [value(c) for c in out]
+    rows = [list(row) for row in zip(*cols)]
     for v, row in zip(vals, rows):
         if not math.isfinite(v) or not all(map(math.isfinite, row)):
             raise NonFiniteEvaluation("non-finite value or derivative")
@@ -107,14 +123,15 @@ def newton_solve(
 ) -> NewtonResult:
     """Newton's method ``x <- x - J(x)^{-1} F(x)`` on a square system.
 
-    The pass pattern: one dual pass, giving values and Jacobian, at
+    The pass pattern: one Jacobian pass, giving values and Jacobian, at
     ``x0``; after each update, ``F`` is evaluated in floats only, and a
-    further dual pass is taken only while that float residual is above
-    ``residual_tolerance``.  So ``f`` sees one dual pass per update (one
-    in all when ``x0`` already converges, which reports zero iterations)
-    and one float call per update.  The last call to ``f`` is always at
-    the returned iterate: the dual pass at ``x0`` after zero updates,
-    else the float call after the last update.  After ``max_iterations``
+    further Jacobian pass is taken only while that float residual is
+    above ``residual_tolerance``.  So ``f`` sees one Jacobian pass (n
+    complex calls) per update (one pass in all when ``x0`` already
+    converges, which reports zero iterations) and one float call per
+    update.  The last call to ``f`` is always at the returned iterate:
+    the last call of the Jacobian pass at ``x0`` after zero updates, else
+    the float call after the last update.  After ``max_iterations``
     updates the last iterate is returned with its float residual.
     Non-convergence is not an error here; callers decide.
     """

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsrdg._kernels import Dual, seed_duals, value
+from qsrdg._kernels import Dual, value
 from qsrdg.dgradients import (
     _GAUSS_NODES,
     _GAUSS_WEIGHTS,
@@ -28,6 +28,7 @@ from qsrdg.dgradients import (
 )
 from qsrdg.errors import NonFiniteEvaluation, QsrdgError, QuadratureNotConverged
 from qsrdg.gmath import cos, sin, sqrt
+from qsrdg.numerics import _H
 from qsrdg.systems import make_synthetic
 
 PENDULUM_GRAVITY = 9.81
@@ -210,9 +211,9 @@ def test_mean_value_quadrature_error_measured_bounds(rng):
 
 
 def test_mean_value_refines_on_dual_newton_path():
-    # the dg-qsr residual hands _evaluate a w of seeded duals; on pairs
-    # where one panel misses the bound, its value parts must be the float
-    # discrete gradient and meet the bound as well
+    # a Jacobian pass of the dg-qsr residual hands _evaluate a w with a
+    # complex entry; on pairs where one panel misses the bound, its value
+    # parts must be the float discrete gradient and meet the bound as well
     storage = make_synthetic().storage
     kind = mean_value()
     sampler = np.random.default_rng(0)
@@ -223,7 +224,7 @@ def test_mean_value_refines_on_dual_newton_path():
         if one_panel_defect(storage, z, w) <= 1e-8:
             continue
         refined += 1
-        d = _evaluate(kind, storage, z.tolist(), seed_duals(w.tolist()))
+        d = _evaluate(kind, storage, z.tolist(), [complex(w[0], _H)])
         assert all(isinstance(dk, Dual) for dk in d)
         got = np.array([value(dk) for dk in d])
         np.testing.assert_allclose(
@@ -236,8 +237,8 @@ def test_mean_value_refines_on_dual_newton_path():
 
 def test_mean_value_refinement_takes_one_dual_composite():
     # (-1, 3) on the synthetic storage needs 32 five-point panels: one
-    # dual panel, the search over 2..32 panels in floats, then the dual
-    # composite once at 32 panels
+    # complex panel, the search over 2..32 panels in floats, then the
+    # complex composite once at 32 panels
     storage = make_synthetic().storage
     calls = {"dual": 0, "float": 0}
 
@@ -247,15 +248,15 @@ def test_mean_value_refinement_takes_one_dual_composite():
 
     counting = StorageFunction(storage.value, counted_gradient, storage.dim)
     kind = mean_value()
-    d = _evaluate(kind, counting, [-1.0], seed_duals([3.0]))
+    d = _evaluate(kind, counting, [-1.0], [complex(3.0, _H)])
     assert calls == {"dual": 5 + 5 * 32, "float": 5 * (2 + 4 + 8 + 16 + 32)}
     assert value(d[0]) == discrete_gradient(kind, storage, (-1.0,), (3.0,))[0]
     calls.update(dual=0, float=0)
     discrete_gradient(kind, counting, (-1.0,), (3.0,))
     assert calls == {"dual": 0, "float": 5 * (1 + 2 + 4 + 8 + 16 + 32)}
-    # a segment that one panel meets costs one dual panel only
+    # a segment that one panel meets costs one complex panel only
     calls.update(dual=0, float=0)
-    _evaluate(kind, counting, [-1.0], seed_duals([1.0]))
+    _evaluate(kind, counting, [-1.0], [complex(1.0, _H)])
     assert calls == {"dual": 5, "float": 0}
 
 

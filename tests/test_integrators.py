@@ -8,14 +8,14 @@ import pytest
 
 from qsrdg import gmath as gm
 from qsrdg import integrators
-from qsrdg._kernels import Dual, seed_duals, value
+from qsrdg._kernels import value
 from qsrdg.dgradients import GONZALEZ, ITOH_ABE, StorageFunction, mean_value
 from qsrdg.errors import (
     GridMismatch,
     IntegrationError,
     NewtonDidNotConverge,
+    NonFiniteEvaluation,
     QuadratureNotConverged,
-    ZeroDirection,
 )
 from qsrdg.integrators import (
     DG_QSR,
@@ -27,7 +27,7 @@ from qsrdg.integrators import (
     relative_error,
 )
 from qsrdg.model import QsrSystem, SupplyRate, supply_value
-from qsrdg.numerics import NewtonSettings
+from qsrdg.numerics import _H, NewtonSettings, _jacobian_with_values
 from qsrdg.systems import (
     PendulumParams,
     benchmark_settings,
@@ -324,14 +324,19 @@ def test_integrate_validates_initial_state():
 
 
 def test_integration_error_carries_step_location():
-    # the stacked-integrator storage gradient vanishes at the origin, so
-    # the very first step cannot normalize the discrete gradient
+    # the input turns NaN at t = 0.35, so step 3, which averages u(0.3)
+    # and u(0.4), has a non-finite residual
     sys_ = make_pi()
     grid = TimeGrid.equidistant(1.0, 10)
+
+    def failing(t):
+        return math.nan if t > 0.35 else 0.0
+
     with pytest.raises(IntegrationError) as info:
-        integrate(sys_, SchemeConfig(), grid, zero_control, (0.0,))
-    assert info.value.step_index == 0
-    assert "step 0" in str(info.value)
+        integrate(sys_, SchemeConfig(), grid, failing, (1.0,))
+    assert info.value.step_index == 3
+    assert "step 3" in str(info.value)
+    assert isinstance(info.value.__cause__, NonFiniteEvaluation)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
@@ -347,11 +352,34 @@ def test_run_from_rest_at_a_critical_point_of_the_storage(name, kind):
     traj = integrate(system, config, grid, lambda t: (1.0,) * system.m, rest)
     assert np.all(traj.newton_residuals <= NewtonSettings().residual_tolerance)
     assert np.max(discrete_power_balance_residuals(system, traj)) <= 1e-10
-    # unforced, the predictor is the rest state itself: the typed error
-    with pytest.raises(IntegrationError) as info:
-        integrate(system, config, grid, lambda t: (0.0,) * system.m, rest)
-    assert info.value.step_index == 0
-    assert isinstance(info.value.__cause__, ZeroDirection)
+    # unforced, the predictor is the rest state itself, which solves
+    # every step exactly: the run stays at rest with no Newton update
+    traj = integrate(system, config, grid, lambda t: (0.0,) * system.m, rest)
+    assert np.all(traj.states == 0.0)
+    assert np.all(traj.newton_iterations == 0)
+    assert np.all(traj.newton_residuals == 0.0)
+    assert np.max(discrete_power_balance_residuals(system, traj)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
+@pytest.mark.parametrize("name", ("pendulum", "lti-ocp", "pi", "synthetic"))
+def test_input_switched_on_at_rest_at_a_critical_point(name, kind):
+    # the run rests at the origin until the step input comes on at
+    # t = 0.5; the step that averages the switch starts Newton from the
+    # Euler predictor although integrate hands it an extrapolated start
+    system = benchmark_settings(name).system
+    grid = TimeGrid.with_step(0.05, 20)
+
+    def switched_on(t):
+        return (0.0 if t < 0.5 else 1.0,) * system.m
+
+    traj = integrate(
+        system, SchemeConfig(dg_kind=kind), grid, switched_on, np.zeros(system.n)
+    )
+    assert np.all(traj.states[:10] == 0.0)
+    assert np.any(traj.states[-1] != 0.0)
+    assert np.all(traj.newton_residuals <= NewtonSettings().residual_tolerance)
+    assert np.max(discrete_power_balance_residuals(system, traj)) <= 1e-10
 
 
 def test_integration_error_wraps_unconverged_quadrature():
@@ -359,11 +387,11 @@ def test_integration_error_wraps_unconverged_quadrature():
     # carries the state across it, so the mean-value quadrature hits its
     # panel cap inside step 0
     def cusp_gradient(z):
-        r = gm.sqrt(abs(z[0]))
-        return (0.5 / r if z[0] > 0.0 else -0.5 / r,)
+        r = gm.sqrt(gm.abs(z[0]))
+        return (0.5 / r if gm.value(z[0]) > 0.0 else -0.5 / r,)
 
     cusp = StorageFunction(
-        value=lambda z: gm.sqrt(abs(z[0])), gradient=cusp_gradient, dim=1
+        value=lambda z: gm.sqrt(gm.abs(z[0])), gradient=cusp_gradient, dim=1
     )
     sys_ = dataclasses.replace(scalar_decay_system(), storage=cusp)
     config = SchemeConfig(dg_kind=mean_value())
@@ -403,7 +431,7 @@ def test_discrete_output_belongs_to_the_accepted_state(name, kind, scheme_oracle
 
 def test_discrete_output_at_a_converged_start(scheme_oracle):
     # at the zero-input fixed point every step converges with 0 updates,
-    # so the output terms come from the dual pass at the start
+    # so the output terms come from the Jacobian pass at the start
     sys_ = make_pi()
     grid = TimeGrid.equidistant(0.5, 5)
     traj = integrate(sys_, SchemeConfig(), grid, zero_control, (1.0,))
@@ -413,14 +441,19 @@ def test_discrete_output_at_a_converged_start(scheme_oracle):
 
 
 def _counting_newton(monkeypatch):
-    """Counts, over a run, the residual calls with dual and with float
-    arguments, the Newton updates, and records each start."""
-    counts = {"dual": 0, "float": 0, "updates": 0, "starts": []}
+    """Counts, over a run, the residual calls of Jacobian passes (one
+    complex entry each), the passes (their calls seeding entry 0), the
+    float residual calls and the Newton updates, and records each start."""
+    counts = {"jacobian": 0, "passes": 0, "float": 0, "updates": 0, "starts": []}
     real = integrators.newton_solve
 
     def newton(f, x0, settings=NewtonSettings()):
         def residual(w):
-            counts["dual" if isinstance(w[0], Dual) else "float"] += 1
+            if any(isinstance(v, complex) for v in w):
+                counts["jacobian"] += 1
+                counts["passes"] += isinstance(w[0], complex)
+            else:
+                counts["float"] += 1
             return f(w)
 
         counts["starts"].append([float(v) for v in x0])
@@ -443,7 +476,8 @@ def test_one_jacobian_pass_and_one_float_residual_per_newton_update(monkeypatch)
         case.initial_state,
     )
     assert counts["updates"] == int(np.sum(traj.newton_iterations)) > 100
-    assert counts["dual"] == counts["float"] == counts["updates"]
+    assert counts["passes"] == counts["float"] == counts["updates"]
+    assert counts["jacobian"] == case.system.n * counts["passes"]
 
 
 @pytest.mark.parametrize("scheme", (DG_QSR, IMPLICIT_MIDPOINT))
@@ -515,16 +549,22 @@ def _random_pairs(case, rng, count):
 
 
 def _value_mismatches(residual, w):
+    """Entries of the calls of a Jacobian pass at ``w`` whose real part
+    differs from the float residual at ``w``."""
     floats = residual(w)
-    duals = residual(seed_duals(w))
-    return sum(value(d) != f for d, f in zip(duals, floats))
+    mismatches = 0
+    for k, wk in enumerate(w):
+        probe = list(w)
+        probe[k] = complex(wk, _H)
+        mismatches += sum(value(c) != f for c, f in zip(residual(probe), floats))
+    return mismatches
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
 @pytest.mark.parametrize("name", ("pendulum", "lti-ocp", "pi", "synthetic"))
 def test_dual_pass_values_equal_float_residual_bit_for_bit(name, kind, rng):
-    # Newton stops on the float residual but updates from the dual pass's
-    # values; both must be the same numbers
+    # Newton stops on the float residual but updates from the Jacobian
+    # pass's values; every call of the pass must give the same numbers
     case = benchmark_settings(name)
     stepper = integrators._DgQsrStepper(case.system, SchemeConfig(dg_kind=kind))
     storage = case.system.storage
@@ -584,7 +624,7 @@ def test_balance_audit_matches_per_step_formula(name, scheme):
 
 @pytest.mark.parametrize("drift", ("pi", "coupled"))
 def test_residual_jacobian_on_three_channels_matches_central_differences(drift, rng):
-    # three states take the kernels' generic (list comprehension) branch;
+    # a Jacobian pass on three states makes three complex calls;
     # the pi drift vanishes, so its scheme coefficient is 0, and a coupled
     # nonlinear drift makes the coefficient depend on the state as well
     system = make_pi(channels=3)
@@ -603,7 +643,7 @@ def test_residual_jacobian_on_three_channels_matches_central_differences(drift, 
             residual = stepper._residual(
                 z, system.storage.value(z), 0.0, ubar, 0.05, []
             )
-            rows = [d.grad for d in residual(seed_duals(w))]
+            rows, _ = _jacobian_with_values(residual, w)
             for k in range(3):
                 up, dn = list(w), list(w)
                 up[k] += h

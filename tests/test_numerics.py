@@ -1,4 +1,4 @@
-"""Dense solves, the dual Jacobian pass, Newton iteration, quadrature."""
+"""Dense solves, the complex-step Jacobian pass, Newton iteration, quadrature."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qsrdg import gmath
-from qsrdg._kernels import Dual, value
+from qsrdg._kernels import value
 from qsrdg.dgradients import _GAUSS_NODES, _GAUSS_WEIGHTS
 from qsrdg.errors import NonFiniteEvaluation, SingularMatrix
 from qsrdg.numerics import (
@@ -46,7 +46,7 @@ def _map(x):
 
 
 def jacobian(f, x):
-    """The Jacobian of ``f`` at ``x`` from Newton's dual pass."""
+    """The Jacobian of ``f`` at ``x`` from Newton's Jacobian pass."""
     rows, _ = _jacobian_with_values(f, [float(v) for v in x])
     return np.array(rows)
 
@@ -71,7 +71,7 @@ def test_jacobian_dual_exact_values():
 
 
 def test_jacobian_modes_agree():
-    # the dual pass against test-local central differences
+    # the complex-step pass against test-local central differences
     def f(x):
         return (gmath.sin(x[0]) * x[1], gmath.exp(x[0] - x[1]), x[0] * x[1] * x[1])
 
@@ -117,13 +117,16 @@ def test_newton_exact_guess_does_no_work():
 
 
 def _recording(f):
-    """``f`` wrapped to record each call's kind ("dual" or "float") in
-    ``calls`` and its argument values in ``points``."""
+    """``f`` wrapped to record each call's kind in ``calls`` and its
+    argument values in ``points``.  A call of a Jacobian pass has one
+    complex entry, and its kind is "jacobian"; a float call has none."""
     calls = []
     points = []
 
     def recorded(x):
-        calls.append("dual" if isinstance(x[0], Dual) else "float")
+        seeded = sum(isinstance(v, complex) for v in x)
+        assert seeded <= 1
+        calls.append("jacobian" if seeded else "float")
         points.append([value(v) for v in x])
         return f(x)
 
@@ -134,7 +137,7 @@ def test_newton_exact_guess_makes_one_pass():
     f, calls, points = _recording(lambda x: (x[0] * x[0] - 4.0,))
     result = newton_solve(f, (2.0,))
     assert result.iterations == 0
-    assert calls == ["dual"]
+    assert calls == ["jacobian"]
     assert points[-1] == result.x.tolist()
 
 
@@ -144,7 +147,7 @@ def test_newton_single_update_returns_its_float_residual():
     assert result.iterations == 1
     assert result.x[0] == -1.0
     assert result.residual == math.exp(-1.0)
-    assert calls == ["dual", "float"]
+    assert calls == ["jacobian", "float"]
     assert points[-1] == result.x.tolist()
 
 
@@ -152,17 +155,20 @@ def test_newton_pass_pattern_is_one_jacobian_pass_per_update():
     f, calls, points = _recording(lambda x: (x[0] * x[0] - 4.0,))
     result = newton_solve(f, (3.0,))
     assert result.iterations >= 3
-    assert calls == ["dual", "float"] * result.iterations
+    assert calls == ["jacobian", "float"] * result.iterations
     assert points[-1] == result.x.tolist()
 
 
 def test_newton_coupled_system():
-    def f(x):
-        return (x[0] + x[1] - 3.0, x[0] * x[1] - 2.0)
-
+    # in two dimensions a Jacobian pass is two calls, one per coordinate
+    f, calls, points = _recording(
+        lambda x: (x[0] + x[1] - 3.0, x[0] * x[1] - 2.0)
+    )
     result = newton_solve(f, (5.0, 0.5))
     roots = sorted(result.x)
     np.testing.assert_allclose(roots, [1.0, 2.0], atol=1e-12)
+    assert calls == ["jacobian", "jacobian", "float"] * result.iterations
+    assert points[-1] == result.x.tolist()
 
 
 def test_newton_respects_iteration_cap():
@@ -173,7 +179,7 @@ def test_newton_respects_iteration_cap():
     result = newton_solve(f, (0.0,), settings)
     assert result.iterations == 4
     assert math.isclose(result.residual, math.exp(-4.0), rel_tol=1e-12)
-    assert calls == ["dual", "float"] * 4
+    assert calls == ["jacobian", "float"] * 4
     assert points[-1] == result.x.tolist()
 
 
