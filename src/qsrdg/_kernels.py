@@ -12,6 +12,15 @@ the hot loops deliberately avoid numpy because the state dimensions of
 interest are tiny (one or two) and per-call array overhead dominates at
 that size.  These pure-Python kernels are the only backend; ``BACKEND``
 names it for run records.
+
+A generic-scalar solve comes in two halves.  :func:`factor` eliminates a
+matrix once: it records the pivot row of each step, that step's
+multipliers and the rows of U.  :func:`substitute` applies those factors
+to a right-hand side: the recorded swaps and multipliers in elimination
+order, then back substitution.  Together they run the operations of one
+full elimination in the same order, so ``solve_generic(a, b)``, which is
+``substitute(factor(a), b)``, gives the same bits, and a caller that
+solves with one matrix many times can keep the factors.
 """
 
 from qsrdg.errors import SingularMatrix
@@ -25,6 +34,8 @@ __all__ = [
     "matvec",
     "tmatvec",
     "lu_solve",
+    "factor",
+    "substitute",
     "solve_generic",
 ]
 
@@ -115,16 +126,19 @@ def lu_solve(a, b):
     return x
 
 
-def solve_generic(a, b):
-    """Row-pivoted elimination for generic scalars (floats or complex).
+def factor(a):
+    """Row-pivoted elimination of a square generic-scalar matrix ``a``.
 
-    Pivot choice and the singularity test act on value parts; arithmetic
-    stays generic so gradients propagate through the solve.
+    Returns ``(pivots, multipliers, rows)``: the row swapped into place at
+    each elimination step, the multipliers of that step for the rows below
+    it, and the rows of U.  Pivot choice and the singularity test act on
+    value parts; arithmetic stays generic, so tangents propagate.
     """
-    n = len(b)
+    n = len(a)
     m = [list(row) for row in a]
-    x = list(b)
     limit = _PIVOT_RTOL * max(max(abs(value(v)) for v in row) for row in m)
+    pivots = []
+    multipliers = []
     for k in range(n):
         p = k
         best = abs(value(m[k][k]))
@@ -137,15 +151,34 @@ def solve_generic(a, b):
             raise SingularMatrix(f"pivot {best:.3e} below threshold {limit:.3e}")
         if p != k:
             m[k], m[p] = m[p], m[k]
-            x[k], x[p] = x[p], x[k]
         rk = m[k]
         piv = rk[k]
+        cs = []
         for i in range(k + 1, n):
             ri = m[i]
             c = ri[k] / piv
             for j in range(k + 1, n):
                 ri[j] = ri[j] - c * rk[j]
-            x[i] = x[i] - c * x[k]
+            cs.append(c)
+        pivots.append(p)
+        multipliers.append(cs)
+    return pivots, multipliers, m
+
+
+def substitute(lu, b):
+    """Solve with the factors of :func:`factor`: forward elimination of
+    ``b`` with the recorded swaps and multipliers, then back
+    substitution through U.  Generic scalars throughout."""
+    pivots, multipliers, m = lu
+    n = len(b)
+    x = list(b)
+    for k in range(n):
+        p = pivots[k]
+        if p != k:
+            x[k], x[p] = x[p], x[k]
+        xk = x[k]
+        for i, c in enumerate(multipliers[k], k + 1):
+            x[i] = x[i] - c * xk
     for k in range(n - 1, -1, -1):
         acc = x[k]
         rk = m[k]
@@ -153,3 +186,9 @@ def solve_generic(a, b):
             acc = acc - rk[j] * x[j]
         x[k] = acc / rk[k]
     return x
+
+
+def solve_generic(a, b):
+    """Solve ``a x = b`` for generic scalars (floats or complex):
+    ``substitute(factor(a), b)``."""
+    return substitute(factor(a), b)

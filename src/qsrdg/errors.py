@@ -38,15 +38,18 @@ class QuadratureNotConverged(QsrdgError):
 
 
 class IntegrationError(QsrdgError):
-    """A time step failed; carries the index and time of the failing step.
+    """A time step failed; carries the index and time of the failing step
+    and, when the caller knows it, ``state``: the last good state, from
+    which the step started (None otherwise).
 
     The original error is attached as ``__cause__``.
     """
 
-    def __init__(self, step_index, time, message):
+    def __init__(self, step_index, time, message, state=None):
         super().__init__(f"step {step_index} (t = {time:.6g}) failed: {message}")
         self.step_index = step_index
         self.time = time
+        self.state = state
 
 
 class NewtonDidNotConverge(UserWarning):

@@ -20,16 +20,30 @@ tolerance.
 
 All two-point averages are midpoint evaluations, phi((z + w) / 2); the
 averaged input is the trapezoidal endpoint mean (u(t_i) + u(t_{i+1})) / 2.
+
+Each residual call of the structure-preserving step recovers the output
+from (Q D + S)^T hbar = B^T dg / 2 + W^T l.  A run keeps one set of
+factors of that matrix, keyed on a copy of the feedthrough values D it
+was built from, and refactors only when a call's D has other values.
+So a constant feedthrough is factored once per run and every call only
+substitutes; a state-dependent one is refactored on every call, as
+before, at the cost of one more comparison.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from qsrdg._kernels import dot, matvec, norm_sq, solve_generic, tmatvec, value
+from qsrdg._kernels import dot, factor, matvec, norm_sq, substitute, tmatvec, value
+
+# the layer trace of perfbench looks this name up here; the dg-qsr step
+# factors once per feedthrough value and calls substitute instead, so
+# the traced full solves now count zero
+from qsrdg._kernels import solve_generic  # noqa: F401
 from qsrdg.dgradients import GONZALEZ, DiscreteGradientKind, _evaluate
 from qsrdg.errors import (
     GridMismatch,
@@ -129,9 +143,9 @@ class SchemeConfig:
 
 
 class _StepResult(NamedTuple):
-    state: np.ndarray
-    averaged_input: np.ndarray
-    discrete_output: np.ndarray
+    state: list
+    averaged_input: tuple
+    discrete_output: list
     newton_residual: float
     iterations: int
 
@@ -153,59 +167,78 @@ def _as_rows(mat):
     return tuple(tuple(float(x) for x in row) for row in np.atleast_2d(mat))
 
 
-def _scheme_terms(system, kind, q_rows, s_rows, z, h_at_z, w):
-    """Shared two-point quantities of the structure-preserving step.
-
-    Works on generic scalars: ``z`` holds floats, ``w`` may be complex.
-    Returns the discrete gradient, its squared norm, the midpoint drift,
-    input and feedthrough evaluations, the recovered output, and the
-    numerator of the drift coefficient.
-    """
-    dg = _evaluate(kind, system.storage, z, w, h_at_z)
-    g2 = norm_sq(dg)
-    mid = [(a + b) * 0.5 for a, b in zip(z, w)]
-    fv = system.drift(mid)
-    bv = system.input_map(mid)
-    dv = system.feedthrough(mid)
-    lv = system.loss_state(mid)
-    wv = system.loss_input(mid)
-    m = len(q_rows)
-    bt = tmatvec(bv, dg)
-    wl = tmatvec(wv, lv)
-    rhs = [0.5 * bt[j] + wl[j] for j in range(m)]
-    # rows of (Q D + S)^T: entry (j, i) is sum_k q[i][k] d[k][j] + s[i][j]
-    mt = [
-        [
-            sum(q_rows[i][k] * dv[k][j] for k in range(m)) + s_rows[i][j]
-            for i in range(m)
-        ]
-        for j in range(m)
-    ]
-    hbar = solve_generic(mt, rhs)
-    qh = matvec(q_rows, hbar)
-    gam_num = dot(hbar, qh) - norm_sq(lv)
-    return dg, g2, fv, bv, dv, hbar, gam_num
-
-
 class _DgQsrStepper:
-    """Per-run machinery for the structure-preserving scheme."""
+    """Per-run machinery for the structure-preserving scheme.
+
+    Every residual call solves (Q D + S)^T hbar = B^T dg / 2 + W^T l for
+    the output terms, with D the feedthrough at the midpoint.  The stepper
+    keeps one factored matrix for the run: a snapshot of the feedthrough
+    values it was built from, and the factors of (Q D + S)^T.  A call whose
+    feedthrough has the same values only substitutes; any other value
+    refactors and replaces the snapshot.  The key is a copy of the values,
+    not the object, because a map may return one list that it mutates
+    between calls; and a Jacobian-pass entry with a nonzero tangent never
+    equals a float, so a feedthrough that depends on the state refactors
+    on every call.  With a constant feedthrough, as in every shipped
+    example, the matrix is factored once per run.
+    """
 
     def __init__(self, system, config):
         self.system = system
         self.kind = config.dg_kind
         self.q_rows = _as_rows(system.supply.q)
         self.s_rows = _as_rows(system.supply.s)
+        self._dv_key = None
+        self._lu = None
+
+    def _refactor(self, dv, key):
+        q_rows, s_rows = self.q_rows, self.s_rows
+        m = len(q_rows)
+        # rows of (Q D + S)^T: entry (j, i) is sum_k q[i][k] d[k][j] + s[i][j]
+        mt = [
+            [
+                sum(q_rows[i][k] * dv[k][j] for k in range(m)) + s_rows[i][j]
+                for i in range(m)
+            ]
+            for j in range(m)
+        ]
+        self._lu = factor(mt)
+        self._dv_key = key
+
+    def _terms(self, z, h_at_z, w):
+        """Shared two-point quantities of the structure-preserving step.
+
+        Works on generic scalars: ``z`` holds floats, ``w`` may be complex.
+        Returns the discrete gradient, its squared norm, the midpoint
+        drift, input and feedthrough evaluations, the recovered output,
+        and the numerator of the drift coefficient.
+        """
+        system = self.system
+        dg = _evaluate(self.kind, system.storage, z, w, h_at_z)
+        g2 = norm_sq(dg)
+        mid = [(a + b) * 0.5 for a, b in zip(z, w)]
+        fv = system.drift(mid)
+        bv = system.input_map(mid)
+        dv = system.feedthrough(mid)
+        lv = system.loss_state(mid)
+        wv = system.loss_input(mid)
+        key = tuple(map(tuple, dv))
+        if key != self._dv_key:
+            self._refactor(dv, key)
+        bt = tmatvec(bv, dg)
+        wl = tmatvec(wv, lv)
+        hbar = substitute(self._lu, [0.5 * b + c for b, c in zip(bt, wl)])
+        qh = matvec(self.q_rows, hbar)
+        gam_num = dot(hbar, qh) - norm_sq(lv)
+        return dg, g2, fv, bv, dv, hbar, gam_num
 
     def _residual(self, z, h_at_z, floor_sq, ubar, tau, last):
         """The step's Newton residual; each call leaves the output terms
         ``hbar`` and ``dv`` at its point in ``last``."""
-        system, kind = self.system, self.kind
-        q_rows, s_rows = self.q_rows, self.s_rows
+        terms = self._terms
 
         def residual(w):
-            dg, g2, fv, bv, dv, hbar, gam_num = _scheme_terms(
-                system, kind, q_rows, s_rows, z, h_at_z, w
-            )
+            dg, g2, fv, bv, dv, hbar, gam_num = terms(z, h_at_z, w)
             last[:] = (hbar, dv)
             g2v = value(g2)
             if g2v <= floor_sq or g2v == 0.0:
@@ -243,7 +276,7 @@ class _DgQsrStepper:
                     hk + dot(drow, ubar)
                     for hk, drow in zip(system.output_map(z), system.feedthrough(z))
                 ]
-                return _StepResult(np.array(z), np.array(ubar), np.array(ybar), 0.0, 0)
+                return _StepResult(z, ubar, ybar, 0.0, 0)
             start = [zk + tau * rk for zk, rk in zip(z, rate)]
         elif start is None:
             start = z
@@ -257,7 +290,7 @@ class _DgQsrStepper:
             value(hb) + dot([value(x) for x in drow], ubar)
             for hb, drow in zip(hbar, dv)
         ]
-        return _StepResult(w, np.array(ubar), np.array(ybar), res, its)
+        return _StepResult(w.tolist(), ubar, ybar, res, its)
 
 
 class _MidpointStepper:
@@ -295,7 +328,7 @@ class _MidpointStepper:
             float(value(h)) + dot([value(x) for x in drow], ubar)
             for h, drow in zip(hv, dv)
         ]
-        return _StepResult(w, np.array(ubar), np.array(ybar), res, its)
+        return _StepResult(w_list, ubar, ybar, res, its)
 
 
 def _warn_on_stall(res):
@@ -310,6 +343,9 @@ def _warn_on_stall(res):
 def _control_values(control, t, m):
     out = control(t)
     if isinstance(out, (int, float)):
+        vals = (float(out),)
+    elif isinstance(out, numbers.Real) or getattr(out, "shape", None) == ():
+        # any other real scalar, numpy scalars and 0-d arrays included
         vals = (float(out),)
     else:
         vals = tuple(float(v) for v in out)
@@ -338,8 +374,11 @@ def integrate(system, config, grid, control, z0):
     Hard step failures (singular Jacobian, vanished discrete gradient,
     non-finite evaluations, mean-value quadrature that misses its secant
     tolerance at the panel cap) are re-raised as :class:`IntegrationError`
-    carrying the failing step index; Newton stalls only warn and are
-    visible in the returned residuals.
+    carrying the failing step index and the last good state z_i; Newton
+    stalls only warn and are visible in the returned residuals.
+
+    The loop works on Python lists and builds the five arrays of the
+    :class:`Trajectory` once, after the last step.
 
     Newton starts each step from a polynomial extrapolation of the states
     already computed, evaluated at t_{i+1}.  From the third step on that
@@ -362,20 +401,18 @@ def integrate(system, config, grid, control, z0):
     if z0.shape != (system.n,):
         raise ValueError(f"initial state must have shape ({system.n},)")
     stepper = _make_stepper(system, config)
-    pts = grid.points
-    q = grid.num_steps
-    states = np.empty((q + 1, system.n))
-    inputs = np.empty((q, system.m))
-    outputs = np.empty((q, system.m))
-    residuals = np.empty(q)
-    iterations = np.empty(q, dtype=int)
-    states[0] = z0
+    pts = grid.points.tolist()
     z = z0.tolist()
+    states = [z]
+    inputs = []
+    outputs = []
+    residuals = []
+    iterations = []
     prev = prev2 = prev_tau = start = None
     left = None
-    for i in range(q):
-        t = float(pts[i])
-        tau = float(pts[i + 1] - pts[i])
+    for i in range(grid.num_steps):
+        t = pts[i]
+        tau = pts[i + 1] - t
         ubar, left = _averaged_input(control, t, tau, system.m, left)
         if prev2 is not None:
             ratio = tau / prev_tau
@@ -397,16 +434,23 @@ def integrate(system, config, grid, control, z0):
             NonFiniteEvaluation,
             QuadratureNotConverged,
         ) as exc:
-            raise IntegrationError(i, t, str(exc)) from exc
+            raise IntegrationError(i, t, str(exc), np.array(z)) from exc
         prev2, prev2_tau = prev, prev_tau
         prev, prev_tau = z, tau
-        z = result.state.tolist()
-        states[i + 1] = result.state
-        inputs[i] = result.averaged_input
-        outputs[i] = result.discrete_output
-        residuals[i] = result.newton_residual
-        iterations[i] = result.iterations
-    return Trajectory(grid, states, inputs, outputs, residuals, iterations)
+        z = result.state
+        states.append(z)
+        inputs.append(result.averaged_input)
+        outputs.append(result.discrete_output)
+        residuals.append(result.newton_residual)
+        iterations.append(result.iterations)
+    return Trajectory(
+        grid,
+        np.array(states, dtype=float),
+        np.array(inputs, dtype=float),
+        np.array(outputs, dtype=float),
+        np.array(residuals, dtype=float),
+        np.array(iterations, dtype=int),
+    )
 
 
 def discrete_power_balance_residuals(system, trajectory):

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from qsrdg._kernels import lu_solve, value
+from qsrdg._kernels import lu_solve
 from qsrdg.errors import NonFiniteEvaluation, SingularMatrix
 
 __all__ = [
@@ -58,12 +58,16 @@ def solve_dense(a, b):
 
 
 def _values_of(out):
-    vals = []
-    for comp in out:
-        v = value(comp)
-        if not math.isfinite(v):
-            raise NonFiniteEvaluation(f"map produced {v!r}")
-        vals.append(v)
+    """Value parts of a map's output; raises on a NaN or infinite entry.
+
+    One finiteness test of the sum stands for all entries; only when the
+    sum is not finite, which a sum of large finite entries can be, are the
+    entries tested one by one."""
+    vals = [c.real for c in out]
+    if not math.isfinite(sum(vals)):
+        for v in vals:
+            if not math.isfinite(v):
+                raise NonFiniteEvaluation(f"map produced {v!r}")
     return vals
 
 
@@ -84,12 +88,13 @@ def _jacobian_with_values(f, x):
         # a component that does not depend on x may come back as a float,
         # whose imaginary part is 0
         cols.append([c.imag * _INV_H for c in out])
-    vals = [value(c) for c in out]
-    rows = [list(row) for row in zip(*cols)]
-    for v, row in zip(vals, rows):
-        if not math.isfinite(v) or not all(map(math.isfinite, row)):
-            raise NonFiniteEvaluation("non-finite value or derivative")
-    return rows, vals
+    vals = [c.real for c in out]
+    # the finiteness rule of _values_of, over values and columns together
+    if not math.isfinite(sum(vals) + sum(map(sum, cols))):
+        for entries in (vals, *cols):
+            if not all(map(math.isfinite, entries)):
+                raise NonFiniteEvaluation("non-finite value or derivative")
+    return [list(row) for row in zip(*cols)], vals
 
 
 @dataclass(frozen=True)

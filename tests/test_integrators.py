@@ -26,7 +26,7 @@ from qsrdg.integrators import (
     integrate,
     relative_error,
 )
-from qsrdg.model import QsrSystem, SupplyRate, supply_value
+from qsrdg.model import QsrSystem, SupplyRate, hill_moylan_residual, supply_value
 from qsrdg.numerics import _H, NewtonSettings, _jacobian_with_values
 from qsrdg.systems import (
     PendulumParams,
@@ -57,6 +57,57 @@ def scalar_decay_system():
 
 def zero_control(t):
     return 0.0
+
+
+def varying_feedthrough_system(shared=False):
+    """One state, D(z) = 1/2 + sin(z)/4 and Q = -1, so (Q D + S)^T = -D(z)
+    changes with every residual call.
+
+    H = z^2/2 with S = 0 and R = 1.  The third structure identity
+    W^2 = R + 2 D S + Q D^2 gives W = sqrt(1 - D^2).  With h = z and
+    l = z/2, the first, z f - h Q h + l^2 = 0, gives f = -5z/4, and the
+    second, B z/2 - (Q D + S) h + W l = 0, gives B = -2D - W.  With
+    ``shared`` the feedthrough returns one list that it mutates.
+    """
+    buf = [[0.0]]
+
+    def d_of(z):
+        return 0.5 + 0.25 * gm.sin(z[0])
+
+    def w_of(z):
+        d = d_of(z)
+        return gm.sqrt(1.0 - d * d)
+
+    def feedthrough(z):
+        if shared:
+            buf[0][0] = d_of(z)
+            return buf
+        return [[d_of(z)]]
+
+    def loss_input(z):
+        return [[w_of(z)]]
+
+    def input_map(z):
+        return [[-2.0 * d_of(z) - w_of(z)]]
+
+    return QsrSystem(
+        storage=StorageFunction(
+            value=lambda z: 0.5 * z[0] * z[0], gradient=lambda z: (z[0],), dim=1
+        ),
+        supply=SupplyRate(q=-1.0, s=0.0, r=1.0),
+        drift=lambda z: [-1.25 * z[0]],
+        input_map=input_map,
+        output_map=lambda z: [z[0]],
+        feedthrough=feedthrough,
+        loss_state=lambda z: [0.5 * z[0]],
+        loss_input=loss_input,
+    )
+
+
+def pushing_control(t):
+    # B < 0, so a negative input keeps the state near 1, away from the
+    # critical point of H at 0
+    return -1.0 - 0.5 * math.sin(3.0 * t)
 
 
 # grids and configs ----------------------------------------------------
@@ -337,6 +388,11 @@ def test_integration_error_carries_step_location():
     assert info.value.step_index == 3
     assert "step 3" in str(info.value)
     assert isinstance(info.value.__cause__, NonFiniteEvaluation)
+    # the error carries z_3, the state the failing step started from
+    cut = TimeGrid(grid.points[:4])
+    good = integrate(sys_, SchemeConfig(), cut, failing, (1.0,))
+    assert info.value.state.dtype == float
+    assert np.array_equal(info.value.state, good.states[3])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
@@ -380,6 +436,39 @@ def test_input_switched_on_at_rest_at_a_critical_point(name, kind):
     assert np.any(traj.states[-1] != 0.0)
     assert np.all(traj.newton_residuals <= NewtonSettings().residual_tolerance)
     assert np.max(discrete_power_balance_residuals(system, traj)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "sample",
+    (np.float32(0.5), np.int64(1), np.array(0.5), np.array(2)),
+    ids=("float32", "int64", "0-d float array", "0-d int array"),
+)
+def test_numpy_scalar_controls(sample):
+    # a control may return any real scalar, numpy ones included; the run
+    # equals the one whose control returns the same value as a float
+    case = benchmark_settings("pendulum")
+    grid = TimeGrid.equidistant(0.5, 5)
+    traj = integrate(
+        case.system, SchemeConfig(), grid, lambda t: sample, case.initial_state
+    )
+    ref = integrate(
+        case.system, SchemeConfig(), grid, lambda t: float(sample),
+        case.initial_state,
+    )
+    assert np.array_equal(traj.states, ref.states)
+    assert np.array_equal(traj.averaged_inputs, ref.averaged_inputs)
+
+
+@pytest.mark.parametrize(
+    "sample", ((0.5, 0.5), np.array([0.5, 0.5]), ()), ids=("tuple", "array", "empty")
+)
+def test_control_with_the_wrong_number_of_values_raises(sample):
+    case = benchmark_settings("pendulum")
+    with pytest.raises(ValueError, match="control returned"):
+        integrate(
+            case.system, SchemeConfig(), TimeGrid.equidistant(0.5, 5),
+            lambda t: sample, case.initial_state,
+        )
 
 
 def test_integration_error_wraps_unconverged_quadrature():
@@ -505,6 +594,44 @@ def test_newton_starts_from_extrapolated_state(scheme, monkeypatch):
             z[i] + (tau / h1) * d1 + tau * (tau + h1) / (h1 + h0) * (d1 / h1 - d0 / h0)
         )
         np.testing.assert_allclose(starts[i], quadratic, rtol=1e-15, atol=0.0)
+
+
+def _layout(traj, n, m):
+    """(dtype, shape, C order) of each trajectory array against the
+    expected layout for a run with ``n`` states and ``m`` inputs."""
+    q = traj.grid.num_steps
+    expected = (
+        (traj.states, float, (q + 1, n)),
+        (traj.averaged_inputs, float, (q, m)),
+        (traj.discrete_outputs, float, (q, m)),
+        (traj.newton_residuals, float, (q,)),
+        (traj.newton_iterations, int, (q,)),
+    )
+    return [
+        (arr.dtype == np.dtype(dtype), arr.shape == shape, arr.flags.c_contiguous)
+        for arr, dtype, shape in expected
+    ]
+
+
+@pytest.mark.parametrize(
+    "run", ("dg-qsr", "midpoint", "one step", "rest"),
+)
+def test_trajectory_arrays_keep_dtypes_shapes_and_order(run):
+    case = benchmark_settings("pendulum")
+    system, control, z0 = case.system, case.control, case.initial_state
+    grid = TimeGrid.equidistant(0.5, 20)
+    config = SchemeConfig()
+    if run == "midpoint":
+        config = SchemeConfig(scheme=IMPLICIT_MIDPOINT)
+    elif run == "one step":
+        grid = TimeGrid.with_step(0.01, 1)
+    elif run == "rest":
+        # every step takes the early return at a critical point of H
+        system, control, z0 = make_pi(), zero_control, (0.0,)
+    traj = integrate(system, config, grid, control, z0)
+    if run == "rest":
+        assert np.all(traj.states == 0.0)
+    assert _layout(traj, system.n, system.m) == [(True, True, True)] * 5
 
 
 def test_trajectory_records_newton_iterations():
@@ -735,3 +862,98 @@ def test_second_order_convergence_short_sweep():
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     for order in orders:
         assert 1.7 <= order <= 2.3
+
+
+# state-dependent feedthrough -------------------------------------------
+
+
+def test_varying_feedthrough_system_meets_the_structure_identities(rng):
+    system = varying_feedthrough_system()
+    for z in rng.uniform(-3.0, 3.0, (20, 1)):
+        assert max(hill_moylan_residual(system, z)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
+def test_varying_feedthrough_keeps_the_balance(kind):
+    system = varying_feedthrough_system()
+    grid = TimeGrid.with_step(0.02, 50)
+    traj = integrate(system, SchemeConfig(dg_kind=kind), grid, pushing_control, (1.0,))
+    assert np.all(traj.states > 0.5)
+    assert np.all(traj.newton_residuals <= 1e-13)
+    assert np.max(discrete_power_balance_residuals(system, traj)) <= 1e-10
+
+
+def test_varying_feedthrough_residual_jacobian_matches_central_differences(rng):
+    system = varying_feedthrough_system()
+    h = 1e-6
+    for kind in ALL_KINDS:
+        stepper = integrators._DgQsrStepper(system, SchemeConfig(dg_kind=kind))
+        for _ in range(5):
+            z = rng.uniform(0.5, 1.5, 1).tolist()
+            w = [z[0] + 0.1 * rng.standard_normal()]
+            ubar = rng.standard_normal(1).tolist()
+            residual = stepper._residual(
+                z, system.storage.value(z), 0.0, ubar, 0.05, []
+            )
+            rows, _ = _jacobian_with_values(residual, w)
+            up, dn = [w[0] + h], [w[0] - h]
+            column = (residual(up)[0] - residual(dn)[0]) / (2 * h)
+            assert abs(rows[0][0] - column) <= 1e-7
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
+def test_shared_mutated_feedthrough_list_gives_the_same_bits(kind):
+    # the output solve keys its factors on the feedthrough's values, so a
+    # map that returns one list and mutates it must not reuse stale ones
+    grid = TimeGrid.with_step(0.02, 50)
+    config = SchemeConfig(dg_kind=kind)
+    fresh, shared = (
+        integrate(
+            varying_feedthrough_system(flag), config, grid, pushing_control, (1.0,)
+        )
+        for flag in (False, True)
+    )
+    for name in (
+        "states", "averaged_inputs", "discrete_outputs", "newton_residuals",
+        "newton_iterations",
+    ):
+        assert getattr(fresh, name).tobytes() == getattr(shared, name).tobytes(), name
+
+
+def _counting_factor(monkeypatch):
+    calls = []
+    real = integrators.factor
+
+    def factor(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(integrators, "factor", factor)
+    return calls
+
+
+def test_constant_feedthrough_is_factored_once_per_run(monkeypatch):
+    calls = _counting_factor(monkeypatch)
+    case = benchmark_settings("pendulum")
+    traj = integrate(
+        case.system, SchemeConfig(), TimeGrid.equidistant(0.5, 20), case.control,
+        case.initial_state,
+    )
+    assert np.sum(traj.newton_iterations) >= 20
+    assert len(calls) == 1
+
+
+def test_varying_feedthrough_is_factored_on_every_call(monkeypatch):
+    calls = _counting_factor(monkeypatch)
+    system = varying_feedthrough_system()
+    feedthrough = system.feedthrough
+    feedthrough_calls = []
+
+    def counted(z):
+        feedthrough_calls.append(z)
+        return feedthrough(z)
+
+    system = dataclasses.replace(system, feedthrough=counted)
+    grid = TimeGrid.with_step(0.02, 10)
+    integrate(system, SchemeConfig(), grid, pushing_control, (1.0,))
+    assert len(calls) == len(feedthrough_calls) > 20

@@ -14,10 +14,12 @@ from qsrdg._kernels import (
     BACKEND,
     Dual,
     dot,
+    factor,
     lu_solve,
     matvec,
     norm_sq,
     solve_generic,
+    substitute,
     tmatvec,
     value,
 )
@@ -293,6 +295,31 @@ def test_solve_generic_singular_raises():
     p = seeded(0.0)
     with pytest.raises(SingularMatrix):
         solve_generic([[p, 0.0], [0.0, 0.0]], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_factor_serves_many_right_hand_sides(n, rng):
+    # one factorization, reused: each substitution gives the bits of a
+    # full solve and leaves the factors as they were
+    a = rng.standard_normal((n, n))
+    a[0, 0] = 0.0  # forces a row swap when n > 1
+    if n == 1:
+        a[0, 0] = 2.0
+    rows = [[seeded(v, 0.5) if i == j else v for j, v in enumerate(row)]
+            for i, row in enumerate(a.tolist())]
+    lu = factor(rows)
+    for _ in range(3):
+        b = rng.standard_normal(n).tolist()
+        x = substitute(lu, b)
+        assert x == substitute(lu, b) == solve_generic(rows, b)
+        np.testing.assert_allclose(
+            [value(v) for v in x], np.linalg.solve(a, b), rtol=1e-10, atol=1e-12
+        )
+
+
+def test_factor_singular_raises():
+    with pytest.raises(SingularMatrix):
+        factor([[seeded(1.0), 2.0], [2.0, 4.0]])
 
 
 def test_backend_constant_is_consistent():

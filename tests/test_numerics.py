@@ -183,6 +183,33 @@ def test_newton_respects_iteration_cap():
     assert points[-1] == result.x.tolist()
 
 
+def test_newton_accepts_finite_values_whose_sum_overflows():
+    # five components 1e308 * exp(x_k): at x = 0 the values and the
+    # Jacobian columns each sum past the largest float, and after the
+    # first update so do the five float values of 3.7e307; every entry
+    # is finite, so neither the pass nor the float call may raise
+    def f(x):
+        return [1e308 * gmath.exp(v) for v in x]
+
+    assert 5 * 1e308 * math.exp(-1.0) > np.finfo(float).max
+    result = newton_solve(f, [0.0] * 5, NewtonSettings(max_iterations=2))
+    assert result.iterations == 2
+    assert result.x.tolist() == [-2.0] * 5
+
+
+@pytest.mark.parametrize("where", ("jacobian pass", "float call"))
+def test_newton_rejects_a_nan_entry_next_to_large_ones(where):
+    # a NaN entry raises whatever the size of its neighbours
+    def f(x):
+        first = 1e308 * gmath.exp(x[0])
+        if where == "float call" and not isinstance(x[0], complex):
+            return [first, math.nan]
+        return [first, x[1] * math.nan if where == "jacobian pass" else x[1]]
+
+    with pytest.raises(NonFiniteEvaluation):
+        newton_solve(f, [0.0, 0.0])
+
+
 def test_newton_settings_validation():
     with pytest.raises(ValueError):
         NewtonSettings(max_iterations=0)
