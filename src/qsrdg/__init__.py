@@ -51,12 +51,7 @@ from qsrdg.model import (
     hill_moylan_residual,
     supply_value,
 )
-from qsrdg.numerics import (
-    NewtonResult,
-    NewtonSettings,
-    newton_solve,
-    solve_dense,
-)
+from qsrdg.numerics import NewtonResult, NewtonSettings, newton_solve
 from qsrdg.riccati import solve_are
 from qsrdg.systems import (
     BenchmarkCase,
@@ -92,7 +87,6 @@ __all__ = [
     "hill_moylan_residual",
     "continuous_power_balance_residual",
     # numerics
-    "solve_dense",
     "NewtonSettings",
     "NewtonResult",
     "newton_solve",

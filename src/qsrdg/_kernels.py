@@ -13,14 +13,14 @@ interest are tiny (one or two) and per-call array overhead dominates at
 that size.  These pure-Python kernels are the only backend; ``BACKEND``
 names it for run records.
 
-A generic-scalar solve comes in two halves.  :func:`factor` eliminates a
-matrix once: it records the pivot row of each step, that step's
-multipliers and the rows of U.  :func:`substitute` applies those factors
-to a right-hand side: the recorded swaps and multipliers in elimination
-order, then back substitution.  Together they run the operations of one
-full elimination in the same order, so ``solve_generic(a, b)``, which is
-``substitute(factor(a), b)``, gives the same bits, and a caller that
-solves with one matrix many times can keep the factors.
+Dense solves have one elimination code, in two halves.  :func:`factor`
+eliminates a matrix once: it records the pivot row of each step, that
+step's multipliers and the rows of U.  :func:`substitute` applies those
+factors to a right-hand side: the recorded swaps and multipliers in
+elimination order, then back substitution.  ``solve_generic(a, b)`` is
+``substitute(factor(a), b)``.  Newton's update, the output solve and the
+Lyapunov solve of :mod:`qsrdg.riccati` all go through these two; a
+caller that solves with one matrix many times keeps the factors.
 """
 
 from qsrdg.errors import SingularMatrix
@@ -33,7 +33,6 @@ __all__ = [
     "norm_sq",
     "matvec",
     "tmatvec",
-    "lu_solve",
     "factor",
     "substitute",
     "solve_generic",
@@ -85,65 +84,27 @@ def tmatvec(a, x):
     return out
 
 
-def lu_solve(a, b):
-    """Solve ``a x = b`` for float data by row-pivoted elimination.
-
-    Raises :class:`SingularMatrix` when a pivot magnitude falls below
-    1e-14 times the largest row max-norm of ``a``.
-    """
-    n = len(b)
-    m = [[float(v) for v in row] for row in a]
-    x = [float(v) for v in b]
-    limit = _PIVOT_RTOL * max(max(abs(v) for v in row) for row in m)
-    for k in range(n):
-        p = k
-        best = abs(m[k][k])
-        for i in range(k + 1, n):
-            cand = abs(m[i][k])
-            if cand > best:
-                best = cand
-                p = i
-        if best <= limit:
-            raise SingularMatrix(f"pivot {best:.3e} below threshold {limit:.3e}")
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            x[k], x[p] = x[p], x[k]
-        rk = m[k]
-        inv = 1.0 / rk[k]
-        for i in range(k + 1, n):
-            ri = m[i]
-            c = ri[k] * inv
-            if c != 0.0:
-                for j in range(k + 1, n):
-                    ri[j] -= c * rk[j]
-                x[i] -= c * x[k]
-    for k in range(n - 1, -1, -1):
-        acc = x[k]
-        rk = m[k]
-        for j in range(k + 1, n):
-            acc -= rk[j] * x[j]
-        x[k] = acc / rk[k]
-    return x
-
-
 def factor(a):
     """Row-pivoted elimination of a square generic-scalar matrix ``a``.
 
     Returns ``(pivots, multipliers, rows)``: the row swapped into place at
     each elimination step, the multipliers of that step for the rows below
     it, and the rows of U.  Pivot choice and the singularity test act on
-    value parts; arithmetic stays generic, so tangents propagate.
+    real parts (``.real``, which floats, ints, complex and numpy scalars
+    all have); arithmetic stays generic, so tangents propagate.  Raises
+    :class:`SingularMatrix` when a pivot magnitude falls below 1e-14
+    times the largest row max-norm of ``a``.
     """
     n = len(a)
     m = [list(row) for row in a]
-    limit = _PIVOT_RTOL * max(max(abs(value(v)) for v in row) for row in m)
+    limit = _PIVOT_RTOL * max(max(abs(v.real) for v in row) for row in m)
     pivots = []
     multipliers = []
     for k in range(n):
         p = k
-        best = abs(value(m[k][k]))
+        best = abs(m[k][k].real)
         for i in range(k + 1, n):
-            cand = abs(value(m[i][k]))
+            cand = abs(m[i][k].real)
             if cand > best:
                 best = cand
                 p = i

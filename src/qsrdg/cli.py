@@ -115,8 +115,8 @@ def _positive_int(text):
 
 def _positive_float(text):
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("expected a positive number")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("expected a positive finite number")
     return value
 
 

@@ -1,4 +1,4 @@
-"""Dense solves and Newton iteration.
+"""Newton iteration.
 
 The implicit steppers funnel through :func:`newton_solve`, so the residual
 maps they hand over must follow the generic-scalar contract: accept a
@@ -18,11 +18,12 @@ to rounding, with no subtractive cancellation.  Only a Jacobian entry
 below about 2**-474 (1e-143) in magnitude loses digits, because its
 scaled tangent is subnormal; its absolute error is of that order.
 
-Newton makes one Jacobian pass per update and one float evaluation of
-the residual at each new iterate.  It stops on that float residual, so
-no Jacobian is ever computed only to confirm convergence: a converged
-step costs as many Jacobian passes as it made updates, or one when the
-start already meets the tolerance.
+Newton makes one Jacobian pass per update, solves for the update with
+the one elimination code of :mod:`qsrdg._kernels`, and makes one float
+evaluation of the residual at each new iterate.  It stops on that float
+residual, so no Jacobian is ever computed only to confirm convergence:
+a converged step costs as many Jacobian passes as it made updates, or
+one when the start already meets the tolerance.
 """
 
 import math
@@ -31,30 +32,20 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from qsrdg._kernels import lu_solve
+# bound as the module global lu_solve, which newton_solve looks up per
+# call, because perfbench/layers.py wraps qsrdg.numerics.lu_solve to time
+# Newton's solve apart from the output solve, and perfbench/selftest.py
+# fails when that boundary is absent
+from qsrdg._kernels import solve_generic as lu_solve
 from qsrdg.errors import NonFiniteEvaluation, SingularMatrix
 
 __all__ = [
-    "solve_dense",
     "NewtonSettings",
     "NewtonResult",
     "newton_solve",
     "SingularMatrix",
     "NonFiniteEvaluation",
 ]
-
-
-def solve_dense(a, b):
-    """Solve the square system ``a x = b`` by row-pivoted elimination.
-
-    Raises :class:`SingularMatrix` when a pivot magnitude falls below
-    1e-14 relative to the largest row max-norm.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    return np.array(lu_solve(a.tolist(), b.tolist()))
 
 
 def _values_of(out):
@@ -118,7 +109,9 @@ class NewtonResult(NamedTuple):
 
 
 def _norm(vals):
-    return math.sqrt(sum(v * v for v in vals))
+    # hypot scales internally, so finite entries above 1e154 whose squares
+    # overflow still give a finite norm
+    return math.hypot(*vals)
 
 
 def newton_solve(

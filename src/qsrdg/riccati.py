@@ -2,14 +2,15 @@
 
 Solves ``A^T P + P A - P B B^T P + C^T C = 0`` for the stabilizing
 symmetric solution.  Each Newton step is a Lyapunov equation solved by
-vectorization (an n^2 x n^2 dense system), which is perfectly adequate at
-the state dimensions this package targets.
+vectorization: an n^2 x n^2 dense system, solved with the package's one
+elimination code (:func:`qsrdg._kernels.solve_generic`), which is
+perfectly adequate at the state dimensions this package targets.
 """
 
 import numpy as np
 
+from qsrdg._kernels import solve_generic
 from qsrdg.errors import AreNotConverged, NotStabilizing
-from qsrdg.numerics import solve_dense
 
 __all__ = ["solve_are", "lyapunov_solve", "stabilizing_gain"]
 
@@ -23,7 +24,7 @@ def lyapunov_solve(a_cl, rhs):
     n = a_cl.shape[0]
     eye = np.eye(n)
     k = np.kron(a_cl.T, eye) + np.kron(eye, a_cl.T)
-    return solve_dense(k, rhs.reshape(-1)).reshape(n, n)
+    return np.array(solve_generic(k.tolist(), rhs.reshape(-1).tolist())).reshape(n, n)
 
 
 def _is_hurwitz(mat):

@@ -328,6 +328,15 @@ def test_bad_arguments_exit_two(tmp_path):
     assert run(["convergence", "--example", "pi", "--s-max", 1]) == 2
 
 
+@pytest.mark.parametrize("command", ("simulate", "balance", "convergence"))
+def test_infinite_horizon_is_a_bad_argument(command, tmp_path):
+    # an infinite horizon is rejected while parsing, not left to break the
+    # grid construction with exit code 1, which is reserved for gates
+    with pytest.raises(SystemExit) as info:
+        run([command, "--example", "pi", "--T", "inf", "--out", tmp_path / "x.csv"])
+    assert info.value.code == 2
+
+
 def test_default_output_name_lands_in_cwd(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["simulate", "--example", "pi", "--q", 5, "--T", 0.5]) == 0

@@ -15,7 +15,6 @@ from qsrdg._kernels import (
     Dual,
     dot,
     factor,
-    lu_solve,
     matvec,
     norm_sq,
     solve_generic,
@@ -240,34 +239,27 @@ def test_vector_helpers_match_numpy(rng):
     np.testing.assert_allclose(tmatvec(a.tolist(), x.tolist()), a.T @ x, rtol=1e-14)
 
 
-def test_lu_solve_oracle_cases():
-    # identity, a permutation with a zero leading pivot, and a 2x2 with a
-    # hand-checked inverse
-    assert lu_solve([[1.0, 0.0], [0.0, 1.0]], [3.0, -4.0]) == [3.0, -4.0]
-    x = lu_solve([[0.0, 1.0], [1.0, 0.0]], [5.0, 6.0])
+def test_solve_generic_oracle_cases():
+    # float data: identity, a permutation with a zero leading pivot, and a
+    # 2x2 with a hand-checked inverse
+    assert solve_generic([[1.0, 0.0], [0.0, 1.0]], [3.0, -4.0]) == [3.0, -4.0]
+    x = solve_generic([[0.0, 1.0], [1.0, 0.0]], [5.0, 6.0])
     np.testing.assert_allclose(x, [6.0, 5.0], rtol=1e-15)
-    x = lu_solve([[2.0, 1.0], [1.0, 3.0]], [5.0, 10.0])
+    x = solve_generic([[2.0, 1.0], [1.0, 3.0]], [5.0, 10.0])
     np.testing.assert_allclose(x, [1.0, 3.0], rtol=1e-14)
 
 
-def test_lu_solve_matches_numpy_on_random_systems(rng):
+def test_solve_generic_matches_numpy_on_random_systems(rng):
     for n in (1, 2, 3, 5, 8):
         for _ in range(5):
             a = rng.standard_normal((n, n)) + n * np.eye(n)
             b = rng.standard_normal(n)
             np.testing.assert_allclose(
-                lu_solve(a.tolist(), b.tolist()),
+                solve_generic(a.tolist(), b.tolist()),
                 np.linalg.solve(a, b),
                 rtol=1e-10,
                 atol=1e-12,
             )
-
-
-def test_lu_solve_singular_raises():
-    with pytest.raises(SingularMatrix):
-        lu_solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
-    with pytest.raises(SingularMatrix):
-        lu_solve([[0.0]], [1.0])
 
 
 def test_solve_generic_propagates_parameter_derivative():
@@ -295,6 +287,10 @@ def test_solve_generic_singular_raises():
     p = seeded(0.0)
     with pytest.raises(SingularMatrix):
         solve_generic([[p, 0.0], [0.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(SingularMatrix):
+        solve_generic([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+    with pytest.raises(SingularMatrix):
+        solve_generic([[0.0]], [1.0])
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))

@@ -1,4 +1,4 @@
-"""Dense solves, the complex-step Jacobian pass, Newton iteration, quadrature."""
+"""The complex-step Jacobian pass, Newton iteration, quadrature."""
 
 import math
 
@@ -8,37 +8,8 @@ import pytest
 from qsrdg import gmath
 from qsrdg._kernels import value
 from qsrdg.dgradients import _GAUSS_NODES, _GAUSS_WEIGHTS
-from qsrdg.errors import NonFiniteEvaluation, SingularMatrix
-from qsrdg.numerics import (
-    NewtonSettings,
-    _jacobian_with_values,
-    newton_solve,
-    solve_dense,
-)
-
-
-def test_solve_dense_basic():
-    np.testing.assert_allclose(
-        solve_dense(np.eye(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0]
-    )
-    a = np.array([[0.0, 2.0], [3.0, 0.0]])
-    np.testing.assert_allclose(solve_dense(a, np.array([4.0, 9.0])), [3.0, 2.0])
-
-
-def test_solve_dense_random_residual(rng):
-    a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
-    b = rng.standard_normal(6)
-    x = solve_dense(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-11 * np.linalg.norm(b)
-
-
-def test_solve_dense_rejects_bad_shapes_and_singular():
-    with pytest.raises(ValueError):
-        solve_dense(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(ValueError):
-        solve_dense(np.ones((2, 2)), np.ones(3))
-    with pytest.raises(SingularMatrix):
-        solve_dense(np.ones((2, 2)), np.ones(2))
+from qsrdg.errors import NonFiniteEvaluation
+from qsrdg.numerics import NewtonSettings, _jacobian_with_values, newton_solve
 
 
 def _map(x):
@@ -187,7 +158,8 @@ def test_newton_accepts_finite_values_whose_sum_overflows():
     # five components 1e308 * exp(x_k): at x = 0 the values and the
     # Jacobian columns each sum past the largest float, and after the
     # first update so do the five float values of 3.7e307; every entry
-    # is finite, so neither the pass nor the float call may raise
+    # is finite, so neither the pass nor the float call may raise, and
+    # the recorded residual norm is finite too
     def f(x):
         return [1e308 * gmath.exp(v) for v in x]
 
@@ -195,6 +167,7 @@ def test_newton_accepts_finite_values_whose_sum_overflows():
     result = newton_solve(f, [0.0] * 5, NewtonSettings(max_iterations=2))
     assert result.iterations == 2
     assert result.x.tolist() == [-2.0] * 5
+    assert math.isfinite(result.residual)
 
 
 @pytest.mark.parametrize("where", ("jacobian pass", "float call"))
