@@ -23,7 +23,7 @@ from qsrdg._kernels import (
     value,
 )
 from qsrdg.errors import SingularMatrix
-from qsrdg.numerics import _H, _jacobian_with_values
+from qsrdg.numerics import _H, _jacobian_with_values, lu_solve
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 nonzero = finite.filter(lambda v: abs(v) > 1e-3)
@@ -287,10 +287,14 @@ def test_solve_generic_singular_raises():
     p = seeded(0.0)
     with pytest.raises(SingularMatrix):
         solve_generic([[p, 0.0], [0.0, 0.0]], [1.0, 1.0])
+
+
+def test_lu_solve_singular_raises():
+    # the solve Newton's update calls, on float singular systems
     with pytest.raises(SingularMatrix):
-        solve_generic([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+        lu_solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
     with pytest.raises(SingularMatrix):
-        solve_generic([[0.0]], [1.0])
+        lu_solve([[0.0]], [1.0])
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
