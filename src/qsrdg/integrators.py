@@ -15,8 +15,14 @@ accepted state and dg the discrete gradient there, the balance defect of
 a step is |dg . r| / tau.  So the 1e-13 residual tolerance alone bounds
 it only by |dg| 1e-13 / tau, about 1.4e-10 for the pendulum at
 tau = 5e-3.  The benchmark runs measure at most 1.4e-11 only because
-the last Newton update lands at the rounding floor, far below the
-tolerance.
+Newton ends at the rounding floor, far below the tolerance: it updates
+every start whose residual is not exactly zero, and it stops on a fresh
+update, which converges quadratically, or on an update with reused
+factors only once the residual is a hundredth of the tolerance (see
+:func:`qsrdg.numerics.newton_solve`).  Even so the defect cannot fall
+below the rounding limit of (H(w) - H(z)) / tau in floats, about
+eps (|H(z)| + |H(w)|) / tau, which exceeds 1e-10 below tau = 1e-5 on the
+pendulum.
 
 All two-point averages are midpoint evaluations, phi((z + w) / 2); the
 averaged input is the trapezoidal endpoint mean (u(t_i) + u(t_{i+1})) / 2.

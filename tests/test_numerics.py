@@ -122,29 +122,116 @@ def test_newton_single_update_returns_its_float_residual():
     assert points[-1] == result.x.tolist()
 
 
-def test_newton_pass_pattern_is_one_jacobian_pass_per_update():
+def test_newton_call_pattern_for_x_squared_minus_four_from_three():
+    # four fresh updates, each after a pass at its own iterate; after the
+    # fourth the residual contracted by theta = 2.6e-6 from 4.1e-5 to
+    # 1.0e-10, so theta^2 r <= 1e-13 and the fifth update reuses the
+    # fourth's factors, landing at the root
     f, calls, points = _recording(lambda x: (x[0] * x[0] - 4.0,))
     result = newton_solve(f, (3.0,))
-    assert result.iterations >= 3
-    assert calls == ["jacobian", "float"] * result.iterations
+    assert calls == ["jacobian", "float"] * 4 + ["float"]
+    assert result.iterations == 5
+    assert result.x[0] == 2.0
+    assert result.residual == 0.0
     assert points[-1] == result.x.tolist()
 
 
 def test_newton_coupled_system():
-    # in two dimensions a Jacobian pass is two calls, one per coordinate
+    # in two dimensions a Jacobian pass is two calls, one per coordinate;
+    # five fresh updates, then two reused ones
     f, calls, points = _recording(
         lambda x: (x[0] + x[1] - 3.0, x[0] * x[1] - 2.0)
     )
     result = newton_solve(f, (5.0, 0.5))
     roots = sorted(result.x)
     np.testing.assert_allclose(roots, [1.0, 2.0], atol=1e-12)
-    assert calls == ["jacobian", "jacobian", "float"] * result.iterations
+    assert calls == ["jacobian", "jacobian", "float"] * 5 + ["float"] * 2
+    assert result.iterations == 7
+    assert points[-1] == result.x.tolist()
+
+
+def _secant_slope_at_one(x):
+    # x - 1.5 x^3 + 0.75 x^5 has its only real root at 0, where the slope
+    # is 1; at x = 1 the slope is 1/4 and equals the secant slope to the
+    # root, so an update from near 1 lands near 0 and the factors of that
+    # pass overshoot fourfold there
+    return (x[0] - 1.5 * x[0] ** 3 + 0.75 * x[0] ** 5,)
+
+
+def test_newton_discards_a_reused_update_that_does_not_lower_the_residual():
+    # the fresh update contracts from 0.25 to 5.7e-6, which predicts
+    # convergence, so the next update reuses the factors from 1; it
+    # triples the residual, is discarded, and a fresh pass at 5.7e-6
+    # gives the update that converges
+    f, calls, points = _recording(_secant_slope_at_one)
+    result = newton_solve(f, (1.0 + 2.0**-22,))
+    assert calls == ["jacobian", "float", "float", "jacobian", "float"]
+    x1, rejected = points[1][0], points[2][0]
+    assert abs(rejected) > 2.0 * abs(x1)
+    assert points[3] == [x1]
+    assert result.iterations == 2
+    assert abs(result.x[0]) <= 1e-15
+    assert result.residual <= 1e-15
+    assert points[-1] == result.x.tolist()
+
+
+def test_newton_caps_jacobian_passes_not_updates():
+    # x^2 - 4 from 3 converges after four passes and five updates
+    f, calls, _ = _recording(lambda x: (x[0] * x[0] - 4.0,))
+    result = newton_solve(f, (3.0,), NewtonSettings(max_iterations=4))
+    assert calls.count("jacobian") == 4
+    assert result.iterations == 5
+    assert result.residual == 0.0
+    # three passes stop at the third fresh update's residual, 4.1e-5,
+    # whose contraction predicts no convergence for a reused update
+    f, calls, points = _recording(lambda x: (x[0] * x[0] - 4.0,))
+    result = newton_solve(f, (3.0,), NewtonSettings(max_iterations=3))
+    assert calls == ["jacobian", "float"] * 3
+    assert result.iterations == 3
+    assert math.isclose(result.residual, 4.096e-5, rel_tol=1e-3)
+    assert points[-1] == result.x.tolist()
+
+
+def test_newton_takes_a_fresh_pass_after_four_reused_updates():
+    # the pass reports slope 2 where the float map has slope 1, so every
+    # update halves x exactly and the contraction stays 1/2.  From 2**-40
+    # the second fresh update reaches 2**-42, where theta^2 r <= 1e-13;
+    # four reused updates reach 2**-46, still above the polish bound
+    # 1e-15, and a fresh pass gives the fifth, which stops at 2**-47
+    f, calls, points = _recording(lambda x: (2.0 * x[0] - value(x[0]),))
+    result = newton_solve(f, (2.0**-40,))
+    assert calls == ["jacobian", "float"] * 2 + ["float"] * 4 + ["jacobian", "float"]
+    assert points[-1] == [2.0**-47]
+    assert result.x[0] == 2.0**-47
+    assert result.iterations == 7
+
+
+def test_newton_ends_at_the_last_kept_iterate_when_a_reuse_fails_at_the_cap():
+    # with one pass allowed, the discarded reuse leaves no pass to take;
+    # one more float call puts the last call back at the returned iterate
+    f, calls, points = _recording(_secant_slope_at_one)
+    result = newton_solve(f, (1.0 + 2.0**-22,), NewtonSettings(max_iterations=1))
+    assert calls == ["jacobian", "float", "float", "float"]
+    assert result.iterations == 1
+    assert result.x.tolist() == points[1] == points[-1]
+    assert result.residual == abs(_secant_slope_at_one(points[1])[0])
+
+
+def test_newton_updates_a_start_inside_the_tolerance():
+    # a start whose residual 1e-14 already meets the tolerance still gets
+    # one update, which lands at the root
+    f, calls, points = _recording(lambda x: (x[0] * x[0] - 4.0,))
+    result = newton_solve(f, (2.0 + 2.5e-15,))
+    assert calls == ["jacobian", "float"]
+    assert result.iterations == 1
+    assert result.x[0] == 2.0
     assert points[-1] == result.x.tolist()
 
 
 def test_newton_respects_iteration_cap():
-    # exp has no root; every update subtracts one, so the loop must stop
-    # at the cap and report the final residual
+    # exp has no root; every update subtracts one and no contraction
+    # predicts convergence, so every update follows a fresh pass and the
+    # loop stops at the pass cap with the final residual
     settings = NewtonSettings(max_iterations=4)
     f, calls, points = _recording(lambda x: (gmath.exp(x[0]),))
     result = newton_solve(f, (0.0,), settings)
