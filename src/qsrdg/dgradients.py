@@ -15,6 +15,13 @@ doubles the number of equal panels until the secant defect, computed in
 floats, is at most 1e-12 (or a few ulps of the storage values, whichever
 is larger); it raises :class:`QuadratureNotConverged` if the panel cap is
 reached first.
+
+The five-point rule is symmetric: nodes s and 1 - s share a weight, and
+the centre node is 1/2.  The composite forms delta = w - z once per call
+and pairs the nodes.  On a panel the two lower nodes and the centre are
+z + s delta, the two upper ones w - r delta with r their distance from w,
+and the panel adds W0 (g0 + g4) + W1 (g1 + g3) + W2 g2.  On one panel the
+points are z + s delta, w - s delta and z + delta / 2.
 """
 
 import math
@@ -43,7 +50,7 @@ _VARIANTS = ("gonzalez", "itoh-abe", "mean-value")
 _MEAN_VALUE_TOL = 1e-12
 _MEAN_VALUE_ULPS = 8.0
 _MAX_PANELS = 1024
-_EPS = np.finfo(float).eps
+_ULP_FLOOR = _MEAN_VALUE_ULPS * float(np.finfo(float).eps)
 
 # the five-point Gauss rule on [0, 1], applied on every panel; Python
 # floats, because a numpy scalar times a complex makes a slower numpy
@@ -51,6 +58,9 @@ _EPS = np.finfo(float).eps
 _GAUSS_NODES, _GAUSS_WEIGHTS = zip(
     *((float(x + 1.0) / 2.0, float(w) / 2.0) for x, w in zip(*leggauss(5)))
 )
+# the lower half of the symmetric rule: s_q = 1 - s_(4-q), W_q = W_(4-q)
+_S0, _S1 = _GAUSS_NODES[:2]
+_W0, _W1, _W2 = _GAUSS_WEIGHTS[:3]
 
 
 @dataclass(frozen=True)
@@ -91,15 +101,18 @@ def mean_value():
     return DiscreteGradientKind("mean-value")
 
 
-def _gonzalez(storage, z, w, h_at_z):
-    mid = [(a + b) * 0.5 for a, b in zip(z, w)]
+def _guard_sq(z):
+    """Squared radius of the Gonzalez guard ball around ``z``."""
+    return (1e-12 * (1.0 + math.sqrt(sum(a * a for a in z)))) ** 2
+
+
+def _gonzalez(storage, z, w, h_at_z, mid, guard_sq):
     g_mid = storage.gradient(mid)
     d = [b - a for a, b in zip(z, w)]
     d_sq = norm_sq(d)
-    znorm = math.sqrt(sum(a * a for a in z))
     # closed form blows up as w -> z; inside the guard ball the midpoint
     # gradient alone is consistent
-    if value(d_sq) <= (1e-12 * (1.0 + znorm)) ** 2:
+    if value(d_sq) <= guard_sq:
         return g_mid
     if h_at_z is None:
         h_at_z = storage.value(z)
@@ -125,24 +138,45 @@ def _itoh_abe(storage, z, w, h_at_z):
     return out
 
 
-def _composite_gauss(storage, z, w, panels):
-    acc = None
-    for j in range(panels):
-        for x, wx in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-            s = (j + x) / panels
-            wq = wx / panels
-            pt = [(1.0 - s) * a + s * b for a, b in zip(z, w)]
-            g = storage.gradient(pt)
-            if acc is None:
-                acc = [wq * gi for gi in g]
-            else:
-                acc = [ai + wq * gi for ai, gi in zip(acc, g)]
-    return acc
+def _panel(gradient, z, w, delta, lo, hi, panels):
+    """``W0 (g0 + g4) + W1 (g1 + g3) + W2 g2`` over the nodes of the panel
+    ``lo`` panels from ``z`` and ``hi`` panels from ``w``: the lower ones
+    and the centre at ``z + s delta``, the upper ones at ``w - r delta``
+    with r their distance from ``w``, built coordinate by coordinate."""
+    s0, s1, sc = (lo + _S0) / panels, (lo + _S1) / panels, (lo + 0.5) / panels
+    r0, r1 = (hi + _S0) / panels, (hi + _S1) / panels
+    p0, p1, p2, p3, p4 = zip(
+        *[
+            (a + s0 * dk, a + s1 * dk, a + sc * dk, b - r1 * dk, b - r0 * dk)
+            for a, b, dk in zip(z, w, delta)
+        ]
+    )
+    g0, g1, g2 = gradient(p0), gradient(p1), gradient(p2)
+    g3, g4 = gradient(p3), gradient(p4)
+    return [
+        _W0 * (a + e) + _W1 * (b + d) + _W2 * c
+        for a, b, c, d, e in zip(g0, g1, g2, g3, g4)
+    ]
+
+
+def _composite_gauss(storage, z, w, delta, panels):
+    """Composite five-point Gauss mean of grad H on the segment from ``z``
+    to ``w``, with ``delta = w - z``, over ``panels`` equal panels (a power
+    of two, so the closing division is exact)."""
+    if panels == 1:
+        return _panel(storage.gradient, z, w, delta, 0, 0, 1)
+    parts = [
+        _panel(storage.gradient, z, w, delta, j, panels - 1 - j, panels)
+        for j in range(panels)
+    ]
+    return [sum(col) / panels for col in zip(*parts)]
 
 
 def _mean_value(storage, z, w, h_at_z):
-    w_vals = [value(b) for b in w]
-    step = [b - a for a, b in zip(z, w_vals)]
+    # ``.real`` is the value part of floats and complex pass scalars alike
+    w_vals = [b.real for b in w]
+    delta = [b - a for a, b in zip(z, w)]
+    step = [dk.real for dk in delta]
     if h_at_z is None:
         h_at_z = storage.value(z)
     h_at_w = storage.value(w_vals)
@@ -150,13 +184,17 @@ def _mean_value(storage, z, w, h_at_z):
     # and the float evaluation agree on it; past the first panel it is
     # searched in floats, and a complex ``w`` gets its composite once, at
     # the chosen count
-    d = _composite_gauss(storage, z, w, 1)
+    d = _composite_gauss(storage, z, w, delta, 1)
     panels = 1
     while True:
-        terms = [value(dk) * sk for dk, sk in zip(d, step)]
+        terms = [dk.real * sk for dk, sk in zip(d, step)]
         defect = abs(h_at_w - h_at_z - sum(terms))
+        # the tolerance is the larger of the two, so meeting the fixed one
+        # settles it without the rounding floor
+        if defect <= _MEAN_VALUE_TOL:
+            break
         scale = abs(h_at_z) + abs(h_at_w) + sum(abs(t) for t in terms)
-        tol = max(_MEAN_VALUE_TOL, _MEAN_VALUE_ULPS * _EPS * scale)
+        tol = max(_MEAN_VALUE_TOL, _ULP_FLOOR * scale)
         if defect <= tol:
             break
         if not math.isfinite(defect):
@@ -167,16 +205,25 @@ def _mean_value(storage, z, w, h_at_z):
                 f"with {panels} panels"
             )
         panels *= 2
-        d = _composite_gauss(storage, z, w_vals, panels)
+        d = _composite_gauss(storage, z, w_vals, step, panels)
     if panels > 1 and any(isinstance(b, complex) for b in w):
-        return _composite_gauss(storage, z, w, panels)
+        return _composite_gauss(storage, z, w, delta, panels)
     return d
 
 
-def _evaluate(kind, storage, z, w, h_at_z=None):
-    """Generic-scalar evaluation: ``z`` is float, ``w`` may be complex."""
+def _evaluate(kind, storage, z, w, h_at_z=None, mid=None, guard_sq=None):
+    """Generic-scalar evaluation: ``z`` is float, ``w`` may be complex.
+
+    The optional arguments are constants a step already has: H(z), the
+    midpoint (z + w) / 2 and ``_guard_sq(z)``; each is computed when not
+    given.
+    """
     if kind.variant == "gonzalez":
-        return _gonzalez(storage, z, w, h_at_z)
+        if mid is None:
+            mid = [(a + b) * 0.5 for a, b in zip(z, w)]
+        if guard_sq is None:
+            guard_sq = _guard_sq(z)
+        return _gonzalez(storage, z, w, h_at_z, mid, guard_sq)
     if kind.variant == "itoh-abe":
         return _itoh_abe(storage, z, w, h_at_z)
     return _mean_value(storage, z, w, h_at_z)

@@ -50,7 +50,7 @@ from qsrdg._kernels import dot, factor, matvec, norm_sq, substitute, tmatvec, va
 # factors once per feedthrough value and calls substitute instead, so
 # the traced full solves now count zero
 from qsrdg._kernels import solve_generic  # noqa: F401
-from qsrdg.dgradients import GONZALEZ, DiscreteGradientKind, _evaluate
+from qsrdg.dgradients import GONZALEZ, DiscreteGradientKind, _evaluate, _guard_sq
 from qsrdg.errors import (
     GridMismatch,
     IntegrationError,
@@ -211,18 +211,20 @@ class _DgQsrStepper:
         self._lu = factor(mt)
         self._dv_key = key
 
-    def _terms(self, z, h_at_z, w):
+    def _terms(self, z, h_at_z, guard_sq, w):
         """Shared two-point quantities of the structure-preserving step.
 
         Works on generic scalars: ``z`` holds floats, ``w`` may be complex.
+        ``h_at_z`` and ``guard_sq`` are the step's constants H(z) and the
+        Gonzalez guard (see :func:`qsrdg.dgradients._evaluate`).
         Returns the discrete gradient, its squared norm, the midpoint
         drift, input and feedthrough evaluations, the recovered output,
         and the numerator of the drift coefficient.
         """
         system = self.system
-        dg = _evaluate(self.kind, system.storage, z, w, h_at_z)
-        g2 = norm_sq(dg)
         mid = [(a + b) * 0.5 for a, b in zip(z, w)]
+        dg = _evaluate(self.kind, system.storage, z, w, h_at_z, mid, guard_sq)
+        g2 = norm_sq(dg)
         fv = system.drift(mid)
         bv = system.input_map(mid)
         dv = system.feedthrough(mid)
@@ -242,9 +244,10 @@ class _DgQsrStepper:
         """The step's Newton residual; each call leaves the output terms
         ``hbar`` and ``dv`` at its point in ``last``."""
         terms = self._terms
+        guard_sq = _guard_sq(z)
 
         def residual(w):
-            dg, g2, fv, bv, dv, hbar, gam_num = terms(z, h_at_z, w)
+            dg, g2, fv, bv, dv, hbar, gam_num = terms(z, h_at_z, guard_sq, w)
             last[:] = (hbar, dv)
             g2v = value(g2)
             if g2v <= floor_sq or g2v == 0.0:

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from qsrdg import gmath as gm
+from qsrdg._kernels import dot, matvec
 from qsrdg.dgradients import StorageFunction
 from qsrdg.errors import UnknownExample
 from qsrdg.model import QsrSystem, SupplyRate
@@ -127,29 +128,25 @@ def make_lti_ocp(params=LtiOcpParams()):
     zero_pm = tuple((0.0,) * m for _ in range(p_out))
 
     def value(z):
-        acc = 0.0
-        for i in range(n):
-            row = p_rows[i]
-            acc = acc + z[i] * sum(row[j] * z[j] for j in range(n))
-        return 0.5 * acc
+        return 0.5 * dot(z, matvec(p_rows, z))
 
     def gradient(z):
-        return [sum(row[j] * z[j] for j in range(n)) for row in p_rows]
+        return matvec(p_rows, z)
 
     def drift(z):
-        return [sum(row[j] * z[j] for j in range(n)) for row in a_rows]
+        return matvec(a_rows, z)
 
     def input_map(z):
         return b_rows
 
     def output_map(z):
-        return [sum(row[j] * z[j] for j in range(n)) for row in bp_rows]
+        return matvec(bp_rows, z)
 
     def feedthrough(z):
         return zero_mm
 
     def loss_state(z):
-        return [sum(row[j] * z[j] for j in range(n)) for row in cl_rows]
+        return matvec(cl_rows, z)
 
     def loss_input(z):
         return zero_pm

@@ -29,7 +29,7 @@ def _scheme_oracle(system, kind, z, w):
     z = [float(v) for v in z]
     w = [float(v) for v in w]
     stepper = integrators._DgQsrStepper(system, integrators.SchemeConfig(dg_kind=kind))
-    _, g2, _, _, _, hbar, gam_num = stepper._terms(z, None, w)
+    _, g2, _, _, _, hbar, gam_num = stepper._terms(z, None, None, w)
     g2 = value(g2)
     gamma = value(gam_num) / g2 if g2 else math.nan
     return np.array([value(x) for x in hbar]), gamma

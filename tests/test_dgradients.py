@@ -22,6 +22,7 @@ from qsrdg.dgradients import (
     ITOH_ABE,
     DiscreteGradientKind,
     StorageFunction,
+    _composite_gauss,
     _evaluate,
     discrete_gradient,
     mean_value,
@@ -29,7 +30,7 @@ from qsrdg.dgradients import (
 from qsrdg.errors import NonFiniteEvaluation, QsrdgError, QuadratureNotConverged
 from qsrdg.gmath import cos, sin, sqrt
 from qsrdg.numerics import _H
-from qsrdg.systems import make_synthetic
+from qsrdg.systems import EXAMPLE_NAMES, benchmark_settings, make_synthetic
 
 PENDULUM_GRAVITY = 9.81
 
@@ -64,6 +65,10 @@ quartic_well = StorageFunction(
 )
 
 ALL_KINDS = (GONZALEZ, ITOH_ABE, mean_value())
+
+EXAMPLE_STORAGES = {
+    name: benchmark_settings(name).system.storage for name in EXAMPLE_NAMES
+}
 
 coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -258,6 +263,71 @@ def test_mean_value_refinement_takes_one_dual_composite():
     calls.update(dual=0, float=0)
     _evaluate(kind, counting, [-1.0], [complex(1.0, _H)])
     assert calls == {"dual": 5, "float": 0}
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_paired_panel_matches_the_node_by_node_sum(name):
+    # the one-panel composite builds its nodes as z + s d and w - s d and
+    # pairs the equal weights; the plain rule sums w_q grad H((1 - s_q) z
+    # + s_q w) node by node.  Their value parts agree to 1e-15 relative,
+    # for float w and for every complex probe of a Jacobian pass.  The
+    # tangent part of grad H at a node, the second derivative times the
+    # node's tangent, also moves with the ulp by which the two
+    # constructions place the node, amplified by the third derivative
+    # where the second is small (measured up to 5.6e-15 relative on
+    # pendulum and synthetic), so tangents are held to 1e-14
+    storage = EXAMPLE_STORAGES[name]
+    sampler = np.random.default_rng(3)
+    for _ in range(100):
+        z = sampler.uniform(-2.0, 2.0, storage.dim).tolist()
+        w = (np.asarray(z) + sampler.uniform(-0.5, 0.5, storage.dim)).tolist()
+        probes = [w] + [
+            [complex(x, _H) if j == k else x for j, x in enumerate(w)]
+            for k in range(storage.dim)
+        ]
+        for ww in probes:
+            delta = [b - a for a, b in zip(z, ww)]
+            paired = _composite_gauss(storage, z, ww, delta, 1)
+            grads = [
+                storage.gradient([(1.0 - s) * a + s * b for a, b in zip(z, ww)])
+                for s in _GAUSS_NODES
+            ]
+            for part, rtol in ((lambda x: x.real, 1e-15), (lambda x: x.imag, 1e-14)):
+                plain = [
+                    sum(wq * part(g[k]) for wq, g in zip(_GAUSS_WEIGHTS, grads))
+                    for k in range(storage.dim)
+                ]
+                scale = max(
+                    sum(wq * abs(part(g[k])) for wq, g in zip(_GAUSS_WEIGHTS, grads))
+                    for k in range(storage.dim)
+                )
+                err = max(abs(part(p) - q) for p, q in zip(paired, plain))
+                assert err <= rtol * scale
+
+
+@given(
+    name=st.sampled_from(EXAMPLE_NAMES),
+    z=st.lists(coords, min_size=2, max_size=2),
+    angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    exponent=st.floats(min_value=-14.0, max_value=-1.0),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_mean_value_axioms_hold_at_every_separation(name, z, angle, exponent):
+    # |w - z| from 1e-1 down to 1e-14: no guard, so the consistency error
+    # shrinks with the separation down to rounding, and the secant defect
+    # stays at the kind's 1e-12 tolerance; every |H''| on the box is at
+    # most 9.81, so C = 10 bounds |d - grad H(z)| / |w - z|
+    storage = EXAMPLE_STORAGES[name]
+    z = z[: storage.dim]
+    unit = (math.cos(angle), math.sin(angle))[: storage.dim]
+    unit = [u / math.sqrt(sum(v * v for v in unit)) for u in unit]
+    w = [a + 10.0**exponent * u for a, u in zip(z, unit)]
+    step = np.subtract(w, z)
+    sep = float(np.linalg.norm(step))
+    d = discrete_gradient(mean_value(), storage, z, w)
+    grad = np.array([value(g) for g in storage.gradient(z)])
+    assert np.linalg.norm(d - grad) <= 10.0 * sep + math.sqrt(np.finfo(float).eps)
+    assert abs(storage.value(w) - storage.value(z) - float(d @ step)) <= 1e-12
 
 
 def test_mean_value_raises_at_panel_cap_on_singular_gradient():

@@ -8,6 +8,7 @@ import pytest
 from qsrdg.dgradients import GONZALEZ
 from qsrdg.errors import NotStabilizing, UnknownExample
 from qsrdg.integrators import SchemeConfig, TimeGrid, integrate
+from qsrdg.numerics import _H
 from qsrdg.riccati import lyapunov_solve, solve_are, stabilizing_gain
 from qsrdg.systems import (
     EXAMPLE_NAMES,
@@ -79,6 +80,49 @@ def test_lti_ocp_factory_uses_riccati_storage():
     np.testing.assert_allclose(
         sys_.storage.gradient(z), REGULATOR_P @ z, rtol=1e-11
     )
+
+
+def test_lti_ocp_maps_equal_their_matrix_products():
+    # each map is a matrix product over the factory's row tuples; the
+    # error scale of a product is |M| |z|, so the bound is relative to it
+    params = LtiOcpParams()
+    a = np.array(params.a)
+    b = np.array(params.b)
+    c = np.array(params.c)
+    p = solve_are(a, b, c)
+    sys_ = make_lti_ocp(params)
+    sampler = np.random.default_rng(7)
+    for _ in range(100):
+        z = sampler.uniform(-3.0, 3.0, 2)
+        zl = z.tolist()
+        value = sys_.storage.value(zl)
+        assert abs(value - 0.5 * float(z @ p @ z)) <= 1e-15 * (
+            0.5 * float(np.abs(z) @ np.abs(p) @ np.abs(z))
+        )
+        for got, mat in (
+            (sys_.storage.gradient(zl), p),
+            (sys_.drift(zl), a),
+            (sys_.output_map(zl), b.T @ p),
+            (sys_.loss_state(zl), c / math.sqrt(2.0)),
+        ):
+            scale = np.abs(mat) @ np.abs(z)
+            assert np.all(np.abs(np.asarray(got) - mat @ z) <= 1e-15 * scale)
+
+        # a complex-step pass keeps the float values as its real parts
+        maps = (
+            sys_.storage.value,
+            sys_.storage.gradient,
+            sys_.drift,
+            sys_.output_map,
+            sys_.loss_state,
+        )
+        for k in range(2):
+            probe = list(zl)
+            probe[k] = complex(zl[k], _H)
+            for f in maps:
+                floats = np.atleast_1d(f(zl)).tolist()
+                passed = np.atleast_1d(f(probe)).tolist()
+                assert [x.real for x in passed] == floats
 
 
 def test_pi_factory_scalar_and_multichannel():
