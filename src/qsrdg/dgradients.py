@@ -114,15 +114,13 @@ def _gonzalez(storage, z, w, h_at_z, mid, guard_sq):
     # gradient alone is consistent
     if value(d_sq) <= guard_sq:
         return g_mid
-    if h_at_z is None:
-        h_at_z = storage.value(z)
     c = (storage.value(w) - h_at_z - dot(g_mid, d)) / d_sq
     return [g + c * dk for g, dk in zip(g_mid, d)]
 
 
 def _itoh_abe(storage, z, w, h_at_z):
     v = list(z)
-    prev = storage.value(v) if h_at_z is None else h_at_z
+    prev = h_at_z
     out = []
     for k, (zk, wk) in enumerate(zip(z, w)):
         if abs(value(wk) - zk) <= 1e-14 * (1.0 + abs(zk)):
@@ -177,8 +175,6 @@ def _mean_value(storage, z, w, h_at_z):
     w_vals = [b.real for b in w]
     delta = [b - a for a, b in zip(z, w)]
     step = [dk.real for dk in delta]
-    if h_at_z is None:
-        h_at_z = storage.value(z)
     h_at_w = storage.value(w_vals)
     # the panel count is chosen on value parts only, so a Jacobian pass
     # and the float evaluation agree on it; past the first panel it is
@@ -211,18 +207,14 @@ def _mean_value(storage, z, w, h_at_z):
     return d
 
 
-def _evaluate(kind, storage, z, w, h_at_z=None, mid=None, guard_sq=None):
+def _evaluate(kind, storage, z, w, h_at_z, mid, guard_sq):
     """Generic-scalar evaluation: ``z`` is float, ``w`` may be complex.
 
-    The optional arguments are constants a step already has: H(z), the
-    midpoint (z + w) / 2 and ``_guard_sq(z)``; each is computed when not
-    given.
+    The last three arguments are constants that every caller already has:
+    H(z), the midpoint (z + w) / 2 and ``_guard_sq(z)``.  Only Gonzalez
+    reads the midpoint and the guard.
     """
     if kind.variant == "gonzalez":
-        if mid is None:
-            mid = [(a + b) * 0.5 for a, b in zip(z, w)]
-        if guard_sq is None:
-            guard_sq = _guard_sq(z)
         return _gonzalez(storage, z, w, h_at_z, mid, guard_sq)
     if kind.variant == "itoh-abe":
         return _itoh_abe(storage, z, w, h_at_z)
@@ -233,5 +225,9 @@ def discrete_gradient(kind, storage, z, w):
     """Evaluate the discrete gradient of ``storage`` for the pair (z, w)."""
     z = [float(v) for v in z]
     w = [float(v) for v in w]
-    return np.array([value(g) for g in _evaluate(kind, storage, z, w)])
+    if len(z) != storage.dim or len(w) != storage.dim:
+        raise ValueError(f"storage dim {storage.dim}; len(z) {len(z)}, len(w) {len(w)}")
+    mid = [(a + b) * 0.5 for a, b in zip(z, w)]
+    d = _evaluate(kind, storage, z, w, storage.value(z), mid, _guard_sq(z))
+    return np.array([value(g) for g in d])
 

@@ -24,6 +24,9 @@ below the rounding limit of (H(w) - H(z)) / tau in floats, about
 eps (|H(z)| + |H(w)|) / tau, which exceeds 1e-10 below tau = 1e-5 on the
 pendulum.
 
+Both schemes end a step the same way: :func:`_solve` runs Newton and
+warns on a stall, and :func:`_output` forms y = h + D ubar in floats.
+
 All two-point averages are midpoint evaluations, phi((z + w) / 2); the
 averaged input is the trapezoidal endpoint mean (u(t_i) + u(t_{i+1})) / 2.
 
@@ -38,9 +41,9 @@ before, at the cost of one more comparison.
 
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +96,8 @@ class TimeGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("a grid needs at least two nodes")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("grid nodes must be finite")
         if pts[0] != 0.0:
             raise ValueError("grids start at t = 0")
         if not np.all(np.diff(pts) > 0.0):
@@ -102,16 +107,19 @@ class TimeGrid:
     @classmethod
     def equidistant(cls, horizon, num_steps):
         """Nodes ``i * (horizon / num_steps)`` for i = 0..num_steps."""
-        if num_steps < 1 or horizon <= 0.0:
-            raise ValueError("need a positive horizon and at least one step")
+        num_steps = operator.index(num_steps)
+        if num_steps < 1 or not 0.0 < horizon < math.inf:
+            raise ValueError("need at least one step and a finite positive horizon")
         return cls(np.arange(num_steps + 1) * (horizon / num_steps))
 
     @classmethod
     def with_step(cls, stepsize, num_steps):
         """Nodes ``i * stepsize``; keeps nodes exactly nested across
         power-of-two stepsize refinements."""
-        if num_steps < 1 or stepsize <= 0.0:
-            raise ValueError("need a positive stepsize and at least one step")
+        num_steps = operator.index(num_steps)
+        # the horizon bounds the step and keeps the last node finite
+        if num_steps < 1 or not 0.0 < stepsize * num_steps < math.inf:
+            raise ValueError("need at least one step and a finite positive horizon")
         return cls(np.arange(num_steps + 1) * stepsize)
 
     @property
@@ -146,14 +154,6 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in (DG_QSR, IMPLICIT_MIDPOINT):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-
-
-class _StepResult(NamedTuple):
-    state: list
-    averaged_input: tuple
-    discrete_output: list
-    newton_residual: float
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,8 @@ class _DgQsrStepper:
 
         return residual
 
-    def step(self, z, ubar, tau, start=None):
-        """One step from ``z``; Newton starts from ``start``, else from z.
+    def step(self, z, ubar, tau, start):
+        """One step from ``z``, Newton from ``start``: ``(w, ybar, residual, its)``.
 
         Where grad H(z) = dg(z, z) vanishes, Newton starts from the Euler
         predictor z + tau (f(z) + B(z) ubar) whatever ``start`` is.  If
@@ -273,7 +273,6 @@ class _DgQsrStepper:
         with output h(z) + D(z) ubar, residual 0 and no Newton update.
         """
         system = self.system
-        z = [float(v) for v in z]
         h_at_z = system.storage.value(z)
         grad_norm = math.sqrt(norm_sq(system.storage.gradient(z)))
         floor = _GRADIENT_FLOOR * (1.0 + grad_norm)
@@ -281,25 +280,14 @@ class _DgQsrStepper:
             bu = matvec(system.input_map(z), ubar)
             rate = [fk + bk for fk, bk in zip(system.drift(z), bu)]
             if not any(rate):
-                ybar = [
-                    hk + dot(drow, ubar)
-                    for hk, drow in zip(system.output_map(z), system.feedthrough(z))
-                ]
-                return _StepResult(z, ubar, ybar, 0.0, 0)
+                ybar = _output(system.output_map(z), system.feedthrough(z), ubar)
+                return z, ybar, 0.0, 0
             start = [zk + tau * rk for zk, rk in zip(z, rate)]
-        elif start is None:
-            start = z
         last = []
         residual = self._residual(z, h_at_z, floor * floor, ubar, tau, last)
-        w, its, res = newton_solve(residual, start, _NEWTON)
-        _warn_on_stall(res)
-        # newton_solve's last residual call is at the returned iterate
-        hbar, dv = last
-        ybar = [
-            value(hb) + dot([value(x) for x in drow], ubar)
-            for hb, drow in zip(hbar, dv)
-        ]
-        return _StepResult(w.tolist(), ubar, ybar, res, its)
+        w, its, res = _solve(residual, start)
+        # ``last`` holds hbar and dv of newton_solve's last call, at ``w``
+        return w, _output(*last, ubar), res, its
 
 
 class _MidpointStepper:
@@ -323,30 +311,31 @@ class _MidpointStepper:
 
         return residual
 
-    def step(self, z, ubar, tau, start=None):
-        """One step from ``z``; Newton starts from ``start``, else from z."""
-        z = [float(v) for v in z]
-        residual = self._residual(z, ubar, tau)
-        w, its, res = newton_solve(residual, z if start is None else start, _NEWTON)
-        _warn_on_stall(res)
-        w_list = w.tolist()
-        mid = [(a + b) * 0.5 for a, b in zip(z, w_list)]
-        hv = self.system.output_map(mid)
-        dv = self.system.feedthrough(mid)
-        ybar = [
-            float(value(h)) + dot([value(x) for x in drow], ubar)
-            for h, drow in zip(hv, dv)
-        ]
-        return _StepResult(w_list, ubar, ybar, res, its)
+    def step(self, z, ubar, tau, start):
+        """As :meth:`_DgQsrStepper.step`, without a rest case."""
+        w, its, res = _solve(self._residual(z, ubar, tau), start)
+        mid = [(a + b) * 0.5 for a, b in zip(z, w)]
+        ybar = _output(self.system.output_map(mid), self.system.feedthrough(mid), ubar)
+        return w, ybar, res, its
 
 
-def _warn_on_stall(res):
+def _solve(residual, start):
+    """Newton from ``start``: the iterate as a float list, the iteration
+    count and the residual.  A stall warns at the line that called
+    :func:`integrate`, three frames above this one."""
+    w, its, res = newton_solve(residual, start, _NEWTON)
     if res > _NEWTON.residual_tolerance:
         warnings.warn(
             f"Newton stalled at residual {res:.3e}",
             NewtonDidNotConverge,
-            stacklevel=3,
+            stacklevel=4,
         )
+    return w.tolist(), its, res
+
+
+def _output(hv, dv, ubar):
+    """h + D ubar in floats, from the value parts of ``hv`` and ``dv``."""
+    return [value(h) + dot([value(x) for x in row], ubar) for h, row in zip(hv, dv)]
 
 
 def _control_values(control, t, m):
@@ -371,12 +360,6 @@ def _averaged_input(control, t, tau, m, left=None):
     return tuple(0.5 * (a + b) for a, b in zip(u0, u1)), u1
 
 
-def _make_stepper(system, config):
-    if config.scheme == DG_QSR:
-        return _DgQsrStepper(system, config)
-    return _MidpointStepper(system)
-
-
 def integrate(system, config, grid, control, z0):
     """March the configured scheme over ``grid`` from ``z0``.
 
@@ -384,7 +367,8 @@ def integrate(system, config, grid, control, z0):
     non-finite evaluations, mean-value quadrature that misses its secant
     tolerance at the panel cap) are re-raised as :class:`IntegrationError`
     carrying the failing step index and the last good state z_i; Newton
-    stalls only warn and are visible in the returned residuals.
+    stalls only warn, each at the line that called ``integrate``, and are
+    visible in the returned residuals.
 
     The loop works on Python lists and builds the five arrays of the
     :class:`Trajectory` once, after the last step.
@@ -409,20 +393,23 @@ def integrate(system, config, grid, control, z0):
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.n,):
         raise ValueError(f"initial state must have shape ({system.n},)")
-    stepper = _make_stepper(system, config)
+    if config.scheme == DG_QSR:
+        stepper = _DgQsrStepper(system, config)
+    else:
+        stepper = _MidpointStepper(system)
+    m = system.m
     pts = grid.points.tolist()
-    z = z0.tolist()
+    z = start = z0.tolist()
     states = [z]
     inputs = []
     outputs = []
     residuals = []
     iterations = []
-    prev = prev2 = prev_tau = start = None
-    left = None
+    prev = prev2 = prev_tau = left = None
     for i in range(grid.num_steps):
         t = pts[i]
         tau = pts[i + 1] - t
-        ubar, left = _averaged_input(control, t, tau, system.m, left)
+        ubar, left = _averaged_input(control, t, tau, m, left)
         if prev2 is not None:
             ratio = tau / prev_tau
             curve = tau * (tau + prev_tau) / (prev_tau + prev2_tau)
@@ -436,7 +423,7 @@ def integrate(system, config, grid, control, z0):
             ratio = tau / prev_tau
             start = [a + ratio * (a - b) for a, b in zip(z, prev)]
         try:
-            result = stepper.step(z, ubar, tau, start)
+            w, ybar, res, its = stepper.step(z, ubar, tau, start)
         except (
             ZeroDirection,
             SingularMatrix,
@@ -445,13 +432,12 @@ def integrate(system, config, grid, control, z0):
         ) as exc:
             raise IntegrationError(i, t, str(exc), np.array(z)) from exc
         prev2, prev2_tau = prev, prev_tau
-        prev, prev_tau = z, tau
-        z = result.state
+        prev, prev_tau, z = z, tau, w
         states.append(z)
-        inputs.append(result.averaged_input)
-        outputs.append(result.discrete_output)
-        residuals.append(result.newton_residual)
-        iterations.append(result.iterations)
+        inputs.append(ubar)
+        outputs.append(ybar)
+        residuals.append(res)
+        iterations.append(its)
     return Trajectory(
         grid,
         np.array(states, dtype=float),

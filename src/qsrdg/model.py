@@ -16,7 +16,7 @@ the power balance dH/dt = s(u, y) - ||l + W u||^2 along solutions, which
 is the identity the discrete scheme reproduces exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -81,19 +81,16 @@ class QsrSystem:
     feedthrough: Callable
     loss_state: Callable
     loss_input: Callable
-    n: int = field(default=0)
-    m: int = field(default=0)
-    p: int = field(default=1)
 
-    def __post_init__(self):
-        if self.n == 0:
-            object.__setattr__(self, "n", self.storage.dim)
-        if self.m == 0:
-            object.__setattr__(self, "m", self.supply.m)
-        if self.storage.dim != self.n:
-            raise ValueError("storage dimension disagrees with state dimension")
-        if self.supply.m != self.m:
-            raise ValueError("supply rate dimension disagrees with input dimension")
+    @property
+    def n(self):
+        """State dimension, the storage's."""
+        return self.storage.dim
+
+    @property
+    def m(self):
+        """Input and output dimension, the supply rate's."""
+        return self.supply.m
 
 
 def supply_value(supply, u, y):

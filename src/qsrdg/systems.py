@@ -92,7 +92,6 @@ def make_pendulum(params=PendulumParams()):
         feedthrough=feedthrough,
         loss_state=loss_state,
         loss_input=loss_input,
-        p=1,
     )
 
 
@@ -161,7 +160,6 @@ def make_lti_ocp(params=LtiOcpParams()):
         feedthrough=feedthrough,
         loss_state=loss_state,
         loss_input=loss_input,
-        p=p_out,
     )
 
 
@@ -228,7 +226,6 @@ def make_pi(params=PiParams(), channels=1):
         feedthrough=feedthrough,
         loss_state=loss_state,
         loss_input=loss_input,
-        p=1,
     )
 
 
@@ -292,7 +289,6 @@ def make_synthetic(params=SyntheticParams()):
         feedthrough=feedthrough,
         loss_state=loss_state,
         loss_input=loss_input,
-        p=1,
     )
 
 

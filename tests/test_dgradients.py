@@ -24,6 +24,7 @@ from qsrdg.dgradients import (
     StorageFunction,
     _composite_gauss,
     _evaluate,
+    _guard_sq,
     discrete_gradient,
     mean_value,
 )
@@ -71,6 +72,13 @@ EXAMPLE_STORAGES = {
 }
 
 coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+def _evaluate_pair(kind, storage, z, w):
+    """``_evaluate`` with the step constants of the pair: H(z), the
+    midpoint and the Gonzalez guard."""
+    mid = [(a + b) * 0.5 for a, b in zip(z, w)]
+    return _evaluate(kind, storage, z, w, storage.value(z), mid, _guard_sq(z))
 
 
 def secant_defect(kind, storage, z, w):
@@ -229,7 +237,7 @@ def test_mean_value_refines_on_dual_newton_path():
         if one_panel_defect(storage, z, w) <= 1e-8:
             continue
         refined += 1
-        d = _evaluate(kind, storage, z.tolist(), [complex(w[0], _H)])
+        d = _evaluate_pair(kind, storage, z.tolist(), [complex(w[0], _H)])
         assert all(isinstance(dk, Dual) for dk in d)
         got = np.array([value(dk) for dk in d])
         np.testing.assert_allclose(
@@ -253,7 +261,7 @@ def test_mean_value_refinement_takes_one_dual_composite():
 
     counting = StorageFunction(storage.value, counted_gradient, storage.dim)
     kind = mean_value()
-    d = _evaluate(kind, counting, [-1.0], [complex(3.0, _H)])
+    d = _evaluate_pair(kind, counting, [-1.0], [complex(3.0, _H)])
     assert calls == {"dual": 5 + 5 * 32, "float": 5 * (2 + 4 + 8 + 16 + 32)}
     assert value(d[0]) == discrete_gradient(kind, storage, (-1.0,), (3.0,))[0]
     calls.update(dual=0, float=0)
@@ -261,7 +269,7 @@ def test_mean_value_refinement_takes_one_dual_composite():
     assert calls == {"dual": 0, "float": 5 * (1 + 2 + 4 + 8 + 16 + 32)}
     # a segment that one panel meets costs one complex panel only
     calls.update(dual=0, float=0)
-    _evaluate(kind, counting, [-1.0], [complex(1.0, _H)])
+    _evaluate_pair(kind, counting, [-1.0], [complex(1.0, _H)])
     assert calls == {"dual": 5, "float": 0}
 
 
@@ -362,6 +370,16 @@ def test_quartic_well_secant_property(kind):
     d = discrete_gradient(kind, quartic_well, z, w)
     dh = quartic_well.value(w) - quartic_well.value(z)
     assert abs(dh - d[0] * 3.5) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
+@pytest.mark.parametrize(
+    "z, w", (([0.1, 0.2], [0.3]), ([0.1, 0.2, 0.3], [0.4, 0.5, 0.6]))
+)
+def test_discrete_gradient_rejects_lengths_other_than_the_storage_dim(kind, z, w):
+    message = f"dim 2; len\\(z\\) {len(z)}, len\\(w\\) {len(w)}"
+    with pytest.raises(ValueError, match=message):
+        discrete_gradient(kind, pendulum_energy, z, w)
 
 
 def test_storage_function_dim_is_advisory_metadata():

@@ -127,6 +127,10 @@ def test_time_grid_constructors_and_properties():
     uneven = TimeGrid(np.array([0.0, 0.1, 0.4, 1.0]))
     np.testing.assert_allclose(uneven.steps, [0.1, 0.3, 0.6])
 
+    # a numpy integer step count gives the same nodes bit for bit
+    nodes = TimeGrid.equidistant(0.5, np.int64(100)).points
+    assert np.array_equal(nodes, np.arange(101) * (0.5 / 100))
+
 
 def test_time_grid_validation():
     with pytest.raises(ValueError):
@@ -139,6 +143,40 @@ def test_time_grid_validation():
         TimeGrid.equidistant(1.0, 0)
     with pytest.raises(ValueError):
         TimeGrid.with_step(-0.1, 5)
+
+
+@pytest.mark.parametrize(
+    "build, args, error, match",
+    (
+        (TimeGrid.equidistant, (1.0, 2.5), TypeError, "integer"),
+        (TimeGrid.with_step, (0.4, 2.5), TypeError, "integer"),
+        (TimeGrid.equidistant, (math.inf, 10), ValueError, "finite positive"),
+        (TimeGrid.equidistant, (math.nan, 10), ValueError, "finite positive"),
+        (TimeGrid.with_step, (math.nan, 3), ValueError, "finite positive"),
+        (TimeGrid.with_step, (math.inf, 3), ValueError, "finite positive"),
+        (TimeGrid.with_step, (1e307, 100), ValueError, "finite positive"),
+        (TimeGrid, ([0.0, math.inf],), ValueError, "finite"),
+        (TimeGrid, ([0.0, 1.0, math.nan],), ValueError, "finite"),
+    ),
+    ids=(
+        "fractional-count",
+        "fractional-count-with-step",
+        "infinite-horizon",
+        "nan-horizon",
+        "nan-step",
+        "infinite-step",
+        "overflowing-horizon",
+        "infinite-node",
+        "nan-node",
+    ),
+)
+def test_time_grid_rejects_non_integral_counts_and_non_finite_times(
+    build, args, error, match
+):
+    # each used to return a grid with another horizon, or to fail with a
+    # RuntimeWarning or a message that named another defect
+    with pytest.raises(error, match=match):
+        build(*args)
 
 
 def test_scheme_config_validation():
@@ -858,6 +896,26 @@ def test_newton_stall_warns_but_continues():
         )
     assert np.any(traj.newton_residuals > NewtonSettings().residual_tolerance)
     assert np.all(np.isfinite(traj.states))
+
+
+@pytest.mark.parametrize("scheme, tau", ((DG_QSR, 1.0), (IMPLICIT_MIDPOINT, 2.0)))
+def test_every_stall_warns_at_the_line_that_called_integrate(scheme, tau):
+    # the warning names this file, so the default once-per-location
+    # filter separates call sites instead of hiding all stalls after the
+    # first one in the library
+    case = benchmark_settings("pendulum")
+    grid = TimeGrid.with_step(tau, 10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = integrate(
+            case.system, SchemeConfig(scheme=scheme), grid, case.control,
+            case.initial_state,
+        )
+    stalled = int(np.sum(traj.newton_residuals > NewtonSettings().residual_tolerance))
+    assert stalled >= 2
+    assert len(caught) == stalled
+    assert all(w.category is NewtonDidNotConverge for w in caught)
+    assert {w.filename for w in caught} == {__file__}
 
 
 # error measurement -----------------------------------------------------

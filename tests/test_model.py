@@ -173,17 +173,4 @@ def test_system_dimension_inference_and_validation():
         loss_state=lambda z: [z[0]],
         loss_input=lambda z: [[0.0]],
     )
-    assert sys_.n == 1 and sys_.m == 1 and sys_.p == 1
-
-    with pytest.raises(ValueError):
-        QsrSystem(
-            storage=storage,
-            supply=supply,
-            drift=lambda z: [-z[0]],
-            input_map=lambda z: [[1.0]],
-            output_map=lambda z: [z[0]],
-            feedthrough=lambda z: [[0.0]],
-            loss_state=lambda z: [z[0]],
-            loss_input=lambda z: [[0.0]],
-            n=3,
-        )
+    assert sys_.n == 1 and sys_.m == 1

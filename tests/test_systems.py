@@ -44,7 +44,7 @@ def test_example_name_registry():
 
 def test_pendulum_factory():
     sys_ = make_pendulum()
-    assert (sys_.n, sys_.m, sys_.p) == (2, 1, 1)
+    assert (sys_.n, sys_.m, len(sys_.loss_state((0.0, 0.0)))) == (2, 1, 1)
     assert math.isclose(sys_.storage.value((math.pi / 2.0, 2.0)), 9.81 + 2.0)
     # output is the velocity
     assert sys_.output_map((0.3, -1.2))[0] == -1.2
@@ -67,7 +67,7 @@ def test_pendulum_velocity_axis_energy():
 
 def test_lti_ocp_factory_uses_riccati_storage():
     sys_ = make_lti_ocp()
-    assert (sys_.n, sys_.m, sys_.p) == (2, 1, 1)
+    assert (sys_.n, sys_.m, len(sys_.loss_state((0.0, 0.0)))) == (2, 1, 1)
     z = np.array([1.0, 1.0])
     # H = z^T P z / 2 and h = B^T P z with the frozen regulator solution
     assert math.isclose(
@@ -127,14 +127,14 @@ def test_lti_ocp_maps_equal_their_matrix_products():
 
 def test_pi_factory_scalar_and_multichannel():
     sys_ = make_pi()
-    assert (sys_.n, sys_.m, sys_.p) == (1, 1, 1)
+    assert (sys_.n, sys_.m, len(sys_.loss_state((0.0,)))) == (1, 1, 1)
     assert sys_.storage.value((2.0,)) == 2.0
     assert sys_.feedthrough((0.0,))[0][0] == 1.0
     assert sys_.supply.r[0, 0] == -1.0
 
     # the loss signal stays scalar (and zero) for the stacked variant
     wide = make_pi(PiParams(integral_gain=2.0, proportional_gain=0.5), channels=3)
-    assert (wide.n, wide.m, wide.p) == (3, 3, 1)
+    assert (wide.n, wide.m, len(wide.loss_state((0.0,) * 3))) == (3, 3, 1)
     assert wide.storage.value((1.0, 1.0, 1.0)) == 3.0
     np.testing.assert_allclose(np.asarray(wide.feedthrough((0.0,) * 3)), 0.5 * np.eye(3))
     with pytest.raises(ValueError):
@@ -143,7 +143,7 @@ def test_pi_factory_scalar_and_multichannel():
 
 def test_synthetic_factory():
     sys_ = make_synthetic()
-    assert (sys_.n, sys_.m, sys_.p) == (1, 1, 1)
+    assert (sys_.n, sys_.m, len(sys_.loss_state((0.0,)))) == (1, 1, 1)
     # h = -alpha z / (1 + z^4) is odd and saturates
     assert math.isclose(sys_.output_map((1.0,))[0], -1.0, rel_tol=1e-14)
     assert math.isclose(sys_.output_map((-1.0,))[0], 1.0, rel_tol=1e-14)
