@@ -13,8 +13,15 @@ Four subcommands cover the standard experiments:
     algebraic spot checks (structure identities, power balance) on
     randomly sampled states and inputs
 
-Exit codes: 0 success, 1 a quality gate failed, 2 bad arguments,
-3 the integration broke down, 4 incompatible grids.
+The convergence study itself is :func:`reference_trajectory` and
+:func:`convergence_study`; ``convergence`` adds the reference cache, the
+output files and the verdict, and the second-order acceptance test calls
+the same two functions.
+
+Exit codes: 0 success, 1 a quality gate failed, 2 bad arguments (among
+them a negative ``--seed`` and an ``--s-max`` below 2 or with a coarsest
+step longer than ``--T``), 3 the integration broke down, 4 incompatible
+grids.
 """
 
 import argparse
@@ -28,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
 from .dgradients import GONZALEZ, ITOH_ABE, mean_value
 from .errors import GridMismatch, IntegrationError
 from .integrators import (
@@ -75,7 +81,6 @@ def _write_meta(out, payload):
     meta_path = out.with_suffix(".meta.json")
     payload = dict(payload)
     payload["version"] = __version__
-    payload["backend"] = BACKEND
     with open(meta_path, "w", encoding="ascii", newline="\n") as stream:
         json.dump(payload, stream, indent=2, sort_keys=True)
         stream.write("\n")
@@ -110,6 +115,13 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("expected a positive integer")
+    return value
+
+
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer")
     return value
 
 
@@ -213,15 +225,50 @@ def _cache_dir(args):
     return Path.home() / ".cache" / "qsrdg"
 
 
+def reference_trajectory(case, horizon):
+    """Implicit midpoint at ``TAU_MIN / REFERENCE_REFINEMENT`` over
+    ``horizon``: the reference of the convergence study."""
+    stepsize = TAU_MIN / REFERENCE_REFINEMENT
+    config = SchemeConfig(scheme=IMPLICIT_MIDPOINT)
+    grid = TimeGrid.with_step(stepsize, _num_steps(horizon, stepsize))
+    return integrate(case.system, config, grid, case.control, case.initial_state)
+
+
+def convergence_study(case, dg_kind, horizon, s_max, reference):
+    """dg-qsr runs at the stepsizes ``2**s * TAU_MIN``, s = s_max, ..., 0,
+    each measured against ``reference``.
+
+    Returns ``(stepsizes, errors, orders, median)``.  ``orders[i]`` is the
+    order observed between stepsizes i and i + 1, None where either error
+    is zero; ``median`` is the median of the three finest orders, None if
+    one of them is None.
+    """
+    config = SchemeConfig(scheme=DG_QSR, dg_kind=dg_kind)
+    stepsizes = [math.ldexp(TAU_MIN, s) for s in range(s_max, -1, -1)]
+    errors = []
+    for stepsize in stepsizes:
+        grid = TimeGrid.with_step(stepsize, _num_steps(horizon, stepsize))
+        trajectory = integrate(
+            case.system, config, grid, case.control, case.initial_state
+        )
+        errors.append(relative_error(trajectory, reference))
+    orders = [
+        math.log2(coarse / fine) if coarse > 0.0 and fine > 0.0 else None
+        for coarse, fine in zip(errors, errors[1:])
+    ]
+    window = orders[-3:]
+    median = None if None in window else statistics.median(window)
+    return stepsizes, errors, orders, median
+
+
 def _reference_trajectory(args, case):
-    """Fine implicit-midpoint reference, cached on disk per example, input
-    and grid.
+    """:func:`reference_trajectory`, cached on disk per example, input and
+    grid.
 
     A cache entry that cannot be read in full (corrupt, or written before
     a column existed) is deleted and rebuilt.
     """
     stepsize = TAU_MIN / REFERENCE_REFINEMENT
-    num_steps = _num_steps(args.T, stepsize)
     inputs = "zero-input" if args.zero_input else "benchmark-input"
     key = f"reference-{args.example}-{inputs}-T{args.T:.17g}-tau{stepsize:.17g}.npz"
     path = _cache_dir(args) / key
@@ -238,9 +285,7 @@ def _reference_trajectory(args, case):
                 )
         except Exception:
             path.unlink(missing_ok=True)
-    config = SchemeConfig(scheme=IMPLICIT_MIDPOINT)
-    grid = TimeGrid.with_step(stepsize, num_steps)
-    trajectory = integrate(case.system, config, grid, case.control, case.initial_state)
+    trajectory = reference_trajectory(case, args.T)
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez(
         path,
@@ -258,44 +303,29 @@ def cmd_convergence(args):
     if args.s_max < 2:
         print("convergence needs --s-max of at least 2", file=sys.stderr)
         return 2
-    case = _case(args)
-    config = SchemeConfig(scheme=DG_QSR, dg_kind=_DG_CHOICES[args.dg])
-    reference = _reference_trajectory(args, case)
-
-    stepsizes = []
-    errors = []
-    for s in range(args.s_max, -1, -1):
-        stepsize = (2.0**s) * TAU_MIN
-        num_steps = _num_steps(args.T, stepsize)
-        if num_steps < 1:
-            print(
-                f"stepsize {stepsize:g} exceeds the horizon {args.T:g}",
-                file=sys.stderr,
-            )
-            return 2
-        grid = TimeGrid.with_step(stepsize, num_steps)
-        trajectory = integrate(
-            case.system, config, grid, case.control, case.initial_state
+    # T / (2**s_max * TAU_MIN) without forming 2**s_max, which overflows
+    # for a large --s-max
+    if _num_steps(math.ldexp(args.T, -args.s_max), TAU_MIN) < 1:
+        print(
+            f"the coarsest stepsize 2**{args.s_max} * {TAU_MIN:g} exceeds "
+            f"the horizon {args.T:g}",
+            file=sys.stderr,
         )
-        stepsizes.append(stepsize)
-        errors.append(relative_error(trajectory, reference))
+        return 2
+    case = _case(args)
+    reference = _reference_trajectory(args, case)
+    stepsizes, errors, orders, median = convergence_study(
+        case, _DG_CHOICES[args.dg], args.T, args.s_max, reference
+    )
 
-    # orders[i] is the order observed between stepsizes i - 1 and i; it is
-    # None for the first stepsize and for a pair with a zero error
-    orders = [None] + [
-        math.log2(coarse / fine) if coarse > 0.0 and fine > 0.0 else None
-        for coarse, fine in zip(errors, errors[1:])
-    ]
-    runs = list(zip(stepsizes, errors, orders))
+    # the coarsest stepsize has no coarser partner, so no order
+    runs = list(zip(stepsizes, errors, [None] + orders))
     rows = [
         [_fmt(tau), _fmt(err), "" if order is None else _fmt(order)]
         for tau, err, order in runs
     ]
     out = _resolve_out(args, f"qsr-dg-convergence-{args.example}")
     _write_rows(out, ["tau", "rel_error", "observed_order"], rows)
-
-    window = orders[1:][-3:]
-    median = None if None in window else statistics.median(window)
     meta = _write_meta(
         out,
         {
@@ -307,7 +337,7 @@ def cmd_convergence(args):
             "tau_min": TAU_MIN,
             "reference_refinement": REFERENCE_REFINEMENT,
             "zero_input": bool(args.zero_input),
-            "observed_orders": orders[1:],
+            "observed_orders": orders,
             "median_order": median,
             "order_window": list(ORDER_WINDOW),
         },
@@ -438,7 +468,9 @@ def build_parser():
 
     p = sub.add_parser("checks", help="structure identities at sampled states")
     add_common(p, with_dg=False)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
+    p.add_argument(
+        "--seed", type=_non_negative_int, default=DEFAULT_SEED, help="sampling seed"
+    )
     p.set_defaults(func=cmd_checks)
 
     return parser

@@ -154,6 +154,10 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in (DG_QSR, IMPLICIT_MIDPOINT):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not isinstance(self.dg_kind, DiscreteGradientKind):
+            raise TypeError(
+                f"dg_kind must be a DiscreteGradientKind, got {self.dg_kind!r}"
+            )
 
 
 @dataclass(frozen=True)

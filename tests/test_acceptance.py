@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from qsrdg.cli import convergence_study, reference_trajectory
 from qsrdg.dgradients import (
     GONZALEZ,
     ITOH_ABE,
@@ -23,7 +24,6 @@ from qsrdg.integrators import (
     TimeGrid,
     discrete_power_balance_residuals,
     integrate,
-    relative_error,
 )
 from qsrdg.model import continuous_power_balance_residual, hill_moylan_residual
 from qsrdg.riccati import solve_are
@@ -67,35 +67,11 @@ def test_criterion_1_discrete_power_balance():
 
 
 def test_criterion_2_second_order_accuracy():
-    tau_min = 1e-3
     medians = {}
     for name in EXAMPLE_NAMES:
         case = benchmark_settings(name)
-        ref_tau = tau_min / 8.0
-        reference = integrate(
-            case.system,
-            SchemeConfig(scheme=IMPLICIT_MIDPOINT),
-            TimeGrid.with_step(ref_tau, int(round(HORIZON / ref_tau))),
-            case.control,
-            case.initial_state,
-        )
-        errors = []
-        for s in range(5, -1, -1):
-            tau = (2.0**s) * tau_min
-            q = int(math.floor(HORIZON / tau + 1e-9))
-            traj = integrate(
-                case.system,
-                SchemeConfig(),
-                TimeGrid.with_step(tau, q),
-                case.control,
-                case.initial_state,
-            )
-            errors.append(relative_error(traj, reference))
-        orders = [
-            math.log2(errors[i - 1] / errors[i]) for i in range(1, len(errors))
-        ]
-        finest = sorted(orders[-3:])
-        medians[name] = finest[1]
+        reference = reference_trajectory(case, HORIZON)
+        *_, medians[name] = convergence_study(case, GONZALEZ, HORIZON, 5, reference)
     ok = all(1.7 <= v <= 2.3 for v in medians.values())
     report(
         2,

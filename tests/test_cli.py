@@ -55,8 +55,11 @@ def test_simulate_writes_trajectory_and_meta(tmp_path):
     assert meta["example"] == "pendulum"
     assert meta["scheme"] == "dg-qsr"
     assert meta["num_steps"] == 50
-    assert meta["backend"] in ("pure", "compiled")
     assert meta["version"]
+    assert set(meta) == {
+        "command", "example", "scheme", "dg_kind", "num_steps", "horizon",
+        "zero_input", "version",
+    }
 
 
 def test_simulate_midpoint_scheme_flag(tmp_path):
@@ -326,6 +329,17 @@ def test_bad_arguments_exit_two(tmp_path):
         run(["simulate", "--example", "pi", "--T", -1.0])
     assert info.value.code == 2
     assert run(["convergence", "--example", "pi", "--s-max", 1]) == 2
+    with pytest.raises(SystemExit) as info:
+        run(["checks", "--example", "pi", "--seed", -1])
+    assert info.value.code == 2
+    # a sweep whose coarsest step does not fit the horizon is refused
+    # before the reference is built or cached
+    cache = tmp_path / "cache"
+    for too_coarse in (["--T", 0.01, "--s-max", 5], ["--T", 1.0, "--s-max", 2000]):
+        assert run(
+            ["convergence", "--example", "pi", "--cache-dir", cache, *too_coarse]
+        ) == 2
+        assert not cache.exists() or not any(cache.iterdir())
 
 
 @pytest.mark.parametrize("command", ("simulate", "balance", "convergence"))

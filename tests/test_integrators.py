@@ -183,6 +183,9 @@ def test_scheme_config_validation():
     assert SchemeConfig().scheme == DG_QSR
     with pytest.raises(ValueError):
         SchemeConfig(scheme="leapfrog")
+    # a kind's name is not a kind: it must fail here, not inside Newton
+    with pytest.raises(TypeError, match="'gonzalez'"):
+        SchemeConfig(dg_kind="gonzalez")
 
 
 # recovered output and drift coefficient -------------------------------
