@@ -18,9 +18,9 @@ eliminates a matrix once: it records the pivot row of each step, that
 step's multipliers and the rows of U.  :func:`substitute` applies those
 factors to a right-hand side: the recorded swaps and multipliers in
 elimination order, then back substitution.  ``solve_generic(a, b)`` is
-``substitute(factor(a), b)``.  Newton's update, the output solve and the
-Lyapunov solve of :mod:`qsrdg.riccati` all go through these two; a
-caller that solves with one matrix many times keeps the factors.
+``substitute(factor(a), b)``.  Newton's update and the output solve go
+through these two; a caller that solves with one matrix many times keeps
+the factors.
 """
 
 from qsrdg.errors import SingularMatrix

@@ -25,6 +25,7 @@ grids.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -261,6 +262,13 @@ def convergence_study(case, dg_kind, horizon, s_max, reference):
     return stepsizes, errors, orders, median
 
 
+# (Trajectory field, cache key) pairs; the grid is stored as its nodes
+_CACHE_KEYS = tuple(
+    (f.name, "points" if f.name == "grid" else f.name)
+    for f in dataclasses.fields(Trajectory)
+)
+
+
 def _reference_trajectory(args, case):
     """:func:`reference_trajectory`, cached on disk per example, input and
     grid.
@@ -275,27 +283,16 @@ def _reference_trajectory(args, case):
     if path.exists():
         try:
             with np.load(path) as bundle:
-                return Trajectory(
-                    grid=TimeGrid(points=bundle["points"]),
-                    states=bundle["states"],
-                    averaged_inputs=bundle["averaged_inputs"],
-                    discrete_outputs=bundle["discrete_outputs"],
-                    newton_residuals=bundle["newton_residuals"],
-                    newton_iterations=bundle["newton_iterations"],
-                )
+                arrays = {name: bundle[key] for name, key in _CACHE_KEYS}
+            arrays["grid"] = TimeGrid(points=arrays["grid"])
+            return Trajectory(**arrays)
         except Exception:
             path.unlink(missing_ok=True)
     trajectory = reference_trajectory(case, args.T)
+    arrays = {key: getattr(trajectory, name) for name, key in _CACHE_KEYS}
+    arrays["points"] = trajectory.grid.points
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
-        path,
-        points=trajectory.grid.points,
-        states=trajectory.states,
-        averaged_inputs=trajectory.averaged_inputs,
-        discrete_outputs=trajectory.discrete_outputs,
-        newton_residuals=trajectory.newton_residuals,
-        newton_iterations=trajectory.newton_iterations,
-    )
+    np.savez(path, **arrays)
     return trajectory
 
 

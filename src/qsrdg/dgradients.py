@@ -70,7 +70,11 @@ class StorageFunction:
     Both callables must follow the generic-scalar contract of
     :mod:`qsrdg.gmath` (accept sequences of floats or complex pass
     scalars, use its functions for transcendentals and ``abs``, branch on
-    value parts): Newton differentiates them by complex steps.
+    value parts): Newton differentiates them by complex steps.  Near a
+    minimum of H, ``value`` must be accurate relative to H - min H, not
+    only to H: the discrete gradients divide its differences by small
+    increments, so a form that cancels there (1 - cos q rather than
+    2 sin^2(q/2)) puts a floor under the Newton residual.
     """
 
     value: Callable

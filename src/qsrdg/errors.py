@@ -22,11 +22,11 @@ class GridMismatch(QsrdgError):
 
 
 class AreNotConverged(QsrdgError):
-    """Newton-Kleinman iteration did not reach the residual tolerance."""
+    """The Riccati solve's matrix-sign iteration missed its stop test."""
 
 
 class NotStabilizing(QsrdgError):
-    """No stabilizing gain was found, or the closed loop is not Hurwitz."""
+    """A sign iterate was singular or non-finite, or A - B B^T P is not Hurwitz."""
 
 
 class UnknownExample(QsrdgError):

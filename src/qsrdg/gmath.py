@@ -11,7 +11,8 @@ values (the real part of ``cmath.atan`` is not ``math.atan``).
     from qsrdg import gmath as gm
 
     def hamiltonian(z):
-        return 9.81 * (1.0 - gm.cos(z[0])) + 0.5 * z[1] * z[1]
+        s = gm.sin(0.5 * z[0])
+        return 2.0 * 9.81 * s * s + 0.5 * z[1] * z[1]
 
 Maps keep three rules so both kinds of scalar give the same values:
 

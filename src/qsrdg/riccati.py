@@ -1,87 +1,71 @@
-"""Continuous algebraic Riccati equation via Newton-Kleinman iteration.
+"""Continuous algebraic Riccati equation via the matrix sign function.
 
 Solves ``A^T P + P A - P B B^T P + C^T C = 0`` for the stabilizing
-symmetric solution.  Each Newton step is a Lyapunov equation solved by
-vectorization: an n^2 x n^2 dense system, solved with the package's one
-elimination code (:func:`qsrdg._kernels.solve_generic`), which is
-perfectly adequate at the state dimensions this package targets.
+symmetric solution.  ``[I; P]`` spans the stable invariant subspace of
+the Hamiltonian ``H = [[A, -B B^T], [-C^T C, -A^T]]``, the null space of
+``W + I`` for ``W = sign(H)`` (Roberts 1980; Byers 1987).  numpy has no
+Schur decomposition, and unlike an eigenvector solve of ``H`` the sign
+method keeps the residual at the size of ``C^T C``.
 """
 
 import numpy as np
 
-from qsrdg._kernels import solve_generic
 from qsrdg.errors import AreNotConverged, NotStabilizing
 
-__all__ = ["solve_are", "lyapunov_solve", "stabilizing_gain"]
+__all__ = ["solve_are"]
 
-# residual tolerance and round cap of the Newton-Kleinman iteration
-_TOL = 1e-12
+# relative-change tolerance and round cap of the sign iteration
+_TOL = 1e-13
 _MAX_ROUNDS = 100
 
 
-def lyapunov_solve(a_cl, rhs):
-    """Solve ``a_cl^T P + P a_cl = rhs`` by vectorization."""
-    n = a_cl.shape[0]
-    eye = np.eye(n)
-    k = np.kron(a_cl.T, eye) + np.kron(eye, a_cl.T)
-    return np.array(solve_generic(k.tolist(), rhs.reshape(-1).tolist())).reshape(n, n)
-
-
-def _is_hurwitz(mat):
-    return bool(np.max(np.linalg.eigvals(mat).real) < 0.0)
-
-
-def stabilizing_gain(a, b):
-    """Scan a coarse gain grid for K with A - B K Hurwitz.
-
-    Tries K = alpha * B^T over sign-symmetric powers of two scaled by the
-    size of A.  Raises :class:`NotStabilizing` when the scan is exhausted.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    base = 1.0 + float(np.linalg.norm(a))
-    candidates = [0.0]
-    for k in range(-2, 10):
-        candidates.extend((base * 2.0**k, -base * 2.0**k))
-    for alpha in candidates:
-        gain = alpha * b.T
-        if _is_hurwitz(a - b @ gain):
-            return gain
-    raise NotStabilizing("no stabilizing gain on the scan grid")
-
-
-def _residual_norm(a, b, c, p):
-    res = a.T @ p + p @ a - p @ b @ b.T @ p + c.T @ c
-    return float(np.linalg.norm(res))
+def _sign(z):
+    """sign(z) by Newton's iteration Z <- (g Z + Z^-1 / g) / 2 with the
+    determinant scaling g = |det Z|^(-1/N), N the order of z."""
+    for _ in range(_MAX_ROUNDS):
+        try:
+            z_inv = np.linalg.inv(z)
+        except np.linalg.LinAlgError as exc:
+            msg = "singular sign iterate: H has an imaginary-axis eigenvalue"
+            raise NotStabilizing(msg) from exc
+        gamma = np.exp(-np.linalg.slogdet(z)[1] / z.shape[0])
+        z_next = 0.5 * (gamma * z + z_inv / gamma)
+        if not np.all(np.isfinite(z_next)):
+            raise NotStabilizing("non-finite sign iterate")
+        converged = np.linalg.norm(z_next - z) <= _TOL * np.linalg.norm(z_next)
+        z = z_next
+        if converged:
+            return z
+    raise AreNotConverged(f"sign iteration still moving after {_MAX_ROUNDS} rounds")
 
 
 def solve_are(a, b, c):
     """Stabilizing solution of the Riccati equation for (A, B, C).
 
-    Newton-Kleinman starts from the gain :func:`stabilizing_gain` finds;
-    iterates are symmetrized each round.  Raises :class:`AreNotConverged`
-    when the residual is still above 1e-12 after 100 rounds and
-    :class:`NotStabilizing` when no starting gain is found or the
-    resulting closed loop is not Hurwitz.
+    P is the least-squares solution of ``[W12; W22 + I] P = -[W11 + I; W21]``,
+    symmetrized.  Raises ``ValueError`` for mismatched shapes,
+    :class:`AreNotConverged` when the sign iteration misses its stop test
+    within 100 rounds, and :class:`NotStabilizing` when an iterate is
+    singular or non-finite or A - B B^T P is not Hurwitz (an
+    unstabilizable pair gets that far).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("A must be square")
-    gain = stabilizing_gain(a, b)
-    for _ in range(_MAX_ROUNDS):
-        a_cl = a - b @ gain
-        rhs = -(c.T @ c + gain.T @ gain)
-        p = lyapunov_solve(a_cl, rhs)
-        p = 0.5 * (p + p.T)
-        gain = b.T @ p
-        if _residual_norm(a, b, c, p) <= _TOL:
-            break
-    else:
-        raise AreNotConverged(
-            f"residual {_residual_norm(a, b, c, p):.3e} after {_MAX_ROUNDS} rounds"
+    n = a.shape[0]
+    if b.ndim != 2 or b.shape[0] != n or c.ndim != 2 or c.shape[1] != n:
+        raise ValueError(
+            f"A {a.shape} needs B with {n} rows and C with {n} columns; "
+            f"got B {b.shape}, C {c.shape}"
         )
-    if not _is_hurwitz(a - b @ b.T @ p):
+    w = _sign(np.block([[a, -b @ b.T], [-c.T @ c, -a.T]]))
+    eye = np.eye(n)
+    lhs = np.vstack([w[:n, n:], w[n:, n:] + eye])
+    rhs = -np.vstack([w[:n, :n] + eye, w[n:, :n]])
+    p = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    p = 0.5 * (p + p.T)
+    if not np.max(np.linalg.eigvals(a - b @ b.T @ p).real) < 0.0:
         raise NotStabilizing("converged iterate is not stabilizing")
     return p

@@ -12,6 +12,7 @@ control signal used throughout the shipped experiments.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -59,8 +60,11 @@ def make_pendulum(params=PendulumParams()):
     if g <= 0.0 or lam < 0.0:
         raise ValueError("need positive gravity and nonnegative damping")
 
+    # 1 - cos q written as 2 sin^2(q/2), so the energy keeps its relative
+    # accuracy near rest instead of cancelling
     def energy(z):
-        return g * (1.0 - gm.cos(z[0])) + 0.5 * z[1] * z[1]
+        s = gm.sin(0.5 * z[0])
+        return 2.0 * g * s * s + 0.5 * z[1] * z[1]
 
     def energy_grad(z):
         return [g * gm.sin(z[0]), z[1]]
@@ -106,9 +110,11 @@ def make_lti_ocp(params=LtiOcpParams()):
     """Linear system with the value function of its regulator problem.
 
     The storage is one half of the quadratic form of the stabilizing
-    Riccati solution; the scheme's output is the associated costate
-    output B^T P z rather than the measured output C z, which enters the
-    loss map instead.
+    Riccati solution, which :func:`qsrdg.riccati.solve_are` finds for any
+    stabilizable (A, B) with no unobservable mode of (A, C) on the
+    imaginary axis.  The scheme's output is the associated costate output
+    B^T P z rather than the measured output C z, which enters the loss map
+    instead.
     """
     a = np.asarray(params.a, dtype=float)
     b = np.asarray(params.b, dtype=float)
@@ -177,7 +183,7 @@ def make_pi(params=PiParams(), channels=1):
     """
     ki = float(params.integral_gain)
     kp = float(params.proportional_gain)
-    n = int(channels)
+    n = operator.index(channels)
     if ki <= 0.0 or kp < 0.0:
         raise ValueError("need a positive integral gain and nonnegative proportional gain")
     if n < 1:

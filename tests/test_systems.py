@@ -5,11 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from qsrdg.dgradients import GONZALEZ
+from qsrdg.dgradients import GONZALEZ, ITOH_ABE, mean_value
 from qsrdg.errors import NotStabilizing, UnknownExample
-from qsrdg.integrators import SchemeConfig, TimeGrid, integrate
+from qsrdg.integrators import (
+    SchemeConfig,
+    TimeGrid,
+    discrete_power_balance_residuals,
+    integrate,
+)
+from qsrdg.model import hill_moylan_residual
 from qsrdg.numerics import _H
-from qsrdg.riccati import lyapunov_solve, solve_are, stabilizing_gain
+from qsrdg.riccati import solve_are
 from qsrdg.systems import (
     EXAMPLE_NAMES,
     LtiOcpParams,
@@ -141,6 +147,13 @@ def test_pi_factory_scalar_and_multichannel():
         make_pi(PiParams(integral_gain=-1.0))
 
 
+def test_pi_channels_must_be_an_integer():
+    for channels in (2.5, "3"):
+        with pytest.raises(TypeError):
+            make_pi(channels=channels)
+    assert make_pi(channels=np.int64(3)).n == 3
+
+
 def test_synthetic_factory():
     sys_ = make_synthetic()
     assert (sys_.n, sys_.m, len(sys_.loss_state((0.0,)))) == (1, 1, 1)
@@ -177,15 +190,6 @@ def test_benchmark_controls_frozen_values():
 # Riccati machinery ----------------------------------------------------
 
 
-def test_lyapunov_solve_equation():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((3, 3)) - 3.0 * np.eye(3)
-    rhs = rng.standard_normal((3, 3))
-    rhs = rhs + rhs.T
-    x = lyapunov_solve(a, rhs)
-    np.testing.assert_allclose(a.T @ x + x @ a, rhs, atol=1e-12)
-
-
 def test_are_scalar_oracles():
     # -p^2 + 1 = 0 with a = 0: p = 1
     p = solve_are(np.array([[0.0]]), np.array([[1.0]]), np.array([[1.0]]))
@@ -213,19 +217,97 @@ def test_are_regulator_frozen_solution():
     assert np.all(np.linalg.eigvals(a - b @ b.T @ p).real < 0.0)
 
 
-def test_stabilizing_gain_scan():
-    a = np.array([[0.1, 1.0], [-1.0, 0.1]])
-    b = np.array([[0.0], [1.0]])
-    k = stabilizing_gain(a, b)
-    assert np.all(np.linalg.eigvals(a - b @ k).real < 0.0)
-
-
 def test_unstabilizable_pair_raises():
     # second state is unstable and unreachable
     a = np.array([[-1.0, 0.0], [0.0, 1.0]])
     b = np.array([[1.0], [0.0]])
     with pytest.raises(NotStabilizing):
         solve_are(a, b, np.eye(2))
+
+
+def are_residual(a, b, c, p):
+    return a.T @ p + p @ a - p @ b @ b.T @ p + c.T @ c
+
+
+DOUBLE_INTEGRATOR = LtiOcpParams(a=((0.0, 1.0), (0.0, 0.0)))
+
+
+def test_are_double_integrator():
+    # open-loop poles at 0 on the imaginary axis, yet stabilizable
+    p = solve_are(
+        np.array(DOUBLE_INTEGRATOR.a), np.array(DOUBLE_INTEGRATOR.b),
+        np.array(DOUBLE_INTEGRATOR.c),
+    )
+    root2 = math.sqrt(2.0)
+    np.testing.assert_allclose(p, [[root2, 1.0], [1.0, root2]], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", (3, 4, 6, 8))
+def test_are_seeded_random_systems(n):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, 2))
+    c = rng.standard_normal((1, n))
+    p = solve_are(a, b, c)
+    assert np.max(np.abs(p - p.T)) <= 1e-12
+    assert np.max(np.linalg.eigvals(a - b @ b.T @ p).real) < 0.0
+    # backward-error scale of the four terms, in Frobenius norms
+    norm = np.linalg.norm
+    scale = 1.0 + norm(p) ** 2 * norm(b) ** 2 + 2.0 * norm(a) * norm(p) + norm(c) ** 2
+    assert norm(are_residual(a, b, c, p)) <= 1e-12 * scale
+
+
+def test_are_near_defective_residual_at_the_size_of_ctc():
+    # C^T C is 2e-12 in norm; an eigenvector solve of the Hamiltonian
+    # leaves a residual near 1e-15, far above it
+    eps = 1e-6
+    a = np.array([[-1.0, 1.0], [0.0, -1.0]])
+    b = eps * np.array([[1.0], [1.0]])
+    c = eps * np.array([[1.0, 1.0]])
+    p = solve_are(a, b, c)
+    assert np.linalg.norm(are_residual(a, b, c, p)) <= 1e-12 * np.linalg.norm(c.T @ c)
+
+
+def test_are_imaginary_axis_mode_raises_not_stabilizing():
+    # an undriven, unobserved oscillator: the Hamiltonian has eigenvalues
+    # +-i, and the sign iteration meets a singular iterate
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(NotStabilizing):
+        solve_are(a, np.zeros((2, 1)), np.zeros((1, 2)))
+
+
+def test_are_rejects_mismatched_shapes():
+    a = np.eye(2)
+    with pytest.raises(ValueError, match=r"\(3, 1\)"):
+        solve_are(a, np.ones((3, 1)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match=r"\(1, 3\)"):
+        solve_are(a, np.ones((2, 1)), np.ones((1, 3)))
+
+
+def test_lti_ocp_double_integrator_run():
+    sys_ = make_lti_ocp(DOUBLE_INTEGRATOR)
+    sampler = np.random.default_rng(11)
+    for z in sampler.uniform(-2.0, 2.0, (50, 2)):
+        assert max(hill_moylan_residual(sys_, z)) <= 1e-12
+    grid = TimeGrid.equidistant(1.0, 200)
+    traj = integrate(
+        sys_, SchemeConfig(dg_kind=GONZALEZ), grid, math.sin, np.array([1.0, -0.5])
+    )
+    assert np.max(traj.newton_residuals) <= 1e-13
+    assert np.max(discrete_power_balance_residuals(sys_, traj)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", (GONZALEZ, ITOH_ABE, mean_value()), ids=lambda kind: kind.variant)
+def test_pendulum_near_rest_keeps_newton_and_balance(kind):
+    # near q = 0 the energy must be accurate relative to itself; written
+    # as 1 - cos q it cancels and Newton stalls above its tolerance
+    sys_ = make_pendulum()
+    grid = TimeGrid.equidistant(1.0, 200)
+    traj = integrate(
+        sys_, SchemeConfig(dg_kind=kind), grid, lambda t: 0.0, np.array([1e-3, 0.0])
+    )
+    assert np.max(traj.newton_residuals) <= 1e-13
+    assert np.max(discrete_power_balance_residuals(sys_, traj)) <= 1e-10
 
 
 def test_synthetic_energy_decays_without_input():
