@@ -13,10 +13,16 @@ Four subcommands cover the standard experiments:
     algebraic spot checks (structure identities, power balance) on
     randomly sampled states and inputs
 
-The convergence study itself is :func:`reference_trajectory` and
-:func:`convergence_study`; ``convergence`` adds the reference cache, the
-output files and the verdict, and the second-order acceptance test calls
-the same two functions.
+Every subcommand writes a CSV to ``--out``, by default
+``qsr-dg-<command>-<example>.csv`` in the working directory, and a
+``.meta.json`` sidecar beside it, through :func:`_report`, which also
+prints the PASS/FAIL verdict of the gated ones.  ``--dg`` and
+``--zero-input`` belong to the three subcommands that integrate.
+
+The studies behind the gates are module functions that the acceptance
+tests call too: :func:`reference_trajectory` and
+:func:`convergence_study` for ``convergence`` (which adds the reference
+cache) and :func:`structure_checks` for ``checks``.
 
 Exit codes: 0 success, 1 a quality gate failed, 2 bad arguments (among
 them a negative ``--seed`` and an ``--s-max`` below 2 or with a coarsest
@@ -58,6 +64,10 @@ DEFAULT_SEED = 0
 TAU_MIN = 1e-3
 REFERENCE_REFINEMENT = 8
 
+# the draws and the residual names of structure_checks
+_CHECK_SAMPLES = 100
+_CHECK_NAMES = ("storage_supply", "input_output", "feedthrough", "power_balance")
+
 _DG_CHOICES = {
     "gonzalez": GONZALEZ,
     "itoh-abe": ITOH_ABE,
@@ -71,40 +81,38 @@ def _fmt(x):
     return f"{float(x):.16e}"
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", encoding="ascii", newline="\n") as stream:
-        stream.write(",".join(header) + "\n")
-        for row in rows:
-            stream.write(",".join(row) + "\n")
-
-
-def _write_meta(out, payload):
+def _report(args, header, rows, meta, verdict=None):
+    """Write ``rows`` as CSV to ``--out``, by default to
+    ``qsr-dg-<command>-<example>.csv`` in the working directory, and
+    ``{command, example, **meta, version}`` to the ``.meta.json`` beside
+    it.  ``verdict`` is ``(passed, gate_text)`` for a gated command;
+    prints PASS or FAIL with the gate.  Returns the exit code.
+    """
+    out = args.out
+    if out is None:
+        out = Path.cwd() / f"qsr-dg-{args.command}-{args.example}.csv"
+    lines = [",".join(row) + "\n" for row in [header, *rows]]
+    out.write_text("".join(lines), encoding="ascii", newline="\n")
     meta_path = out.with_suffix(".meta.json")
-    payload = dict(payload)
-    payload["version"] = __version__
-    with open(meta_path, "w", encoding="ascii", newline="\n") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    return meta_path
-
-
-def _resolve_out(args, stem):
-    if args.out is not None:
-        return Path(args.out)
-    return Path.cwd() / f"{stem}.csv"
-
-
-def _zero_control(num_inputs):
-    def control(t):
-        return (0.0,) * num_inputs
-
-    return control
+    payload = {
+        "command": args.command, "example": args.example, **meta,
+        "version": __version__,
+    }
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    meta_path.write_text(text, encoding="ascii", newline="\n")
+    print(f"wrote {out} and {meta_path}")
+    if verdict is None:
+        return 0
+    passed, gate = verdict
+    print(f"{'PASS' if passed else 'FAIL'} ({gate})")
+    return 0 if passed else 1
 
 
 def _case(args):
     case = benchmark_settings(args.example)
-    if getattr(args, "zero_input", False):
-        case = case._replace(control=_zero_control(case.system.m))
+    if args.zero_input:
+        m = case.system.m
+        case = case._replace(control=lambda t: (0.0,) * m)
     return case
 
 
@@ -162,24 +170,16 @@ def cmd_simulate(args):
             row += [""] * (2 * m + 2)
         rows.append(row)
 
-    out = _resolve_out(args, f"qsr-dg-simulate-{args.example}")
-    _write_rows(out, header, rows)
-    meta = _write_meta(
-        out,
-        {
-            "command": "simulate",
-            "example": args.example,
-            "scheme": config.scheme,
-            "dg_kind": args.dg if config.scheme == DG_QSR else None,
-            "num_steps": args.q,
-            "horizon": args.T,
-            "zero_input": bool(args.zero_input),
-        },
-    )
     final = ", ".join(_fmt(v) for v in trajectory.states[-1])
     print(f"simulate {args.example}: {args.q} steps, final state [{final}]")
-    print(f"wrote {out} and {meta}")
-    return 0
+    meta = {
+        "scheme": config.scheme,
+        "dg_kind": args.dg if config.scheme == DG_QSR else None,
+        "num_steps": args.q,
+        "horizon": args.T,
+        "zero_input": args.zero_input,
+    }
+    return _report(args, header, rows, meta)
 
 
 def cmd_balance(args):
@@ -193,28 +193,17 @@ def cmd_balance(args):
     rows = [
         [_fmt(grid.points[i]), _fmt(residuals[i])] for i in range(args.q)
     ]
-    out = _resolve_out(args, f"qsr-dg-balance-{args.example}")
-    _write_rows(out, ["t", "balance_residual"], rows)
-    meta = _write_meta(
-        out,
-        {
-            "command": "balance",
-            "example": args.example,
-            "dg_kind": args.dg,
-            "num_steps": args.q,
-            "horizon": args.T,
-            "zero_input": bool(args.zero_input),
-            "max_balance_residual": worst,
-            "gate": BALANCE_GATE,
-        },
-    )
     print(f"balance {args.example}: max |residual| = {worst:.3e} over {args.q} steps")
-    print(f"wrote {out} and {meta}")
-    if worst <= BALANCE_GATE:
-        print(f"PASS (gate {BALANCE_GATE:.0e})")
-        return 0
-    print(f"FAIL (gate {BALANCE_GATE:.0e})")
-    return 1
+    meta = {
+        "dg_kind": args.dg,
+        "num_steps": args.q,
+        "horizon": args.T,
+        "zero_input": args.zero_input,
+        "max_balance_residual": worst,
+        "gate": BALANCE_GATE,
+    }
+    verdict = (worst <= BALANCE_GATE, f"gate {BALANCE_GATE:.0e}")
+    return _report(args, ["t", "balance_residual"], rows, meta, verdict)
 
 
 def _cache_dir(args):
@@ -321,24 +310,6 @@ def cmd_convergence(args):
         [_fmt(tau), _fmt(err), "" if order is None else _fmt(order)]
         for tau, err, order in runs
     ]
-    out = _resolve_out(args, f"qsr-dg-convergence-{args.example}")
-    _write_rows(out, ["tau", "rel_error", "observed_order"], rows)
-    meta = _write_meta(
-        out,
-        {
-            "command": "convergence",
-            "example": args.example,
-            "dg_kind": args.dg,
-            "horizon": args.T,
-            "s_max": args.s_max,
-            "tau_min": TAU_MIN,
-            "reference_refinement": REFERENCE_REFINEMENT,
-            "zero_input": bool(args.zero_input),
-            "observed_orders": orders,
-            "median_order": median,
-            "order_window": list(ORDER_WINDOW),
-        },
-    )
     for tau, err, order in runs:
         tail = "" if order is None else f"  order {order:.3f}"
         print(f"tau = {tau:.6g}  rel_error = {err:.6e}{tail}")
@@ -346,55 +317,64 @@ def cmd_convergence(args):
         print("no median order: a pair among the finest has a zero error")
     else:
         print(f"median order (finest pairs) = {median:.3f}")
-    print(f"wrote {out} and {meta}")
+    meta = {
+        "dg_kind": args.dg,
+        "horizon": args.T,
+        "s_max": args.s_max,
+        "tau_min": TAU_MIN,
+        "reference_refinement": REFERENCE_REFINEMENT,
+        "zero_input": args.zero_input,
+        "observed_orders": orders,
+        "median_order": median,
+        "order_window": list(ORDER_WINDOW),
+    }
     low, high = ORDER_WINDOW
-    if median is not None and low <= median <= high:
-        print(f"PASS (window [{low}, {high}])")
-        return 0
-    print(f"FAIL (window [{low}, {high}])")
-    return 1
+    verdict = (
+        median is not None and low <= median <= high,
+        f"window [{low}, {high}]",
+    )
+    return _report(args, ["tau", "rel_error", "observed_order"], rows, meta, verdict)
+
+
+def structure_checks(system, seed):
+    """Largest residuals of the structure identities and of the continuous
+    power balance over 100 states and inputs drawn uniformly from
+    [-2, 2] with ``seed``, the block of states first.
+
+    Returns a dict over ``storage_supply``, ``input_output``,
+    ``feedthrough`` (the three Hill-Moylan identities) and
+    ``power_balance``.  A NaN residual makes its maximum NaN.
+    """
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-2.0, 2.0, size=(_CHECK_SAMPLES, system.n))
+    inputs = rng.uniform(-2.0, 2.0, size=(_CHECK_SAMPLES, system.m))
+    residuals = [
+        (
+            *hill_moylan_residual(system, z),
+            continuous_power_balance_residual(system, z, u),
+        )
+        for z, u in zip(states, inputs)
+    ]
+    worst = np.max(np.abs(residuals), axis=0).tolist()
+    return dict(zip(_CHECK_NAMES, worst))
 
 
 def cmd_checks(args):
-    case = _case(args)
-    system = case.system
-    rng = np.random.default_rng(args.seed)
-    states = rng.uniform(-2.0, 2.0, size=(100, system.n))
-    inputs = rng.uniform(-2.0, 2.0, size=(100, system.m))
-
-    worst = {"storage_supply": 0.0, "input_output": 0.0, "feedthrough": 0.0,
-             "power_balance": 0.0}
-    for z, u in zip(states, inputs):
-        r1, r2, r3 = hill_moylan_residual(system, z)
-        pb = continuous_power_balance_residual(system, z, u)
-        worst["storage_supply"] = max(worst["storage_supply"], abs(r1))
-        worst["input_output"] = max(worst["input_output"], abs(r2))
-        worst["feedthrough"] = max(worst["feedthrough"], abs(r3))
-        worst["power_balance"] = max(worst["power_balance"], abs(pb))
-
+    worst = structure_checks(benchmark_settings(args.example).system, args.seed)
     for name, value in worst.items():
         print(f"{name:16s} max |residual| = {value:.3e}")
-    if args.out is not None:
-        out = Path(args.out)
-        rows = [[name, _fmt(value)] for name, value in worst.items()]
-        _write_rows(out, ["check", "value"], rows)
-        meta = _write_meta(
-            out,
-            {
-                "command": "checks",
-                "example": args.example,
-                "seed": args.seed,
-                "num_samples": 100,
-                "gate": CHECKS_GATE,
-                **{f"max_{k}": v for k, v in worst.items()},
-            },
-        )
-        print(f"wrote {out} and {meta}")
-    if max(worst.values()) <= CHECKS_GATE:
-        print(f"PASS (gate {CHECKS_GATE:.0e})")
-        return 0
-    print(f"FAIL (gate {CHECKS_GATE:.0e})")
-    return 1
+    rows = [[name, _fmt(value)] for name, value in worst.items()]
+    meta = {
+        "seed": args.seed,
+        "num_samples": _CHECK_SAMPLES,
+        "gate": CHECKS_GATE,
+        **{f"max_{k}": v for k, v in worst.items()},
+    }
+    verdict = (
+        all(v <= CHECKS_GATE for v in worst.values()),
+        f"gate {CHECKS_GATE:.0e}",
+    )
+    return _report(args, ["check", "value"], rows, meta, verdict)
 
 
 def build_parser():
@@ -407,26 +387,26 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_dg=True):
+    def add_common(p, integrates=True):
         p.add_argument(
             "--example",
             required=True,
             choices=EXAMPLE_NAMES,
             help="benchmark system to run",
         )
-        if with_dg:
+        p.add_argument("--out", type=Path, default=None, help="output CSV path")
+        if integrates:
             p.add_argument(
                 "--dg",
                 choices=sorted(_DG_CHOICES),
                 default="gonzalez",
                 help="discrete-gradient variant",
             )
-        p.add_argument("--out", type=Path, default=None, help="output CSV path")
-        p.add_argument(
-            "--zero-input",
-            action="store_true",
-            help="replace the benchmark control with u = 0",
-        )
+            p.add_argument(
+                "--zero-input",
+                action="store_true",
+                help="replace the benchmark control with u = 0",
+            )
 
     p = sub.add_parser("simulate", help="integrate and dump the trajectory")
     add_common(p)
@@ -464,7 +444,7 @@ def build_parser():
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("checks", help="structure identities at sampled states")
-    add_common(p, with_dg=False)
+    add_common(p, integrates=False)
     p.add_argument(
         "--seed", type=_non_negative_int, default=DEFAULT_SEED, help="sampling seed"
     )

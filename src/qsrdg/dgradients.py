@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from qsrdg._kernels import dot, norm_sq, value
 from qsrdg.errors import NonFiniteEvaluation, QuadratureNotConverged
@@ -52,11 +51,18 @@ _MEAN_VALUE_ULPS = 8.0
 _MAX_PANELS = 1024
 _ULP_FLOOR = _MEAN_VALUE_ULPS * float(np.finfo(float).eps)
 
-# the five-point Gauss rule on [0, 1], applied on every panel; Python
-# floats, because a numpy scalar times a complex makes a slower numpy
-# complex
-_GAUSS_NODES, _GAUSS_WEIGHTS = zip(
-    *((float(x + 1.0) / 2.0, float(w) / 2.0) for x, w in zip(*leggauss(5)))
+# the five-point Gauss rule on [0, 1], applied on every panel: the
+# floats of numpy's leggauss(5) mapped by (x + 1) / 2 and w / 2, written
+# out so that importing this module does not load numpy.polynomial.
+# Python floats, because a numpy scalar times a complex makes a slower
+# numpy complex
+_GAUSS_NODES = (
+    0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415,
+    0.9530899229693319,
+)
+_GAUSS_WEIGHTS = (
+    0.11846344252809464, 0.23931433524968315, 0.28444444444444433,
+    0.23931433524968315, 0.11846344252809464,
 )
 # the lower half of the symmetric rule: s_q = 1 - s_(4-q), W_q = W_(4-q)
 _S0, _S1 = _GAUSS_NODES[:2]

@@ -37,74 +37,30 @@ __all__ = [
 _abs = abs
 
 
-def sin(x):
-    if isinstance(x, complex):
-        v = x.real
-        return complex(math.sin(v), x.imag * math.cos(v))
-    return math.sin(x)
+def _lift(f, df):
+    """``f`` on floats; on a pass scalar x, ``complex(f(v), x.imag * df(v))``
+    with v = x.real."""
+
+    def lifted(x):
+        if isinstance(x, complex):
+            v = x.real
+            return complex(f(v), x.imag * df(v))
+        return f(x)
+
+    return lifted
 
 
-def cos(x):
-    if isinstance(x, complex):
-        v = x.real
-        return complex(math.cos(v), x.imag * -math.sin(v))
-    return math.cos(x)
-
-
-def tan(x):
-    if isinstance(x, complex):
-        t = math.tan(x.real)
-        return complex(t, x.imag * (1.0 + t * t))
-    return math.tan(x)
-
-
-def exp(x):
-    if isinstance(x, complex):
-        e = math.exp(x.real)
-        return complex(e, x.imag * e)
-    return math.exp(x)
-
-
-def log(x):
-    if isinstance(x, complex):
-        v = x.real
-        return complex(math.log(v), x.imag * (1.0 / v))
-    return math.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, complex):
-        r = math.sqrt(x.real)
-        return complex(r, x.imag * (0.5 / r))
-    return math.sqrt(x)
-
-
-def arctan(x):
-    if isinstance(x, complex):
-        v = x.real
-        return complex(math.atan(v), x.imag * (1.0 / (1.0 + v * v)))
-    return math.atan(x)
-
-
-def sinh(x):
-    if isinstance(x, complex):
-        v = x.real
-        return complex(math.sinh(v), x.imag * math.cosh(v))
-    return math.sinh(x)
-
-
-def cosh(x):
-    if isinstance(x, complex):
-        v = x.real
-        return complex(math.cosh(v), x.imag * math.sinh(v))
-    return math.cosh(x)
-
-
-def tanh(x):
-    if isinstance(x, complex):
-        t = math.tanh(x.real)
-        return complex(t, x.imag * (1.0 - t * t))
-    return math.tanh(x)
+sin = _lift(math.sin, math.cos)
+cos = _lift(math.cos, lambda v: -math.sin(v))
+# the tan and tanh slopes are 1 + t t and 1 - t t at t = f(v)
+tan = _lift(math.tan, lambda v: 1.0 + (t := math.tan(v)) * t)
+exp = _lift(math.exp, math.exp)
+log = _lift(math.log, lambda v: 1.0 / v)
+sqrt = _lift(math.sqrt, lambda v: 0.5 / math.sqrt(v))
+arctan = _lift(math.atan, lambda v: 1.0 / (1.0 + v * v))
+sinh = _lift(math.sinh, math.cosh)
+cosh = _lift(math.cosh, math.sinh)
+tanh = _lift(math.tanh, lambda v: 1.0 - (t := math.tanh(v)) * t)
 
 
 def abs(x):

@@ -364,6 +364,32 @@ def _averaged_input(control, t, tau, m, left=None):
     return tuple(0.5 * (a + b) for a, b in zip(u0, u1)), u1
 
 
+def _check_map_shapes(system, z):
+    """Raise ``ValueError`` naming the first map whose value at ``z`` has
+    the wrong shape: the step loops would index past a short one and
+    ``zip`` would cut a long one.  Returns the feedthrough at ``z``."""
+    n, m = system.n, system.m
+    dv = system.feedthrough(z)
+    lv = system.loss_state(z)
+    p = np.size(lv)
+    for name, out, shape in (
+        ("storage gradient", system.storage.gradient(z), (n,)),
+        ("drift", system.drift(z), (n,)),
+        ("input_map", system.input_map(z), (n, m)),
+        ("output_map", system.output_map(z), (m,)),
+        ("feedthrough", dv, (m, m)),
+        ("loss_state", lv, (p,)),
+        ("loss_input", system.loss_input(z), (p, m)),
+    ):
+        try:
+            got = np.shape(out)
+        except ValueError:  # rows of unequal length
+            got = "ragged"
+        if got != shape:
+            raise ValueError(f"{name} returned shape {got}, expected {shape}")
+    return dv
+
+
 def integrate(system, config, grid, control, z0):
     """March the configured scheme over ``grid`` from ``z0``.
 
@@ -372,7 +398,8 @@ def integrate(system, config, grid, control, z0):
     tolerance at the panel cap) are re-raised as :class:`IntegrationError`
     carrying the failing step index and the last good state z_i; Newton
     stalls only warn, each at the line that called ``integrate``, and are
-    visible in the returned residuals.
+    visible in the returned residuals.  A map whose value at ``z0`` has
+    the wrong shape raises ``ValueError`` before the first step.
 
     The loop works on Python lists and builds the five arrays of the
     :class:`Trajectory` once, after the last step.
@@ -397,8 +424,12 @@ def integrate(system, config, grid, control, z0):
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.n,):
         raise ValueError(f"initial state must have shape ({system.n},)")
+    dv = _check_map_shapes(system, z0.tolist())
     if config.scheme == DG_QSR:
         stepper = _DgQsrStepper(system, config)
+        # factors for the D(z0) just checked, so that every evaluation of
+        # the feedthrough is factored; a constant one keeps them for the run
+        stepper._refactor(dv, tuple(map(tuple, dv)))
     else:
         stepper = _MidpointStepper(system)
     m = system.m

@@ -43,15 +43,18 @@ def solve_are(a, b, c):
     """Stabilizing solution of the Riccati equation for (A, B, C).
 
     P is the least-squares solution of ``[W12; W22 + I] P = -[W11 + I; W21]``,
-    symmetrized.  Raises ``ValueError`` for mismatched shapes,
-    :class:`AreNotConverged` when the sign iteration misses its stop test
-    within 100 rounds, and :class:`NotStabilizing` when an iterate is
+    symmetrized.  Raises ``ValueError`` for non-finite entries or
+    mismatched shapes, :class:`AreNotConverged` when the sign iteration
+    misses its stop test within 100 rounds, and :class:`NotStabilizing` when an iterate is
     singular or non-finite or A - B B^T P is not Hurwitz (an
     unstabilizable pair gets that far).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
+    for name, mat in (("A", a), ("B", b), ("C", c)):
+        if not np.all(np.isfinite(mat)):
+            raise ValueError(f"{name} has non-finite entries")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("A must be square")
     n = a.shape[0]

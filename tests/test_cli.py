@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -287,9 +288,32 @@ def test_checks_pass_and_report(tmp_path, capsys):
     assert all(float(r[1]) <= 1e-9 for r in rows)
 
 
-def test_checks_seed_changes_samples_not_verdict():
+def test_checks_seed_changes_samples_not_verdict(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert run(["checks", "--example", "pendulum", "--seed", 7]) == 0
     assert run(["checks", "--example", "pendulum", "--seed", 8]) == 0
+
+
+def test_checks_nan_residual_fails_the_gate(tmp_path, capsys, monkeypatch):
+    # a builtin max over NaN keeps the running value, so NaN residuals
+    # once read as 0 and passed
+    monkeypatch.setattr(
+        cli, "hill_moylan_residual", lambda system, z: (math.nan,) * 3
+    )
+    out = tmp_path / "nan.csv"
+    assert run(["checks", "--example", "pi", "--out", out]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    meta = json.loads(out.with_suffix(".meta.json").read_text())
+    assert math.isnan(meta["max_storage_supply"])
+    assert meta["max_power_balance"] <= 1e-9
+
+
+def test_checks_refuses_zero_input(tmp_path):
+    # checks samples its inputs, so the flag was parsed and ignored
+    with pytest.raises(SystemExit) as info:
+        run(["checks", "--example", "pi", "--zero-input", "--out", tmp_path / "x.csv"])
+    assert info.value.code == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_integration_failure_maps_to_exit_three(monkeypatch, tmp_path):
@@ -356,3 +380,7 @@ def test_default_output_name_lands_in_cwd(tmp_path, monkeypatch):
     assert run(["simulate", "--example", "pi", "--q", 5, "--T", 0.5]) == 0
     assert (tmp_path / "qsr-dg-simulate-pi.csv").exists()
     assert (tmp_path / "qsr-dg-simulate-pi.meta.json").exists()
+    assert run(["checks", "--example", "pi"]) == 0
+    assert (tmp_path / "qsr-dg-checks-pi.csv").exists()
+    meta = json.loads((tmp_path / "qsr-dg-checks-pi.meta.json").read_text())
+    assert meta["command"] == "checks" and meta["num_samples"] == 100

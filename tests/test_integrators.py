@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -434,6 +435,54 @@ def test_integrate_validates_initial_state():
             TimeGrid.equidistant(1.0, 10),
             case.control,
             (1.0,),
+        )
+
+
+@pytest.mark.parametrize("scheme", (DG_QSR, IMPLICIT_MIDPOINT))
+@pytest.mark.parametrize(
+    "bad_maps, message",
+    (
+        pytest.param(
+            lambda s: {"drift": lambda z: [z[1]]},
+            "drift returned shape (1,), expected (2,)",
+            id="short-drift",
+        ),
+        pytest.param(
+            lambda s: {"drift": lambda z: [*s.drift(z), 0.0]},
+            "drift returned shape (3,), expected (2,)",
+            id="long-drift",
+        ),
+        pytest.param(
+            lambda s: {
+                "storage": StorageFunction(s.storage.value, lambda z: [z[0]], dim=2)
+            },
+            "storage gradient returned shape (1,), expected (2,)",
+            id="short-gradient",
+        ),
+        pytest.param(
+            lambda s: {"input_map": lambda z: ((0.0, 0.0), (1.0, 0.0))},
+            "input_map returned shape (2, 2), expected (2, 1)",
+            id="wide-input-map",
+        ),
+        pytest.param(
+            lambda s: {"loss_state": lambda z: (0.0, 0.0)},
+            "loss_input returned shape (1, 1), expected (2, 1)",
+            id="mismatched-loss-maps",
+        ),
+    ),
+)
+def test_integrate_rejects_maps_of_the_wrong_shape(scheme, bad_maps, message):
+    # a short map used to end in an IndexError mid-step, a long drift was
+    # cut to n entries by zip
+    case = benchmark_settings("pendulum")
+    system = dataclasses.replace(case.system, **bad_maps(case.system))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate(
+            system,
+            SchemeConfig(scheme=scheme),
+            TimeGrid.equidistant(1.0, 10),
+            case.control,
+            case.initial_state,
         )
 
 

@@ -284,6 +284,17 @@ def test_gauss_nodes_shape_and_interval():
     assert math.isclose(sum(_GAUSS_WEIGHTS), 1.0, rel_tol=1e-14)
 
 
+def test_gauss_constants_are_numpys_rule_bit_for_bit():
+    # written out to keep numpy.polynomial out of the import; the weights
+    # are leggauss's floats, not the correctly rounded closed forms
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(5)
+    assert _GAUSS_NODES == tuple(float(v + 1.0) / 2.0 for v in x)
+    assert _GAUSS_WEIGHTS == tuple(float(v) / 2.0 for v in w)
+    assert all(type(v) is float for v in _GAUSS_NODES + _GAUSS_WEIGHTS)
+
+
 def gauss(f):
     """The five-point Gauss rule for the integral of ``f`` over [0, 1]."""
     return sum(w * f(s) for s, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS))

@@ -284,6 +284,16 @@ def test_are_rejects_mismatched_shapes():
         solve_are(a, np.ones((2, 1)), np.ones((1, 3)))
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize("name", ("A", "B", "C"))
+def test_are_rejects_non_finite_input(name, bad):
+    # once blamed on the system: a numpy warning, then NotStabilizing
+    mats = {"A": np.eye(2), "B": np.ones((2, 1)), "C": np.ones((1, 2))}
+    mats[name][0, 0] = bad
+    with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+        solve_are(mats["A"], mats["B"], mats["C"])
+
+
 def test_lti_ocp_double_integrator_run():
     sys_ = make_lti_ocp(DOUBLE_INTEGRATOR)
     sampler = np.random.default_rng(11)
