@@ -14,7 +14,8 @@ class NonFiniteEvaluation(QsrdgError):
 
 
 class ZeroDirection(QsrdgError):
-    """A direction vector was too short to normalize or project against."""
+    """A discrete gradient's squared norm was 0 in floats, so the step
+    could not divide by it."""
 
 
 class GridMismatch(QsrdgError):

@@ -79,9 +79,6 @@ DG_QSR = "dg-qsr"
 IMPLICIT_MIDPOINT = "implicit-midpoint"
 
 _NEWTON = NewtonSettings()
-# a step from z treats discrete gradients shorter than this times
-# (1 + |grad H(z)|) as vanishing
-_GRADIENT_FLOOR = 1e-12
 # grid nodes this close coincide
 _NODE_TOLERANCE = 1e-12
 
@@ -140,9 +137,10 @@ class SchemeConfig:
     """Scheme and discrete gradient for one integration run.
 
     Every other number of a step is fixed.  Newton runs with the defaults
-    of :class:`NewtonSettings`, and a step from z treats discrete
-    gradients shorter than ``1e-12 * (1 + |grad H(z)|)`` as vanishing and
-    refuses to divide by them.
+    of :class:`NewtonSettings`.  A gradient vanishes only when its squared
+    norm is 0.0 in floats: a step from such a z is a critical-point step
+    (see ``_DgQsrStepper.step``), and a residual call whose discrete
+    gradient has squared norm 0.0 raises :class:`ZeroDirection`.
     """
 
     scheme: str = DG_QSR
@@ -244,7 +242,7 @@ class _DgQsrStepper:
         gam_num = dot(hbar, qh) - norm_sq(lv)
         return dg, g2, fv, bv, dv, hbar, gam_num
 
-    def _residual(self, z, h_at_z, floor_sq, ubar, tau, last):
+    def _residual(self, z, h_at_z, ubar, tau, last):
         """The step's Newton residual; each call leaves the output terms
         ``hbar`` and ``dv`` at its point in ``last``."""
         terms = self._terms
@@ -253,10 +251,9 @@ class _DgQsrStepper:
         def residual(w):
             dg, g2, fv, bv, dv, hbar, gam_num = terms(z, h_at_z, guard_sq, w)
             last[:] = (hbar, dv)
-            g2v = value(g2)
-            if g2v <= floor_sq or g2v == 0.0:
+            if value(g2) == 0.0:
                 raise ZeroDirection(
-                    f"discrete gradient norm {math.sqrt(g2v):.3e} below floor"
+                    "the discrete gradient's squared norm is 0 in floats"
                 )
             coef = (gam_num - dot(dg, fv)) / g2
             bu = matvec(bv, ubar)
@@ -270,17 +267,16 @@ class _DgQsrStepper:
     def step(self, z, ubar, tau, start):
         """One step from ``z``, Newton from ``start``: ``(w, ybar, residual, its)``.
 
-        Where grad H(z) = dg(z, z) vanishes, Newton starts from the Euler
-        predictor z + tau (f(z) + B(z) ubar) whatever ``start`` is.  If
-        that does not move, w = z solves the step exactly (supply minus
-        dissipation is grad H . (f + B ubar) = 0 there) and is returned
-        with output h(z) + D(z) ubar, residual 0 and no Newton update.
+        Where |grad H(z)|^2 is 0.0 in floats, a critical point of H, Newton
+        starts from the Euler predictor z + tau (f(z) + B(z) ubar) whatever
+        ``start`` is.  If that does not move, w = z solves the step exactly
+        (supply minus dissipation is grad H . (f + B ubar) = 0 there) and
+        is returned with output h(z) + D(z) ubar, residual 0 and no Newton
+        update.
         """
         system = self.system
         h_at_z = system.storage.value(z)
-        grad_norm = math.sqrt(norm_sq(system.storage.gradient(z)))
-        floor = _GRADIENT_FLOOR * (1.0 + grad_norm)
-        if grad_norm <= floor:
+        if norm_sq(system.storage.gradient(z)) == 0.0:
             bu = matvec(system.input_map(z), ubar)
             rate = [fk + bk for fk, bk in zip(system.drift(z), bu)]
             if not any(rate):
@@ -288,7 +284,7 @@ class _DgQsrStepper:
                 return z, ybar, 0.0, 0
             start = [zk + tau * rk for zk, rk in zip(z, rate)]
         last = []
-        residual = self._residual(z, h_at_z, floor * floor, ubar, tau, last)
+        residual = self._residual(z, h_at_z, ubar, tau, last)
         w, its, res = _solve(residual, start)
         # ``last`` holds hbar and dv of newton_solve's last call, at ``w``
         return w, _output(*last, ubar), res, its
@@ -367,9 +363,8 @@ def _averaged_input(control, t, tau, m, left=None):
 def _check_map_shapes(system, z):
     """Raise ``ValueError`` naming the first map whose value at ``z`` has
     the wrong shape: the step loops would index past a short one and
-    ``zip`` would cut a long one.  Returns the feedthrough at ``z``."""
+    ``zip`` would cut a long one."""
     n, m = system.n, system.m
-    dv = system.feedthrough(z)
     lv = system.loss_state(z)
     p = np.size(lv)
     for name, out, shape in (
@@ -377,7 +372,7 @@ def _check_map_shapes(system, z):
         ("drift", system.drift(z), (n,)),
         ("input_map", system.input_map(z), (n, m)),
         ("output_map", system.output_map(z), (m,)),
-        ("feedthrough", dv, (m, m)),
+        ("feedthrough", system.feedthrough(z), (m, m)),
         ("loss_state", lv, (p,)),
         ("loss_input", system.loss_input(z), (p, m)),
     ):
@@ -387,7 +382,6 @@ def _check_map_shapes(system, z):
             got = "ragged"
         if got != shape:
             raise ValueError(f"{name} returned shape {got}, expected {shape}")
-    return dv
 
 
 def integrate(system, config, grid, control, z0):
@@ -398,8 +392,9 @@ def integrate(system, config, grid, control, z0):
     tolerance at the panel cap) are re-raised as :class:`IntegrationError`
     carrying the failing step index and the last good state z_i; Newton
     stalls only warn, each at the line that called ``integrate``, and are
-    visible in the returned residuals.  A map whose value at ``z0`` has
-    the wrong shape raises ``ValueError`` before the first step.
+    visible in the returned residuals.  A non-finite ``z0``, or a map
+    whose value at ``z0`` has the wrong shape, raises ``ValueError``
+    before the first step.
 
     The loop works on Python lists and builds the five arrays of the
     :class:`Trajectory` once, after the last step.
@@ -424,12 +419,11 @@ def integrate(system, config, grid, control, z0):
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.n,):
         raise ValueError(f"initial state must have shape ({system.n},)")
-    dv = _check_map_shapes(system, z0.tolist())
+    if not np.all(np.isfinite(z0)):
+        raise ValueError(f"initial state must be finite, got {z0.tolist()}")
+    _check_map_shapes(system, z0.tolist())
     if config.scheme == DG_QSR:
         stepper = _DgQsrStepper(system, config)
-        # factors for the D(z0) just checked, so that every evaluation of
-        # the feedthrough is factored; a constant one keeps them for the run
-        stepper._refactor(dv, tuple(map(tuple, dv)))
     else:
         stepper = _MidpointStepper(system)
     m = system.m

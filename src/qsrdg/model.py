@@ -35,7 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SupplyRate:
-    """Quadratic supply rate weights; q and r must be symmetric."""
+    """Quadratic supply rate weights; all finite, q and r symmetric."""
 
     q: np.ndarray
     s: np.ndarray
@@ -50,6 +50,8 @@ class SupplyRate:
             mat = getattr(self, name)
             if mat.shape != (m, m):
                 raise ValueError(f"{name} must be {m}x{m}, got {mat.shape}")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"{name} has non-finite entries")
         for name in ("q", "r"):
             mat = getattr(self, name)
             if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-12:

@@ -57,8 +57,10 @@ def make_pendulum(params=PendulumParams()):
     """
     g = float(params.gravity)
     lam = float(params.damping)
-    if g <= 0.0 or lam < 0.0:
-        raise ValueError("need positive gravity and nonnegative damping")
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"gravity must be positive and finite, got {g}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"damping must be nonnegative and finite, got {lam}")
 
     # 1 - cos q written as 2 sin^2(q/2), so the energy keeps its relative
     # accuracy near rest instead of cancelling
@@ -184,8 +186,12 @@ def make_pi(params=PiParams(), channels=1):
     ki = float(params.integral_gain)
     kp = float(params.proportional_gain)
     n = operator.index(channels)
-    if ki <= 0.0 or kp < 0.0:
-        raise ValueError("need a positive integral gain and nonnegative proportional gain")
+    if not 0.0 < ki < math.inf:
+        raise ValueError(f"integral_gain must be positive and finite, got {ki}")
+    if not 0.0 <= kp < math.inf:
+        raise ValueError(
+            f"proportional_gain must be nonnegative and finite, got {kp}"
+        )
     if n < 1:
         raise ValueError("need at least one channel")
     eye = tuple(
@@ -250,8 +256,10 @@ def make_synthetic(params=SyntheticParams()):
     """
     alpha = float(params.alpha)
     lam = float(params.lam)
-    if alpha <= 0.0 or lam == 0.0:
-        raise ValueError("need alpha > 0 and a nonzero feedthrough gain")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not (math.isfinite(lam) and lam != 0.0):
+        raise ValueError(f"lam must be nonzero and finite, got {lam}")
     sqrt_alpha = math.sqrt(alpha)
 
     def value(z):

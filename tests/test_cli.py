@@ -101,6 +101,14 @@ def test_simulate_zero_input_holds_integrator_fixed_point(tmp_path):
     assert all(row[5] == "0" for row in rows[:-1])
 
 
+@pytest.mark.parametrize("command", ("simulate", "balance"))
+def test_unforced_synthetic_run_at_cli_defaults_exits_zero(command, tmp_path):
+    # over T = 10 the state decays like e^{-3t} to about 1e-13; an absolute
+    # floor on the discrete gradient once failed step 949 with exit 3
+    out = tmp_path / "z.csv"
+    assert run([command, "--example", "synthetic", "--zero-input", "--out", out]) == 0
+
+
 @pytest.mark.parametrize("example", ("pendulum", "lti-ocp", "pi", "synthetic"))
 def test_balance_gate_passes_on_all_examples(example, tmp_path):
     out = tmp_path / f"{example}.csv"

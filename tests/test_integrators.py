@@ -18,6 +18,7 @@ from qsrdg.errors import (
     NewtonDidNotConverge,
     NonFiniteEvaluation,
     QuadratureNotConverged,
+    ZeroDirection,
 )
 from qsrdg.integrators import (
     DG_QSR,
@@ -31,6 +32,7 @@ from qsrdg.integrators import (
 from qsrdg.model import QsrSystem, SupplyRate, hill_moylan_residual, supply_value
 from qsrdg.numerics import _H, NewtonSettings, _jacobian_with_values
 from qsrdg.systems import (
+    EXAMPLE_NAMES,
     PendulumParams,
     benchmark_settings,
     make_pendulum,
@@ -427,15 +429,17 @@ def test_dissipation_inequality_along_trajectory():
 
 
 def test_integrate_validates_initial_state():
+    # a NaN start used to end in an IntegrationError from Newton at step 0
     case = benchmark_settings("pendulum")
-    with pytest.raises(ValueError):
-        integrate(
-            case.system,
-            SchemeConfig(),
-            TimeGrid.equidistant(1.0, 10),
-            case.control,
-            (1.0,),
-        )
+    for z0, message in (((1.0,), "shape"), ((math.nan, 0.0), "finite")):
+        with pytest.raises(ValueError, match=message):
+            integrate(
+                case.system,
+                SchemeConfig(),
+                TimeGrid.equidistant(1.0, 10),
+                case.control,
+                z0,
+            )
 
 
 @pytest.mark.parametrize("scheme", (DG_QSR, IMPLICIT_MIDPOINT))
@@ -530,11 +534,17 @@ def test_run_from_rest_at_a_critical_point_of_the_storage(name, kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
-@pytest.mark.parametrize("name", ("pendulum", "lti-ocp", "pi", "synthetic"))
-def test_input_switched_on_at_rest_at_a_critical_point(name, kind):
-    # the run rests at the origin until the step input comes on at
-    # t = 0.5; the step that averages the switch starts Newton from the
-    # Euler predictor although integrate hands it an extrapolated start
+@pytest.mark.parametrize(
+    "name, offset",
+    [(name, offset) for offset in (0.0, 1e-14) for name in EXAMPLE_NAMES],
+    ids=[*EXAMPLE_NAMES, *(f"{name}-1e-14" for name in EXAMPLE_NAMES)],
+)
+def test_input_switched_on_at_rest_at_a_critical_point(name, kind, offset):
+    # the run rests at, or offset from, the origin until the step input
+    # comes on at t = 0.5; from the origin the step that averages the
+    # switch starts Newton from the Euler predictor although integrate
+    # hands it an extrapolated start.  A start 1e-14 away used to be
+    # refused at step 0 by an absolute floor on the discrete gradient
     system = benchmark_settings(name).system
     grid = TimeGrid.with_step(0.05, 20)
 
@@ -542,12 +552,60 @@ def test_input_switched_on_at_rest_at_a_critical_point(name, kind):
         return (0.0 if t < 0.5 else 1.0,) * system.m
 
     traj = integrate(
-        system, SchemeConfig(dg_kind=kind), grid, switched_on, np.zeros(system.n)
+        system,
+        SchemeConfig(dg_kind=kind),
+        grid,
+        switched_on,
+        np.full(system.n, offset),
     )
-    assert np.all(traj.states[:10] == 0.0)
+    assert np.all(np.abs(traj.states[:10]) <= 10.0 * offset)
     assert np.any(traj.states[-1] != 0.0)
     assert np.all(traj.newton_residuals <= NewtonSettings().residual_tolerance)
     assert np.max(discrete_power_balance_residuals(system, traj)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
+@pytest.mark.parametrize(
+    "name, z0, tau, num_steps",
+    (("synthetic", (1.0,), 5e-3, 2000), ("pendulum", (1e-6, 0.0), 0.1, 1600)),
+    ids=("synthetic", "pendulum"),
+)
+def test_unforced_run_settles_at_rest(name, z0, tau, num_steps, kind):
+    # both decay below 1e-12; an absolute floor on the discrete gradient
+    # once refused every step from there on (synthetic at step 1898,
+    # pendulum at step 1542)
+    system = benchmark_settings(name).system
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NewtonDidNotConverge)
+        traj = integrate(
+            system,
+            SchemeConfig(dg_kind=kind),
+            TimeGrid.with_step(tau, num_steps),
+            lambda t: (0.0,) * system.m,
+            z0,
+        )
+    assert np.max(np.abs(traj.states[-1])) < 1e-12
+    assert np.all(traj.newton_residuals <= 1e-13)
+    assert np.max(discrete_power_balance_residuals(system, traj)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
+def test_vanishing_discrete_gradient_raises_zero_direction(kind):
+    # the synthetic state decays like e^{-3t}; near |x| = 1e-154 the
+    # discrete gradient's squared norm underflows to 0 and the step
+    # cannot divide by it.  This pins that limit
+    system = benchmark_settings("synthetic").system
+    with pytest.raises(IntegrationError) as info:
+        integrate(
+            system,
+            SchemeConfig(dg_kind=kind),
+            TimeGrid.with_step(0.1, 1300),
+            zero_control,
+            (1.0,),
+        )
+    assert isinstance(info.value.__cause__, ZeroDirection)
+    assert "squared norm is 0 in floats" in str(info.value)
+    assert info.value.step_index >= 1000
 
 
 @pytest.mark.parametrize(
@@ -853,7 +911,7 @@ def test_dual_pass_values_equal_float_residual_bit_for_bit(name, kind, rng):
     storage = case.system.storage
     mismatches = 0
     for z, w, ubar in _random_pairs(case, rng, 200):
-        residual = stepper._residual(z, storage.value(z), 0.0, ubar, 0.05, [])
+        residual = stepper._residual(z, storage.value(z), ubar, 0.05, [])
         mismatches += _value_mismatches(residual, w)
     assert mismatches == 0
 
@@ -924,7 +982,7 @@ def test_residual_jacobian_on_three_channels_matches_central_differences(drift, 
             w = (np.array(z) + 0.1 * rng.standard_normal(3)).tolist()
             ubar = rng.standard_normal(3).tolist()
             residual = stepper._residual(
-                z, system.storage.value(z), 0.0, ubar, 0.05, []
+                z, system.storage.value(z), ubar, 0.05, []
             )
             rows, _ = _jacobian_with_values(residual, w)
             for k in range(3):
@@ -1069,7 +1127,7 @@ def test_varying_feedthrough_residual_jacobian_matches_central_differences(rng):
             w = [z[0] + 0.1 * rng.standard_normal()]
             ubar = rng.standard_normal(1).tolist()
             residual = stepper._residual(
-                z, system.storage.value(z), 0.0, ubar, 0.05, []
+                z, system.storage.value(z), ubar, 0.05, []
             )
             rows, _ = _jacobian_with_values(residual, w)
             up, dn = [w[0] + h], [w[0] - h]
@@ -1132,4 +1190,7 @@ def test_varying_feedthrough_is_factored_on_every_call(monkeypatch):
     system = dataclasses.replace(system, feedthrough=counted)
     grid = TimeGrid.with_step(0.02, 10)
     integrate(system, SchemeConfig(), grid, pushing_control, (1.0,))
-    assert len(calls) == len(feedthrough_calls) > 20
+    # the shape check evaluates D once at z0 and factors nothing; every
+    # residual call evaluates it once more, at its midpoint, and refactors
+    assert feedthrough_calls[0] == [1.0]
+    assert len(calls) == len(feedthrough_calls) - 1 > 20

@@ -35,6 +35,17 @@ def test_supply_rate_coercion_and_validation():
         SupplyRate(q=np.array([[0.0, 1.0], [0.0, 0.0]]), s=np.eye(2), r=np.eye(2))
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize("name", ("q", "s", "r"))
+def test_supply_rate_rejects_non_finite_weights(name, bad):
+    # an off-diagonal NaN in q once passed the symmetry check, since
+    # nan > 1e-12 is False
+    weights = {"q": np.eye(2), "s": np.eye(2), "r": np.zeros((2, 2))}
+    weights[name][0, 1] = bad
+    with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+        SupplyRate(**weights)
+
+
 def test_supply_value_passivity_weights():
     # passivity supply 2 y^T (1/2) u = y u: with y = 2, u = 3 this is 6
     sr = SupplyRate(q=0.0, s=0.5, r=0.0)

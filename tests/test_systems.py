@@ -168,6 +168,26 @@ def test_synthetic_factory():
     assert custom.supply.r[0, 0] == 4.0
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize(
+    "factory, params, field",
+    [
+        pytest.param(factory, params, field, id=field)
+        for factory, params, fields in (
+            (make_pendulum, PendulumParams, ("gravity", "damping")),
+            (make_pi, PiParams, ("integral_gain", "proportional_gain")),
+            (make_synthetic, SyntheticParams, ("alpha", "lam")),
+        )
+        for field in fields
+    ],
+)
+def test_factories_reject_non_finite_parameters(factory, params, field, bad):
+    # each check once compared with <= or ==, which NaN fails, so a NaN
+    # parameter built a system
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        factory(params(**{field: bad}))
+
+
 def test_benchmark_controls_frozen_values():
     pend = benchmark_settings("pendulum")
     np.testing.assert_allclose(pend.initial_state, [math.pi / 4.0, -1.0])
