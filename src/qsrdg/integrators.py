@@ -19,13 +19,19 @@ Newton ends at the rounding floor, far below the tolerance: it updates
 every start whose residual is not exactly zero, and it stops on a fresh
 update, which converges quadratically, or on an update with reused
 factors only once the residual is a hundredth of the tolerance (see
-:func:`qsrdg.numerics.newton_solve`).  Even so the defect cannot fall
-below the rounding limit of (H(w) - H(z)) / tau in floats, about
-eps (|H(z)| + |H(w)|) / tau, which exceeds 1e-10 below tau = 1e-5 on the
-pendulum.
+:func:`qsrdg.numerics.newton_solve`).  A solve that starts from factors
+carried from the last step makes only reused updates, so it ends at a
+hundredth of the tolerance or takes a fresh pass first.  Even so the
+defect cannot fall below the rounding limit of (H(w) - H(z)) / tau in
+floats, about eps (|H(z)| + |H(w)|) / tau, which exceeds 1e-10 below
+tau = 1e-5 on the pendulum.  Nor can the residual fall far below the
+ulp of the state, so for states beyond about 112 the tolerance is 4
+ulps of the state's largest entry, and the defect bound grows with it.
 
-Both schemes end a step the same way: :func:`_solve` runs Newton and
-warns on a stall, and :func:`_output` forms y = h + D ubar in floats.
+Both schemes end a step the same way: :meth:`_Stepper._solve` runs
+Newton, carries its factors to the next step while that saves residual
+calls, and warns on a stall, and :func:`_output` forms y = h + D ubar
+in floats.
 
 All two-point averages are midpoint evaluations, phi((z + w) / 2); the
 averaged input is the trapezoidal endpoint mean (u(t_i) + u(t_{i+1})) / 2.
@@ -64,7 +70,7 @@ from qsrdg.errors import (
     ZeroDirection,
 )
 from qsrdg.model import supply_value
-from qsrdg.numerics import NewtonSettings, newton_solve
+from qsrdg.numerics import NewtonSettings, _tolerance, newton_solve
 
 __all__ = [
     "TimeGrid",
@@ -161,7 +167,12 @@ class SchemeConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """States on the grid nodes plus per-step inputs, outputs, Newton
-    residuals and Newton iteration counts."""
+    residuals and Newton iteration counts.
+
+    An iteration count is the number of kept Newton updates of the step,
+    fresh or with reused factors, including the stale updates of a step
+    that started from the factors the last step kept.
+    """
 
     grid: TimeGrid
     states: np.ndarray
@@ -175,7 +186,50 @@ def _as_rows(mat):
     return tuple(tuple(float(x) for x in row) for row in np.atleast_2d(mat))
 
 
-class _DgQsrStepper:
+class _Stepper:
+    """Per-run Newton state of a scheme: the factored Jacobian that the
+    next step's solve starts from, if any, and whether the run still
+    carries factors across steps (see :meth:`_solve`)."""
+
+    def __init__(self, system):
+        self.system = system
+        self._factors = None
+        self._carrying = True
+
+    def _solve(self, residual, start):
+        """Newton from ``start``: the iterate as a float list, the iteration
+        count and the residual.  A stall, a residual above the tolerance
+        of :func:`qsrdg.numerics.newton_solve` at the iterate, warns at the
+        line that called :func:`integrate`, three frames above this one.
+
+        A solve starts from the factors the last step kept, if any.  Such
+        a carried solve costs one float call plus one per stale update; a
+        solve with a fresh pass costs n complex calls, a factorization and
+        at least one float call.  So a step keeps its factors for the next
+        one when its pass converged on the first update, or when it was
+        carried and took no pass (it then made at most n updates).  A
+        carried solve that took a pass cost more than a pass alone, and the
+        run takes a pass on every later step.
+        """
+        carried = self._factors
+        w, its, res, lu = newton_solve(residual, start, _NEWTON, carried)
+        w = w.tolist()
+        converged = res <= _NEWTON.residual_tolerance or res <= _tolerance(_NEWTON, w)
+        if not converged:
+            warnings.warn(
+                f"Newton stalled at residual {res:.3e}",
+                NewtonDidNotConverge,
+                stacklevel=4,
+            )
+        if carried is None:
+            keep = self._carrying and its == 1 and converged
+        else:
+            keep = self._carrying = lu is carried
+        self._factors = lu if keep else None
+        return w, its, res
+
+
+class _DgQsrStepper(_Stepper):
     """Per-run machinery for the structure-preserving scheme.
 
     Every residual call solves (Q D + S)^T hbar = B^T dg / 2 + W^T l for
@@ -192,7 +246,7 @@ class _DgQsrStepper:
     """
 
     def __init__(self, system, config):
-        self.system = system
+        super().__init__(system)
         self.kind = config.dg_kind
         self.q_rows = _as_rows(system.supply.q)
         self.s_rows = _as_rows(system.supply.s)
@@ -285,16 +339,13 @@ class _DgQsrStepper:
             start = [zk + tau * rk for zk, rk in zip(z, rate)]
         last = []
         residual = self._residual(z, h_at_z, ubar, tau, last)
-        w, its, res = _solve(residual, start)
+        w, its, res = self._solve(residual, start)
         # ``last`` holds hbar and dv of newton_solve's last call, at ``w``
         return w, _output(*last, ubar), res, its
 
 
-class _MidpointStepper:
+class _MidpointStepper(_Stepper):
     """Implicit midpoint over the same averaged maps (reference scheme)."""
-
-    def __init__(self, system):
-        self.system = system
 
     def _residual(self, z, ubar, tau):
         drift = self.system.drift
@@ -313,24 +364,10 @@ class _MidpointStepper:
 
     def step(self, z, ubar, tau, start):
         """As :meth:`_DgQsrStepper.step`, without a rest case."""
-        w, its, res = _solve(self._residual(z, ubar, tau), start)
+        w, its, res = self._solve(self._residual(z, ubar, tau), start)
         mid = [(a + b) * 0.5 for a, b in zip(z, w)]
         ybar = _output(self.system.output_map(mid), self.system.feedthrough(mid), ubar)
         return w, ybar, res, its
-
-
-def _solve(residual, start):
-    """Newton from ``start``: the iterate as a float list, the iteration
-    count and the residual.  A stall warns at the line that called
-    :func:`integrate`, three frames above this one."""
-    w, its, res = newton_solve(residual, start, _NEWTON)
-    if res > _NEWTON.residual_tolerance:
-        warnings.warn(
-            f"Newton stalled at residual {res:.3e}",
-            NewtonDidNotConverge,
-            stacklevel=4,
-        )
-    return w.tolist(), its, res
 
 
 def _output(hv, dv, ubar):

@@ -19,15 +19,21 @@ below about 2**-474 (1e-143) in magnitude loses digits, because its
 scaled tangent is subnormal; its absolute error is of that order.
 
 Newton factors the Jacobian of each pass with the elimination code of
-:mod:`qsrdg._kernels` and keeps the factors for later updates of the
-same solve while the observed contraction predicts convergence
-(simplified Newton within one solve; Hairer & Wanner, *Solving ODEs II*
-§IV.8; Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch. 2).
-Every update, fresh or reused, is one substitution and one float
-evaluation of the residual at the new iterate, and Newton stops on that
-float residual, so no Jacobian is ever computed only to confirm
-convergence.  A step that converges on its first update costs one pass
-and one float call; see :func:`newton_solve` for when a pass is taken.
+:mod:`qsrdg._kernels` and keeps the factors for later updates while the
+observed contraction predicts convergence (simplified Newton; Hairer &
+Wanner, *Solving ODEs II* §IV.8; Deuflhard, *Newton Methods for
+Nonlinear Problems*, 2004, ch. 2).  The factors serve later updates of
+the same solve, and a solve returns them, so a caller may start the next
+solve from them instead of a pass: :mod:`qsrdg.integrators` carries them
+from step to step while that costs fewer residual calls.  Every update,
+fresh or reused, is one substitution and one float evaluation of the
+residual at the new iterate, and Newton stops on that float residual, so
+no Jacobian is ever computed only to confirm convergence.  A step that
+converges on its first update costs one pass and one float call, or two
+float calls from carried factors; see :func:`newton_solve` for when a
+pass is taken.  The stop is relative where the iterate is large: a
+residual need not fall below 4 ulps of the iterate's largest entry,
+which exceeds the absolute tolerance only above about 112.
 """
 
 import math
@@ -100,6 +106,8 @@ class NewtonSettings:
 
     ``max_iterations`` caps the passes, not the updates: each pass may
     serve a few reused updates besides its own (see :func:`newton_solve`).
+    ``residual_tolerance`` is absolute; a solve stops at 4 ulps of the
+    iterate where that is larger.
     """
 
     max_iterations: int = 10
@@ -113,9 +121,14 @@ class NewtonSettings:
 
 
 class NewtonResult(NamedTuple):
+    """The iterate, the kept updates, the residual there, and the factors
+    of the solve's last Jacobian pass (the given ones if it took none),
+    which a later solve may start from."""
+
     x: np.ndarray
     iterations: int
     residual: float
+    factors: tuple
 
 
 # a solve that ends on a reused update must reach this fraction of the
@@ -123,12 +136,21 @@ class NewtonResult(NamedTuple):
 _POLISH = 1e-2
 # at most this many reused updates per factorization
 _REUSES_PER_PASS = 4
+# the stop rule's relative part: a few ulps of the iterate's largest entry
+_ULPS = 4.0 * np.finfo(float).eps
 
 
 def _norm(vals):
     # hypot scales internally, so finite entries above 1e154 whose squares
     # overflow still give a finite norm
     return math.hypot(*vals)
+
+
+def _tolerance(settings, x):
+    """The residual a solve must reach at ``x``: ``residual_tolerance``, or
+    4 ulps of the largest entry of ``x`` where that is larger, since a
+    residual w - z - tau F rounds at the scale of w."""
+    return max(settings.residual_tolerance, _ULPS * max(map(abs, x)))
 
 
 def _factored_pass(f, x):
@@ -141,47 +163,57 @@ def newton_solve(
     f: Callable[[Sequence], Sequence],
     x0,
     settings: NewtonSettings = NewtonSettings(),
+    factors=None,
 ) -> NewtonResult:
     """Newton's method ``x <- x - J^{-1} F(x)`` on a square system, reusing
-    the factored Jacobian of the last pass while it converges.
+    factored Jacobians while they converge.
 
-    A Jacobian pass at ``x0`` gives values and factors.  An update
-    substitutes the current values into the current factors and evaluates
-    ``F`` in floats at the new iterate.  It is fresh when the factors come
-    from a pass at the iterate it starts from, reused otherwise:
+    Without ``factors``, a Jacobian pass at ``x0`` gives values and
+    factors.  With ``factors``, from an earlier solve's result, a float
+    call at ``x0`` gives the values and the factors count as reused.  An
+    update substitutes the current values into the current factors and
+    evaluates ``F`` in floats at the new iterate.  It is fresh when the
+    factors come from a pass at the iterate it starts from, reused
+    otherwise.  With tol the :func:`_tolerance` at the iterate:
 
     - after an update that took the residual from r_old to r, with
       theta = r / r_old, the next update reuses the factors when
-      theta^2 r <= ``residual_tolerance``, r_old is finite and fewer
-      than ``_REUSES_PER_PASS`` updates have reused them; else a fresh
-      pass at the iterate comes first;
+      theta^2 r <= tol, r_old is finite and fewer than
+      ``_REUSES_PER_PASS`` updates have reused them (given factors serve
+      at most n updates, n the size of ``x0``); else a fresh pass at the
+      iterate comes first;
     - a reused update that does not lower the residual is discarded, and
       a fresh pass is taken at the iterate it started from;
-    - the solve stops when a fresh update reaches ``residual_tolerance``,
-      or a reused one ``_POLISH`` times it.  A fresh update converges
-      quadratically and lands at the rounding floor; the polish keeps a
-      reused one there too, which a step's balance defect
-      |dg . r| / tau needs (see :mod:`qsrdg.integrators`).
+    - the solve stops when a fresh update reaches tol, or a reused one
+      ``_POLISH`` times it.  A fresh update converges quadratically and
+      lands at the rounding floor; the polish keeps a reused one there
+      too, which a step's balance defect |dg . r| / tau needs (see
+      :mod:`qsrdg.integrators`).
 
     At least one update is made unless the residual at ``x0`` is exactly
     zero, so a start already inside the tolerance still moves to the
     rounding floor.  ``max_iterations`` caps the passes; once they are
     used up, the solve returns the last kept iterate and its residual.
-    ``iterations`` counts the kept updates.
+    ``iterations`` counts the kept updates, fresh and reused.
 
-    The last call to ``f`` is always at the returned iterate: the pass at
-    ``x0`` when its residual is zero, else the float call after the last
-    kept update, or one more float call there when the passes run out on
-    a discarded update.  Non-convergence is not an error here; callers
-    decide.
+    The last call to ``f`` is always at the returned iterate: the first
+    call at ``x0`` when its residual is zero, else the float call after
+    the last kept update, or one more float call there when the passes
+    run out on a discarded update.  Non-convergence is not an error here;
+    callers decide.
     """
-    tol = settings.residual_tolerance
-    passes_left = settings.max_iterations - 1
+    atol = settings.residual_tolerance
+    passes_left = settings.max_iterations
     x = [float(v) for v in x0]
-    lu, vals = _factored_pass(f, x)
+    if factors is None:
+        lu, vals = _factored_pass(f, x)
+        passes_left -= 1
+        reuses, cap = 0, _REUSES_PER_PASS
+    else:
+        lu, vals = factors, _values_of(f(x))
+        reuses, cap = 1, len(x)
     res = _norm(vals)
     its = 0
-    reuses = 0  # updates made with ``lu`` after its fresh one
     while res:
         x_new = [a - b for a, b in zip(x, substitute(lu, vals))]
         vals_new = _values_of(f(x_new))
@@ -190,14 +222,16 @@ def newton_solve(
         if kept:
             x, vals, res_old, res = x_new, vals_new, res, res_new
             its += 1
-            if res <= (tol * _POLISH if reuses else tol):
+            polish = _POLISH if reuses else 1.0
+            # the tolerance is at least ``atol``: a residual below that
+            # stops without the scan of x
+            if res <= atol * polish:
+                break
+            tol = _tolerance(settings, x)
+            if res <= tol * polish:
                 break
             theta = res / res_old
-            if (
-                reuses < _REUSES_PER_PASS
-                and res_old < math.inf
-                and theta * theta * res <= tol
-            ):
+            if reuses < cap and res_old < math.inf and theta * theta * res <= tol:
                 reuses += 1
                 continue
         if not passes_left:
@@ -207,5 +241,5 @@ def newton_solve(
             break
         lu, vals = _factored_pass(f, x)
         passes_left -= 1
-        reuses = 0
-    return NewtonResult(np.array(x), its, res)
+        reuses, cap = 0, _REUSES_PER_PASS
+    return NewtonResult(np.array(x), its, res, lu)

@@ -241,6 +241,70 @@ def test_newton_respects_iteration_cap():
     assert points[-1] == result.x.tolist()
 
 
+def test_newton_stops_at_the_rounding_floor_of_a_large_iterate():
+    # the root 1e4 + 1/3 is no float, so the residual at the nearest one,
+    # 1.8e-12, is above 1e-13; it is below 4 ulps of the iterate, 8.9e-12,
+    # where the solve stops after one update instead of ten passes
+    f, calls, _ = _recording(lambda x: ((x[0] - 1e4) * 3.0 - 1.0,))
+    result = newton_solve(f, (1e4,))
+    assert calls == ["jacobian", "float"]
+    assert result.iterations == 1
+    assert 1e-13 < result.residual <= 4.0 * np.finfo(float).eps * result.x[0]
+
+
+def _factors_of(f, x):
+    """The factors of a Jacobian pass of ``f`` at its root ``x``."""
+    result = newton_solve(f, x)
+    assert result.iterations == 0
+    return result.factors
+
+
+def test_newton_from_given_factors_takes_no_pass_when_they_converge():
+    # the factors of 2x + 1 solve it exactly from any start: one float
+    # call at the start, one after the stale update, and the given
+    # factors come back
+    factors = _factors_of(lambda x: (2.0 * x[0] + 1.0,), (-0.5,))
+    f, calls, points = _recording(lambda x: (2.0 * x[0] + 1.0,))
+    result = newton_solve(f, (10.0,), NewtonSettings(), factors)
+    assert calls == ["float", "float"]
+    assert result.iterations == 1
+    assert result.x[0] == -0.5
+    assert result.factors is factors
+    assert points[-1] == result.x.tolist()
+
+
+def test_newton_from_given_factors_takes_a_pass_after_n_stale_updates():
+    # factors of slope 1 + 2**-20 on a map of slope 1: each stale update
+    # shrinks the error by 2**-20, which predicts convergence, but after
+    # n = 2 of them the residual, 2**-40 sqrt(2), is above the polish
+    # bound, so a fresh pass comes before the third update
+    slope = 1.0 + 2.0**-20
+    factors = _factors_of(
+        lambda x: (slope * (x[0] - 1.0), slope * (x[1] - 2.0)), (1.0, 2.0)
+    )
+    f, calls, points = _recording(lambda x: (x[0] - 1.0, x[1] - 2.0))
+    result = newton_solve(f, (2.0, 3.0), NewtonSettings(), factors)
+    assert calls == ["float"] * 3 + ["jacobian", "jacobian", "float"]
+    assert result.iterations == 3
+    assert result.x.tolist() == [1.0, 2.0]
+    assert result.factors is not factors
+    assert points[-1] == result.x.tolist()
+
+
+def test_newton_discards_a_stale_update_from_given_factors():
+    # factors of slope -1 on a map of slope 1 double the residual; the
+    # update is discarded and a fresh pass at the start gives the root
+    factors = _factors_of(lambda x: (-x[0],), (0.0,))
+    f, calls, points = _recording(lambda x: (x[0] - 1.0,))
+    result = newton_solve(f, (0.0,), NewtonSettings(), factors)
+    assert calls == ["float", "float", "jacobian", "float"]
+    assert points[1] == [-1.0]
+    assert points[2] == [0.0]
+    assert result.iterations == 1
+    assert result.x[0] == 1.0
+    assert result.factors is not factors
+
+
 def test_newton_accepts_finite_values_whose_sum_overflows():
     # five components 1e308 * exp(x_k): at x = 0 the values and the
     # Jacobian columns each sum past the largest float, and after the
