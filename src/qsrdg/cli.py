@@ -8,7 +8,7 @@ Four subcommands cover the standard experiments:
     integrate with the structure-preserving scheme and report the
     per-step power-balance defect
 ``convergence``
-    stepsize sweep against a fine implicit-midpoint reference
+    stepsize sweep against an extrapolated implicit-midpoint reference
 ``checks``
     algebraic spot checks (structure identities, power balance) on
     randomly sampled states and inputs
@@ -21,8 +21,8 @@ prints the PASS/FAIL verdict of the gated ones.  ``--dg`` and
 
 The studies behind the gates are module functions that the acceptance
 tests call too: :func:`reference_trajectory` and
-:func:`convergence_study` for ``convergence`` (which adds the reference
-cache) and :func:`structure_checks` for ``checks``.
+:func:`convergence_study` for ``convergence`` and
+:func:`structure_checks` for ``checks``.
 
 Exit codes: 0 success, 1 a quality gate failed, 2 bad arguments (among
 them a negative ``--seed`` and an ``--s-max`` below 2 or with a coarsest
@@ -34,7 +34,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import statistics
 import sys
 from pathlib import Path
@@ -49,7 +48,6 @@ from .integrators import (
     IMPLICIT_MIDPOINT,
     SchemeConfig,
     TimeGrid,
-    Trajectory,
     discrete_power_balance_residuals,
     integrate,
     relative_error,
@@ -62,7 +60,6 @@ CHECKS_GATE = 1e-9
 ORDER_WINDOW = (1.7, 2.3)
 DEFAULT_SEED = 0
 TAU_MIN = 1e-3
-REFERENCE_REFINEMENT = 8
 
 # the draws and the residual names of structure_checks
 _CHECK_SAMPLES = 100
@@ -112,7 +109,7 @@ def _case(args):
     case = benchmark_settings(args.example)
     if args.zero_input:
         m = case.system.m
-        case = case._replace(control=lambda t: (0.0,) * m)
+        case = case._replace(control=lambda t: (0.0,) * m, breakpoints=())
     return case
 
 
@@ -206,22 +203,35 @@ def cmd_balance(args):
     return _report(args, ["t", "balance_residual"], rows, meta, verdict)
 
 
-def _cache_dir(args):
-    if args.cache_dir is not None:
-        return Path(args.cache_dir)
-    env = os.environ.get("QSRDG_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "qsrdg"
-
-
 def reference_trajectory(case, horizon):
-    """Implicit midpoint at ``TAU_MIN / REFERENCE_REFINEMENT`` over
-    ``horizon``: the reference of the convergence study."""
-    stepsize = TAU_MIN / REFERENCE_REFINEMENT
+    """The reference of the convergence study: implicit midpoint over
+    ``horizon`` on the nodes ``k * TAU_MIN`` and the case's breakpoints,
+    improved by one Richardson step against a second run with every step
+    halved.
+
+    Midpoint with the trapezoidal input mean is symmetric, so on each
+    piece where the control is smooth its global error expands in even
+    powers of the step, and ``fine + (fine - coarse) / 3`` cancels the
+    tau**2 term.  Written in that form, a fixed point stays bit-exact.
+    Only ``grid`` and ``states`` form the reference; the other fields are
+    those of the ``TAU_MIN`` run.
+    """
     config = SchemeConfig(scheme=IMPLICIT_MIDPOINT)
-    grid = TimeGrid.with_step(stepsize, _num_steps(horizon, stepsize))
-    return integrate(case.system, config, grid, case.control, case.initial_state)
+    nodes = TimeGrid.with_step(TAU_MIN, _num_steps(horizon, TAU_MIN)).points
+    inside = [t for t in case.breakpoints if 0.0 < t < nodes[-1]]
+    nodes = np.union1d(nodes, inside)
+    halved = np.empty(2 * nodes.size - 1)
+    halved[::2] = nodes
+    halved[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    coarse, fine = [
+        integrate(
+            case.system, config, TimeGrid(points), case.control, case.initial_state
+        )
+        for points in (nodes, halved)
+    ]
+    fine_states = fine.states[::2]
+    states = fine_states + (fine_states - coarse.states) / 3.0
+    return dataclasses.replace(coarse, states=states)
 
 
 def convergence_study(case, dg_kind, horizon, s_max, reference):
@@ -251,40 +261,6 @@ def convergence_study(case, dg_kind, horizon, s_max, reference):
     return stepsizes, errors, orders, median
 
 
-# (Trajectory field, cache key) pairs; the grid is stored as its nodes
-_CACHE_KEYS = tuple(
-    (f.name, "points" if f.name == "grid" else f.name)
-    for f in dataclasses.fields(Trajectory)
-)
-
-
-def _reference_trajectory(args, case):
-    """:func:`reference_trajectory`, cached on disk per example, input and
-    grid.
-
-    A cache entry that cannot be read in full (corrupt, or written before
-    a column existed) is deleted and rebuilt.
-    """
-    stepsize = TAU_MIN / REFERENCE_REFINEMENT
-    inputs = "zero-input" if args.zero_input else "benchmark-input"
-    key = f"reference-{args.example}-{inputs}-T{args.T:.17g}-tau{stepsize:.17g}.npz"
-    path = _cache_dir(args) / key
-    if path.exists():
-        try:
-            with np.load(path) as bundle:
-                arrays = {name: bundle[key] for name, key in _CACHE_KEYS}
-            arrays["grid"] = TimeGrid(points=arrays["grid"])
-            return Trajectory(**arrays)
-        except Exception:
-            path.unlink(missing_ok=True)
-    trajectory = reference_trajectory(case, args.T)
-    arrays = {key: getattr(trajectory, name) for name, key in _CACHE_KEYS}
-    arrays["points"] = trajectory.grid.points
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **arrays)
-    return trajectory
-
-
 def cmd_convergence(args):
     if args.s_max < 2:
         print("convergence needs --s-max of at least 2", file=sys.stderr)
@@ -299,7 +275,7 @@ def cmd_convergence(args):
         )
         return 2
     case = _case(args)
-    reference = _reference_trajectory(args, case)
+    reference = reference_trajectory(case, args.T)
     stepsizes, errors, orders, median = convergence_study(
         case, _DG_CHOICES[args.dg], args.T, args.s_max, reference
     )
@@ -322,7 +298,6 @@ def cmd_convergence(args):
         "horizon": args.T,
         "s_max": args.s_max,
         "tau_min": TAU_MIN,
-        "reference_refinement": REFERENCE_REFINEMENT,
         "zero_input": args.zero_input,
         "observed_orders": orders,
         "median_order": median,
@@ -426,7 +401,9 @@ def build_parser():
     p.add_argument("--T", type=_positive_float, default=10.0, help="horizon")
     p.set_defaults(func=cmd_balance)
 
-    p = sub.add_parser("convergence", help="stepsize sweep against a fine reference")
+    p = sub.add_parser(
+        "convergence", help="stepsize sweep against an extrapolated reference"
+    )
     add_common(p)
     p.add_argument("--T", type=_positive_float, default=10.0, help="horizon")
     p.add_argument(
@@ -434,12 +411,6 @@ def build_parser():
         type=_positive_int,
         default=5,
         help="coarsest stepsize is 2**s_max times the finest",
-    )
-    p.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="directory for cached reference trajectories",
     )
     p.set_defaults(func=cmd_convergence)
 

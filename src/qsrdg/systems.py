@@ -307,9 +307,17 @@ def make_synthetic(params=SyntheticParams()):
 
 
 class BenchmarkCase(NamedTuple):
+    """A named benchmark run.  ``breakpoints`` are the times where the
+    control is not smooth; a reference run puts a grid node on each."""
+
     system: QsrSystem
     initial_state: np.ndarray
     control: Callable
+    breakpoints: tuple = ()
+
+
+# where t**2 = e**-t, so min(t**2, e**-t) has a kink: 2 W(1/2)
+_PI_KINK = 0.7034674224983917
 
 
 def _pendulum_control(t):
@@ -339,7 +347,7 @@ def benchmark_settings(name):
             make_lti_ocp(), np.array([1.0, 1.0]), _lti_ocp_control
         )
     if name == "pi":
-        return BenchmarkCase(make_pi(), np.array([1.0]), _pi_control)
+        return BenchmarkCase(make_pi(), np.array([1.0]), _pi_control, (_PI_KINK,))
     if name == "synthetic":
         return BenchmarkCase(make_synthetic(), np.array([1.0]), _synthetic_control)
     raise UnknownExample(

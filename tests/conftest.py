@@ -8,13 +8,6 @@ from qsrdg._kernels import value
 from qsrdg.dgradients import _guard_sq
 
 
-@pytest.fixture(scope="session")
-def cache_dir(tmp_path_factory):
-    """Shared reference-trajectory cache so CLI tests pay for the fine
-    integration only once."""
-    return tmp_path_factory.mktemp("reference-cache")
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -11,6 +11,7 @@ import pytest
 
 from qsrdg import cli
 from qsrdg.errors import GridMismatch, IntegrationError
+from qsrdg.systems import benchmark_settings
 
 
 def run(args, **kwargs):
@@ -134,13 +135,10 @@ def test_balance_reports_failure_exit_code(tmp_path, monkeypatch):
     assert code == 1
 
 
-def test_convergence_runs_and_caches(tmp_path, cache_dir, capsys):
+def test_convergence_runs_and_caches(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     code = run(
-        [
-            "convergence", "--example", "pi", "--s-max", 2, "--T", 2.0,
-            "--cache-dir", cache_dir, "--out", out,
-        ]
+        ["convergence", "--example", "pi", "--s-max", 2, "--T", 2.0, "--out", out]
     )
     assert code == 0
     header, rows = read_csv(out)
@@ -153,79 +151,52 @@ def test_convergence_runs_and_caches(tmp_path, cache_dir, capsys):
     assert all(1.7 <= o <= 2.3 for o in orders)
     assert "PASS" in capsys.readouterr().out
 
-    cached = list(cache_dir.glob("reference-pi-*.npz"))
-    assert len(cached) == 1
-
     meta = json.loads(out.with_suffix(".meta.json").read_text())
     assert 1.7 <= meta["median_order"] <= 2.3
     assert meta["s_max"] == 2
 
 
-def test_convergence_cache_hit_is_deterministic(tmp_path, cache_dir):
+def test_convergence_is_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     for out in (a, b):
         assert run(
-            [
-                "convergence", "--example", "pi", "--s-max", 2, "--T", 2.0,
-                "--cache-dir", cache_dir, "--out", out,
-            ]
+            ["convergence", "--example", "pi", "--s-max", 2, "--T", 2.0, "--out", out]
         ) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_convergence_recovers_from_corrupt_cache(tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    out = tmp_path / "conv.csv"
-    args = [
-        "convergence", "--example", "pi", "--s-max", 2, "--T", 1.0,
-        "--cache-dir", cache, "--out", out,
-    ]
-    assert run(args) == 0
-    (entry,) = cache.glob("reference-pi-*.npz")
-    entry.write_bytes(b"not an archive")
-    assert run(args) == 0
-    first = out.read_bytes()
-    assert run(args) == 0
-    assert out.read_bytes() == first
+def test_reference_matches_closed_forms():
+    # the forced pi run integrates its control, z(t) = 1 + int_0^t u, across
+    # the kink of min(t^2, e^-t); the unforced lti-ocp regulator rotates
+    # and grows at rate 0.1
+    horizon = 2.0
+    pi = benchmark_settings("pi")
+    (kink,) = pi.breakpoints
+
+    def pi_exact(t):
+        if t <= kink:
+            return [1.0 + t**3 / 3.0]
+        return [1.0 + kink**3 / 3.0 + math.exp(-kink) - math.exp(-t)]
+
+    def lti_exact(t):
+        grow = math.exp(0.1 * t)
+        return [grow * (math.cos(t) + math.sin(t)), grow * (math.cos(t) - math.sin(t))]
+
+    lti = benchmark_settings("lti-ocp")._replace(control=lambda t: 0.0)
+    for case, exact in ((pi, pi_exact), (lti, lti_exact)):
+        reference = cli.reference_trajectory(case, horizon)
+        points = reference.grid.points
+        assert points[-1] == horizon
+        want = np.array([exact(t) for t in points])
+        worst = np.max(
+            np.linalg.norm(reference.states - want, axis=1)
+            / np.linalg.norm(want, axis=1)
+        )
+        assert worst <= 1e-12, worst
 
 
-def test_convergence_rebuilds_cache_without_iterations_column(tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    out = tmp_path / "conv.csv"
-    args = [
-        "convergence", "--example", "pi", "--s-max", 2, "--T", 1.0,
-        "--cache-dir", cache, "--out", out,
-    ]
-    assert run(args) == 0
-    first = out.read_bytes()
-    (entry,) = cache.glob("reference-pi-*.npz")
-    with np.load(entry) as bundle:
-        fields = {k: bundle[k] for k in bundle.files if k != "newton_iterations"}
-    # an entry as written before the column existed, with states that
-    # would change the result if they were read
-    fields["states"] = fields["states"] + 1.0
-    np.savez(entry, **fields)
-    assert run(args) == 0
-    assert out.read_bytes() == first
-    with np.load(entry) as bundle:
-        assert "newton_iterations" in bundle.files
-        assert np.all(bundle["newton_iterations"] >= 1)
-
-
-def test_convergence_cache_dir_from_environment(tmp_path, monkeypatch):
-    env_cache = tmp_path / "envcache"
-    monkeypatch.setenv("QSRDG_CACHE_DIR", str(env_cache))
-    out = tmp_path / "conv.csv"
-    assert run(
-        ["convergence", "--example", "pi", "--s-max", 2, "--T", 1.0, "--out", out]
-    ) == 0
-    assert list(env_cache.glob("reference-pi-*.npz"))
-
-
-def test_convergence_gate_failure_exit_code(tmp_path, cache_dir, monkeypatch):
+def test_convergence_gate_failure_exit_code(tmp_path, monkeypatch):
     calls = {"n": 0}
     real = cli.relative_error
 
@@ -237,27 +208,11 @@ def test_convergence_gate_failure_exit_code(tmp_path, cache_dir, monkeypatch):
     code = run(
         [
             "convergence", "--example", "pi", "--s-max", 2, "--T", 2.0,
-            "--cache-dir", cache_dir, "--out", tmp_path / "flat.csv",
+            "--out", tmp_path / "flat.csv",
         ]
     )
     assert code == 1
     assert calls["n"] == 3
-
-
-def test_convergence_cache_keeps_forced_and_zero_input_apart(tmp_path):
-    # a zero-input sweep must not reuse the forced reference cached for
-    # the same example and grid
-    base = ["convergence", "--example", "lti-ocp", "--s-max", 2, "--T", 1.0]
-    shared = tmp_path / "shared"
-    forced = tmp_path / "forced.csv"
-    assert run(base + ["--cache-dir", shared, "--out", forced]) == 0
-    zero = base + ["--zero-input"]
-    reused = tmp_path / "reused.csv"
-    fresh = tmp_path / "fresh.csv"
-    assert run(zero + ["--cache-dir", shared, "--out", reused]) == 0
-    assert run(zero + ["--cache-dir", tmp_path / "fresh", "--out", fresh]) == 0
-    assert reused.read_bytes() == fresh.read_bytes()
-    assert len(list(shared.glob("reference-lti-ocp-*.npz"))) == 2
 
 
 def test_convergence_exact_result_has_no_observed_order(tmp_path, capsys):
@@ -267,7 +222,7 @@ def test_convergence_exact_result_has_no_observed_order(tmp_path, capsys):
     code = run(
         [
             "convergence", "--example", "pi", "--zero-input", "--s-max", 2,
-            "--T", 1.0, "--cache-dir", tmp_path / "cache", "--out", out,
+            "--T", 1.0, "--out", out,
         ]
     )
     assert code == 1
@@ -336,7 +291,7 @@ def test_integration_failure_maps_to_exit_three(monkeypatch, tmp_path):
     assert code == 3
 
 
-def test_grid_mismatch_maps_to_exit_four(monkeypatch, tmp_path, cache_dir):
+def test_grid_mismatch_maps_to_exit_four(monkeypatch, tmp_path):
     def mismatch(trajectory, reference):
         raise GridMismatch("node not on the reference grid")
 
@@ -344,13 +299,17 @@ def test_grid_mismatch_maps_to_exit_four(monkeypatch, tmp_path, cache_dir):
     code = run(
         [
             "convergence", "--example", "pi", "--s-max", 2, "--T", 2.0,
-            "--cache-dir", cache_dir, "--out", tmp_path / "x.csv",
+            "--out", tmp_path / "x.csv",
         ]
     )
     assert code == 4
 
 
-def test_bad_arguments_exit_two(tmp_path):
+def test_bad_arguments_exit_two(monkeypatch):
+    def no_reference(case, horizon):
+        raise AssertionError("a refused sweep built its reference")
+
+    monkeypatch.setattr(cli, "reference_trajectory", no_reference)
     with pytest.raises(SystemExit) as info:
         run(["simulate", "--example", "rotor"])
     assert info.value.code == 2
@@ -365,13 +324,9 @@ def test_bad_arguments_exit_two(tmp_path):
         run(["checks", "--example", "pi", "--seed", -1])
     assert info.value.code == 2
     # a sweep whose coarsest step does not fit the horizon is refused
-    # before the reference is built or cached
-    cache = tmp_path / "cache"
+    # before the reference is built
     for too_coarse in (["--T", 0.01, "--s-max", 5], ["--T", 1.0, "--s-max", 2000]):
-        assert run(
-            ["convergence", "--example", "pi", "--cache-dir", cache, *too_coarse]
-        ) == 2
-        assert not cache.exists() or not any(cache.iterdir())
+        assert run(["convergence", "--example", "pi", *too_coarse]) == 2
 
 
 @pytest.mark.parametrize("command", ("simulate", "balance", "convergence"))

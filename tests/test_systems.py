@@ -201,10 +201,15 @@ def test_benchmark_controls_frozen_values():
     np.testing.assert_allclose(pi.initial_state, [1.0])
     assert pi.control(0.5) == 0.25  # min(t^2, e^-t) takes the parabola early
     assert math.isclose(pi.control(2.0), math.exp(-2.0), rel_tol=1e-15)
+    # the kink of min(t^2, e^-t), where the two branches meet
+    (kink,) = pi.breakpoints
+    assert abs(kink * kink - math.exp(-kink)) <= math.ulp(kink * kink)
 
     syn = benchmark_settings("synthetic")
     np.testing.assert_allclose(syn.initial_state, [1.0])
     assert math.isclose(syn.control(5.0), 0.3861950800601765, rel_tol=1e-13)
+
+    assert pend.breakpoints == lti.breakpoints == syn.breakpoints == ()
 
 
 # Riccati machinery ----------------------------------------------------
