@@ -12,9 +12,14 @@ difference quotients (exact as well, but not symmetric in z and w).  The
 mean-value kind integrates the gradient along the segment by composite
 five-point Gauss-Legendre quadrature.  It starts from one panel and
 doubles the number of equal panels until the secant defect, computed in
-floats, is at most 1e-12 (or a few ulps of the storage values, whichever
-is larger); it raises :class:`QuadratureNotConverged` if the panel cap is
-reached first.
+floats, is at most 1e-12 (or a few ulps of the magnitudes entering it,
+whichever is larger); it raises :class:`QuadratureNotConverged` if the
+panel cap is reached first.
+
+All three take H(w) - H(z) from the storage's ``difference``, never as a
+difference of two values: that one cancels as w -> z, and the quotients
+divide it by |w - z|.  So an increment is special only when it is exactly
+zero.
 
 The five-point rule is symmetric: nodes s and 1 - s share a weight, and
 the centre node is 1/2.  The composite forms delta = w - z once per call
@@ -71,21 +76,28 @@ _W0, _W1, _W2 = _GAUSS_WEIGHTS[:3]
 
 @dataclass(frozen=True)
 class StorageFunction:
-    """Scalar storage (energy) function with its gradient map.
+    """Scalar storage (energy) function with its gradient map and its
+    differences.
 
-    Both callables must follow the generic-scalar contract of
+    ``difference(a, b)`` is H(b) - H(a), accurate relative to its own
+    result, not to |H|: a closed form that does not cancel as b -> a (for
+    1 - cos q, 2 sin((q_b - q_a)/2) sin((q_b + q_a)/2)).  The discrete
+    gradients divide it by increments down to rounding size and never
+    subtract two values.  ``value`` serves the balance audit
+    (:func:`qsrdg.integrators.discrete_power_balance_residuals`), which
+    subtracts two values and so checks ``difference`` independently, to
+    about eps (|H(a)| + |H(b)|).
+
+    All three callables must follow the generic-scalar contract of
     :mod:`qsrdg.gmath` (accept sequences of floats or complex pass
     scalars, use its functions for transcendentals and ``abs``, branch on
-    value parts): Newton differentiates them by complex steps.  Near a
-    minimum of H, ``value`` must be accurate relative to H - min H, not
-    only to H: the discrete gradients divide its differences by small
-    increments, so a form that cancels there (1 - cos q rather than
-    2 sin^2(q/2)) puts a floor under the Newton residual.
+    value parts): Newton differentiates them by complex steps.
     """
 
     value: Callable
     gradient: Callable
     dim: int
+    difference: Callable
 
 
 @dataclass(frozen=True)
@@ -106,43 +118,33 @@ def mean_value():
 
     The panel count doubles from one until the secant defect
     ``|H(w) - H(z) - d.(w - z)|`` is at most 1e-12 or a few ulps of
-    ``|H(z)| + |H(w)| + sum_k |d_k (w_k - z_k)|``, whichever is larger.
+    ``|H(w) - H(z)| + sum_k |d_k (w_k - z_k)|``, whichever is larger.
     """
     return DiscreteGradientKind("mean-value")
 
 
-def _guard_sq(z):
-    """Squared radius of the Gonzalez guard ball around ``z``."""
-    return (1e-12 * (1.0 + math.sqrt(sum(a * a for a in z)))) ** 2
-
-
-def _gonzalez(storage, z, w, h_at_z, mid, guard_sq):
+def _gonzalez(storage, z, w, mid):
     g_mid = storage.gradient(mid)
     d = [b - a for a, b in zip(z, w)]
     d_sq = norm_sq(d)
-    # closed form blows up as w -> z; inside the guard ball the midpoint
-    # gradient alone is consistent
-    if value(d_sq) <= guard_sq:
+    if value(d_sq) == 0.0:
         return g_mid
-    c = (storage.value(w) - h_at_z - dot(g_mid, d)) / d_sq
+    c = (storage.difference(z, w) - dot(g_mid, d)) / d_sq
     return [g + c * dk for g, dk in zip(g_mid, d)]
 
 
-def _itoh_abe(storage, z, w, h_at_z):
+def _itoh_abe(storage, z, w):
     v = list(z)
-    prev = h_at_z
     out = []
     for k, (zk, wk) in enumerate(zip(z, w)):
-        if abs(value(wk) - zk) <= 1e-14 * (1.0 + abs(zk)):
+        if value(wk) == zk:
             # 0/0 quotient: partial derivative at the partially-updated point
             out.append(storage.gradient(v)[k])
             v[k] = wk
-            prev = storage.value(v)
         else:
+            prev = list(v)
             v[k] = wk
-            cur = storage.value(v)
-            out.append((cur - prev) / (wk - zk))
-            prev = cur
+            out.append(storage.difference(prev, v) / (wk - zk))
     return out
 
 
@@ -180,12 +182,12 @@ def _composite_gauss(storage, z, w, delta, panels):
     return [sum(col) / panels for col in zip(*parts)]
 
 
-def _mean_value(storage, z, w, h_at_z):
+def _mean_value(storage, z, w):
     # ``.real`` is the value part of floats and complex pass scalars alike
     w_vals = [b.real for b in w]
     delta = [b - a for a, b in zip(z, w)]
     step = [dk.real for dk in delta]
-    h_at_w = storage.value(w_vals)
+    dh = storage.difference(z, w_vals)
     # the panel count is chosen on value parts only, so a Jacobian pass
     # and the float evaluation agree on it; past the first panel it is
     # searched in floats, and a complex ``w`` gets its composite once, at
@@ -194,12 +196,12 @@ def _mean_value(storage, z, w, h_at_z):
     panels = 1
     while True:
         terms = [dk.real * sk for dk, sk in zip(d, step)]
-        defect = abs(h_at_w - h_at_z - sum(terms))
+        defect = abs(dh - sum(terms))
         # the tolerance is the larger of the two, so meeting the fixed one
         # settles it without the rounding floor
         if defect <= _MEAN_VALUE_TOL:
             break
-        scale = abs(h_at_z) + abs(h_at_w) + sum(abs(t) for t in terms)
+        scale = abs(dh) + sum(abs(t) for t in terms)
         tol = max(_MEAN_VALUE_TOL, _ULP_FLOOR * scale)
         if defect <= tol:
             break
@@ -217,18 +219,17 @@ def _mean_value(storage, z, w, h_at_z):
     return d
 
 
-def _evaluate(kind, storage, z, w, h_at_z, mid, guard_sq):
+def _evaluate(kind, storage, z, w, mid):
     """Generic-scalar evaluation: ``z`` is float, ``w`` may be complex.
 
-    The last three arguments are constants that every caller already has:
-    H(z), the midpoint (z + w) / 2 and ``_guard_sq(z)``.  Only Gonzalez
-    reads the midpoint and the guard.
+    ``mid`` is the midpoint (z + w) / 2, which every caller already has;
+    only Gonzalez reads it.
     """
     if kind.variant == "gonzalez":
-        return _gonzalez(storage, z, w, h_at_z, mid, guard_sq)
+        return _gonzalez(storage, z, w, mid)
     if kind.variant == "itoh-abe":
-        return _itoh_abe(storage, z, w, h_at_z)
-    return _mean_value(storage, z, w, h_at_z)
+        return _itoh_abe(storage, z, w)
+    return _mean_value(storage, z, w)
 
 
 def discrete_gradient(kind, storage, z, w):
@@ -238,6 +239,6 @@ def discrete_gradient(kind, storage, z, w):
     if len(z) != storage.dim or len(w) != storage.dim:
         raise ValueError(f"storage dim {storage.dim}; len(z) {len(z)}, len(w) {len(w)}")
     mid = [(a + b) * 0.5 for a, b in zip(z, w)]
-    d = _evaluate(kind, storage, z, w, storage.value(z), mid, _guard_sq(z))
+    d = _evaluate(kind, storage, z, w, mid)
     return np.array([value(g) for g in d])
 

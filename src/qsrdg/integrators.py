@@ -21,12 +21,16 @@ update, which converges quadratically, or on an update with reused
 factors only once the residual is a hundredth of the tolerance (see
 :func:`qsrdg.numerics.newton_solve`).  A solve that starts from factors
 carried from the last step makes only reused updates, so it ends at a
-hundredth of the tolerance or takes a fresh pass first.  Even so the
-defect cannot fall below the rounding limit of (H(w) - H(z)) / tau in
-floats, about eps (|H(z)| + |H(w)|) / tau, which exceeds 1e-10 below
-tau = 1e-5 on the pendulum.  Nor can the residual fall far below the
-ulp of the state, so for states beyond about 112 the tolerance is 4
-ulps of the state's largest entry, and the defect bound grows with it.
+hundredth of the tolerance or takes a fresh pass first.  The step takes
+H(w) - H(z) from the storage's closed-form ``difference``, which keeps
+its relative accuracy as w -> z.  The audit,
+:func:`discrete_power_balance_residuals`, subtracts two values instead.
+That checks the closed form independently, but the audited defect
+cannot fall below the rounding of the two values, about
+eps (|H(z)| + |H(w)|) / tau, which exceeds 1e-10 below tau = 1e-5 on the
+pendulum.  Nor can the residual fall far below the ulp of the state, so
+for states beyond about 112 the tolerance is 4 ulps of the state's
+largest entry, and the defect bound grows with it.
 
 Both schemes end a step the same way: :meth:`_Stepper._solve` runs
 Newton, carries its factors to the next step while that saves residual
@@ -59,7 +63,7 @@ from qsrdg._kernels import dot, factor, matvec, norm_sq, substitute, tmatvec, va
 # factors once per feedthrough value and calls substitute instead, so
 # the traced full solves now count zero
 from qsrdg._kernels import solve_generic  # noqa: F401
-from qsrdg.dgradients import GONZALEZ, DiscreteGradientKind, _evaluate, _guard_sq
+from qsrdg.dgradients import GONZALEZ, DiscreteGradientKind, _evaluate
 from qsrdg.errors import (
     GridMismatch,
     IntegrationError,
@@ -267,19 +271,17 @@ class _DgQsrStepper(_Stepper):
         self._lu = factor(mt)
         self._dv_key = key
 
-    def _terms(self, z, h_at_z, guard_sq, w):
+    def _terms(self, z, w):
         """Shared two-point quantities of the structure-preserving step.
 
         Works on generic scalars: ``z`` holds floats, ``w`` may be complex.
-        ``h_at_z`` and ``guard_sq`` are the step's constants H(z) and the
-        Gonzalez guard (see :func:`qsrdg.dgradients._evaluate`).
         Returns the discrete gradient, its squared norm, the midpoint
         drift, input and feedthrough evaluations, the recovered output,
         and the numerator of the drift coefficient.
         """
         system = self.system
         mid = [(a + b) * 0.5 for a, b in zip(z, w)]
-        dg = _evaluate(self.kind, system.storage, z, w, h_at_z, mid, guard_sq)
+        dg = _evaluate(self.kind, system.storage, z, w, mid)
         g2 = norm_sq(dg)
         fv = system.drift(mid)
         bv = system.input_map(mid)
@@ -296,14 +298,13 @@ class _DgQsrStepper(_Stepper):
         gam_num = dot(hbar, qh) - norm_sq(lv)
         return dg, g2, fv, bv, dv, hbar, gam_num
 
-    def _residual(self, z, h_at_z, ubar, tau, last):
+    def _residual(self, z, ubar, tau, last):
         """The step's Newton residual; each call leaves the output terms
         ``hbar`` and ``dv`` at its point in ``last``."""
         terms = self._terms
-        guard_sq = _guard_sq(z)
 
         def residual(w):
-            dg, g2, fv, bv, dv, hbar, gam_num = terms(z, h_at_z, guard_sq, w)
+            dg, g2, fv, bv, dv, hbar, gam_num = terms(z, w)
             last[:] = (hbar, dv)
             if value(g2) == 0.0:
                 raise ZeroDirection(
@@ -329,7 +330,6 @@ class _DgQsrStepper(_Stepper):
         update.
         """
         system = self.system
-        h_at_z = system.storage.value(z)
         if norm_sq(system.storage.gradient(z)) == 0.0:
             bu = matvec(system.input_map(z), ubar)
             rate = [fk + bk for fk, bk in zip(system.drift(z), bu)]
@@ -338,7 +338,7 @@ class _DgQsrStepper(_Stepper):
                 return z, ybar, 0.0, 0
             start = [zk + tau * rk for zk, rk in zip(z, rate)]
         last = []
-        residual = self._residual(z, h_at_z, ubar, tau, last)
+        residual = self._residual(z, ubar, tau, last)
         w, its, res = self._solve(residual, start)
         # ``last`` holds hbar and dv of newton_solve's last call, at ``w``
         return w, _output(*last, ubar), res, its

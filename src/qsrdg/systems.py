@@ -68,6 +68,11 @@ def make_pendulum(params=PendulumParams()):
         s = gm.sin(0.5 * z[0])
         return 2.0 * g * s * s + 0.5 * z[1] * z[1]
 
+    # sin^2 x - sin^2 y = sin(x - y) sin(x + y)
+    def energy_difference(a, b):
+        dq = gm.sin(0.5 * (b[0] - a[0])) * gm.sin(0.5 * (b[0] + a[0]))
+        return 2.0 * g * dq + 0.5 * (b[1] - a[1]) * (b[1] + a[1])
+
     def energy_grad(z):
         return [g * gm.sin(z[0]), z[1]]
 
@@ -90,7 +95,7 @@ def make_pendulum(params=PendulumParams()):
         return ((0.0,),)
 
     return QsrSystem(
-        storage=StorageFunction(energy, energy_grad, dim=2),
+        storage=StorageFunction(energy, energy_grad, 2, energy_difference),
         supply=SupplyRate(q=[[-lam]], s=[[0.5]], r=[[0.0]]),
         drift=drift,
         input_map=input_map,
@@ -137,6 +142,11 @@ def make_lti_ocp(params=LtiOcpParams()):
     def value(z):
         return 0.5 * dot(z, matvec(p_rows, z))
 
+    # P is symmetric, so b^T P b - a^T P a = (b - a)^T P (b + a)
+    def difference(a, b):
+        diff = [y - x for x, y in zip(a, b)]
+        return 0.5 * dot(diff, matvec(p_rows, [y + x for x, y in zip(a, b)]))
+
     def gradient(z):
         return matvec(p_rows, z)
 
@@ -160,7 +170,7 @@ def make_lti_ocp(params=LtiOcpParams()):
 
     half_eye = 0.5 * np.eye(m)
     return QsrSystem(
-        storage=StorageFunction(value, gradient, dim=n),
+        storage=StorageFunction(value, gradient, n, difference),
         supply=SupplyRate(q=half_eye, s=half_eye, r=np.zeros((m, m))),
         drift=drift,
         input_map=input_map,
@@ -206,6 +216,12 @@ def make_pi(params=PiParams(), channels=1):
             acc = acc + z[k] * z[k]
         return 0.5 * ki * acc
 
+    def difference(a, b):
+        acc = (b[0] - a[0]) * (b[0] + a[0])
+        for k in range(1, n):
+            acc = acc + (b[k] - a[k]) * (b[k] + a[k])
+        return 0.5 * ki * acc
+
     def gradient(z):
         return [ki * z[k] for k in range(n)]
 
@@ -228,7 +244,7 @@ def make_pi(params=PiParams(), channels=1):
         return zero_pm
 
     return QsrSystem(
-        storage=StorageFunction(value, gradient, dim=n),
+        storage=StorageFunction(value, gradient, n, difference),
         supply=SupplyRate(
             q=np.zeros((n, n)), s=0.5 * np.eye(n), r=-kp * np.eye(n)
         ),
@@ -265,6 +281,11 @@ def make_synthetic(params=SyntheticParams()):
     def value(z):
         return 0.5 * alpha * gm.arctan(z[0] * z[0])
 
+    # arctan B - arctan A = arctan((B - A) / (1 + A B)) for A B > -1
+    def difference(a, b):
+        x, y = a[0], b[0]
+        return 0.5 * alpha * gm.arctan((y - x) * (y + x) / (1.0 + x * x * y * y))
+
     def gradient(z):
         x = z[0]
         x2 = x * x
@@ -295,7 +316,7 @@ def make_synthetic(params=SyntheticParams()):
         return ((0.0,),)
 
     return QsrSystem(
-        storage=StorageFunction(value, gradient, dim=1),
+        storage=StorageFunction(value, gradient, 1, difference),
         supply=SupplyRate(q=[[-1.0]], s=[[0.0]], r=[[lam * lam]]),
         drift=drift,
         input_map=input_map,

@@ -5,7 +5,6 @@ import pytest
 
 from qsrdg import integrators
 from qsrdg._kernels import value
-from qsrdg.dgradients import _guard_sq
 
 
 @pytest.fixture
@@ -23,8 +22,7 @@ def _scheme_oracle(system, kind, z, w):
     z = [float(v) for v in z]
     w = [float(v) for v in w]
     stepper = integrators._DgQsrStepper(system, integrators.SchemeConfig(dg_kind=kind))
-    h_at_z = system.storage.value(z)
-    _, g2, _, _, _, hbar, gam_num = stepper._terms(z, h_at_z, _guard_sq(z), w)
+    _, g2, _, _, _, hbar, gam_num = stepper._terms(z, w)
     g2 = value(g2)
     gamma = value(gam_num) / g2 if g2 else math.nan
     return np.array([value(x) for x in hbar]), gamma

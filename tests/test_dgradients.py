@@ -24,7 +24,6 @@ from qsrdg.dgradients import (
     StorageFunction,
     _composite_gauss,
     _evaluate,
-    _guard_sq,
     discrete_gradient,
     mean_value,
 )
@@ -39,12 +38,26 @@ pendulum_energy = StorageFunction(
     value=lambda z: PENDULUM_GRAVITY * (1.0 - cos(z[0])) + 0.5 * z[1] * z[1],
     gradient=lambda z: (PENDULUM_GRAVITY * sin(z[0]), z[1]),
     dim=2,
+    # cos a - cos b = 2 sin((b - a) / 2) sin((b + a) / 2)
+    difference=lambda a, b: (
+        2.0 * PENDULUM_GRAVITY * sin(0.5 * (b[0] - a[0])) * sin(0.5 * (b[0] + a[0]))
+        + 0.5 * (b[1] - a[1]) * (b[1] + a[1])
+    ),
 )
+
+
+def _quadratic_difference(a, b):
+    # (b - a)^T A (b + a) / 2 with the symmetric A of ``quadratic_matrix``
+    d0, d1 = b[0] - a[0], b[1] - a[1]
+    s0, s1 = b[0] + a[0], b[1] + a[1]
+    return 0.5 * (d0 * (2.0 * s0 + s1) + d1 * (s0 + 3.0 * s1))
+
 
 quadratic = StorageFunction(
     value=lambda z: 0.5 * (2.0 * z[0] * z[0] + 2.0 * z[0] * z[1] + 3.0 * z[1] * z[1]),
     gradient=lambda z: (2.0 * z[0] + z[1], z[0] + 3.0 * z[1]),
     dim=2,
+    difference=_quadratic_difference,
 )
 quadratic_matrix = np.array([[2.0, 1.0], [1.0, 3.0]])
 
@@ -56,13 +69,19 @@ def _cusp_gradient(z):
 
 # gradient with an integrable singularity at the origin
 cusp_energy = StorageFunction(
-    value=lambda z: sqrt(abs(z[0])), gradient=_cusp_gradient, dim=1
+    value=lambda z: sqrt(abs(z[0])),
+    gradient=_cusp_gradient,
+    dim=1,
+    difference=lambda a, b: sqrt(abs(b[0])) - sqrt(abs(a[0])),
 )
 
 quartic_well = StorageFunction(
     value=lambda z: 0.25 * z[0] ** 4,
     gradient=lambda z: (z[0] ** 3,),
     dim=1,
+    difference=lambda a, b: (
+        0.25 * (b[0] - a[0]) * (b[0] + a[0]) * (b[0] * b[0] + a[0] * a[0])
+    ),
 )
 
 ALL_KINDS = (GONZALEZ, ITOH_ABE, mean_value())
@@ -75,10 +94,9 @@ coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
 def _evaluate_pair(kind, storage, z, w):
-    """``_evaluate`` with the step constants of the pair: H(z), the
-    midpoint and the Gonzalez guard."""
+    """``_evaluate`` with the midpoint of the pair."""
     mid = [(a + b) * 0.5 for a, b in zip(z, w)]
-    return _evaluate(kind, storage, z, w, storage.value(z), mid, _guard_sq(z))
+    return _evaluate(kind, storage, z, w, mid)
 
 
 def secant_defect(kind, storage, z, w):
@@ -100,6 +118,7 @@ def test_gonzalez_simple_quadratic_oracle():
         value=lambda z: 0.5 * (z[0] * z[0] + z[1] * z[1]),
         gradient=lambda z: (z[0], z[1]),
         dim=2,
+        difference=lambda a, b: 0.5 * sum((y - x) * (y + x) for x, y in zip(a, b)),
     )
     d = discrete_gradient(GONZALEZ, storage, (0.0, 0.0), (2.0, 0.0))
     np.testing.assert_allclose(d, [1.0, 0.0], atol=1e-15)
@@ -130,6 +149,9 @@ def test_itoh_abe_coordinate_increments_oracle():
         value=lambda z: z[0] * z[0] * z[1],
         gradient=lambda z: (2.0 * z[0] * z[1], z[0] * z[0]),
         dim=2,
+        difference=lambda a, b: (
+            (b[0] - a[0]) * (b[0] + a[0]) * b[1] + a[0] * a[0] * (b[1] - a[1])
+        ),
     )
     d = discrete_gradient(ITOH_ABE, storage, (-1.0, 1.0), (2.0, 3.0))
     np.testing.assert_allclose(d, [1.0, 4.0], rtol=1e-14)
@@ -259,7 +281,9 @@ def test_mean_value_refinement_takes_one_dual_composite():
         calls["dual" if isinstance(z[0], Dual) else "float"] += 1
         return storage.gradient(z)
 
-    counting = StorageFunction(storage.value, counted_gradient, storage.dim)
+    counting = StorageFunction(
+        storage.value, counted_gradient, storage.dim, storage.difference
+    )
     kind = mean_value()
     d = _evaluate_pair(kind, counting, [-1.0], [complex(3.0, _H)])
     assert calls == {"dual": 5 + 5 * 32, "float": 5 * (2 + 4 + 8 + 16 + 32)}
@@ -313,6 +337,7 @@ def test_paired_panel_matches_the_node_by_node_sum(name):
                 assert err <= rtol * scale
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
 @given(
     name=st.sampled_from(EXAMPLE_NAMES),
     z=st.lists(coords, min_size=2, max_size=2),
@@ -320,11 +345,13 @@ def test_paired_panel_matches_the_node_by_node_sum(name):
     exponent=st.floats(min_value=-14.0, max_value=-1.0),
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_mean_value_axioms_hold_at_every_separation(name, z, angle, exponent):
+def test_discrete_gradient_axioms_hold_at_every_separation(
+    kind, name, z, angle, exponent
+):
     # |w - z| from 1e-1 down to 1e-14: no guard, so the consistency error
-    # shrinks with the separation down to rounding, and the secant defect
-    # stays at the kind's 1e-12 tolerance; every |H''| on the box is at
-    # most 9.81, so C = 10 bounds |d - grad H(z)| / |w - z|
+    # shrinks with the separation down to rounding, a few ulps of
+    # grad H(z), and the secant defect stays at 1e-12; every |H''| on the
+    # box is at most 9.81, so C = 10 bounds |d - grad H(z)| / |w - z|
     storage = EXAMPLE_STORAGES[name]
     z = z[: storage.dim]
     unit = (math.cos(angle), math.sin(angle))[: storage.dim]
@@ -332,9 +359,11 @@ def test_mean_value_axioms_hold_at_every_separation(name, z, angle, exponent):
     w = [a + 10.0**exponent * u for a, u in zip(z, unit)]
     step = np.subtract(w, z)
     sep = float(np.linalg.norm(step))
-    d = discrete_gradient(mean_value(), storage, z, w)
+    d = discrete_gradient(kind, storage, z, w)
     grad = np.array([value(g) for g in storage.gradient(z)])
-    assert np.linalg.norm(d - grad) <= 10.0 * sep + math.sqrt(np.finfo(float).eps)
+    eps = float(np.finfo(float).eps)
+    bound = 10.0 * sep + 16.0 * eps * (1.0 + float(np.linalg.norm(grad)))
+    assert np.linalg.norm(d - grad) <= bound
     assert abs(storage.value(w) - storage.value(z) - float(d @ step)) <= 1e-12
 
 
@@ -352,10 +381,14 @@ def test_mean_value_raises_at_panel_cap_on_singular_gradient():
 
 def test_mean_value_non_finite_defect_raises_at_once():
     # H(w) overflows to inf, which no refinement can mend
+    def value(z):
+        return 0.25 * z[0] * z[0] * z[0] * z[0]
+
     storage = StorageFunction(
-        value=lambda z: 0.25 * z[0] * z[0] * z[0] * z[0],
+        value=value,
         gradient=lambda z: (z[0] * z[0] * z[0],),
         dim=1,
+        difference=lambda a, b: value(b) - value(a),
     )
     with pytest.raises(NonFiniteEvaluation):
         discrete_gradient(mean_value(), storage, (0.0,), (1e100,))
@@ -385,3 +418,10 @@ def test_discrete_gradient_rejects_lengths_other_than_the_storage_dim(kind, z, w
 def test_storage_function_dim_is_advisory_metadata():
     assert pendulum_energy.dim == 2
     assert quartic_well.dim == 1
+
+
+def test_storage_function_requires_a_difference():
+    # no default: a storage without a closed-form difference would need
+    # the value-difference quotients that cancel as w -> z
+    with pytest.raises(TypeError, match="difference"):
+        StorageFunction(quartic_well.value, quartic_well.gradient, 1)

@@ -47,7 +47,10 @@ def scalar_decay_system():
     """H = z^2/2, f = -z, passive output y = z: plain exponential decay."""
     return QsrSystem(
         storage=StorageFunction(
-            value=lambda z: 0.5 * z[0] * z[0], gradient=lambda z: (z[0],), dim=1
+            value=lambda z: 0.5 * z[0] * z[0],
+            gradient=lambda z: (z[0],),
+            dim=1,
+            difference=lambda a, b: 0.5 * (b[0] - a[0]) * (b[0] + a[0]),
         ),
         supply=SupplyRate(q=0.0, s=0.5, r=0.0),
         drift=lambda z: [-z[0]],
@@ -96,7 +99,10 @@ def varying_feedthrough_system(shared=False):
 
     return QsrSystem(
         storage=StorageFunction(
-            value=lambda z: 0.5 * z[0] * z[0], gradient=lambda z: (z[0],), dim=1
+            value=lambda z: 0.5 * z[0] * z[0],
+            gradient=lambda z: (z[0],),
+            dim=1,
+            difference=lambda a, b: 0.5 * (b[0] - a[0]) * (b[0] + a[0]),
         ),
         supply=SupplyRate(q=-1.0, s=0.0, r=1.0),
         drift=lambda z: [-1.25 * z[0]],
@@ -468,7 +474,9 @@ def test_integrate_validates_initial_state():
         ),
         pytest.param(
             lambda s: {
-                "storage": StorageFunction(s.storage.value, lambda z: [z[0]], dim=2)
+                "storage": StorageFunction(
+                    s.storage.value, lambda z: [z[0]], 2, s.storage.difference
+                )
             },
             "storage gradient returned shape (1,), expected (2,)",
             id="short-gradient",
@@ -682,8 +690,14 @@ def test_integration_error_wraps_unconverged_quadrature():
         r = gm.sqrt(gm.abs(z[0]))
         return (0.5 / r if gm.value(z[0]) > 0.0 else -0.5 / r,)
 
+    def cusp_value(z):
+        return gm.sqrt(gm.abs(z[0]))
+
     cusp = StorageFunction(
-        value=lambda z: gm.sqrt(gm.abs(z[0])), gradient=cusp_gradient, dim=1
+        value=cusp_value,
+        gradient=cusp_gradient,
+        dim=1,
+        difference=lambda a, b: cusp_value(b) - cusp_value(a),
     )
     sys_ = dataclasses.replace(scalar_decay_system(), storage=cusp)
     config = SchemeConfig(dg_kind=mean_value())
@@ -1033,10 +1047,9 @@ def test_dual_pass_values_equal_float_residual_bit_for_bit(name, kind, rng):
     # pass's values; every call of the pass must give the same numbers
     case = benchmark_settings(name)
     stepper = integrators._DgQsrStepper(case.system, SchemeConfig(dg_kind=kind))
-    storage = case.system.storage
     mismatches = 0
     for z, w, ubar in _random_pairs(case, rng, 200):
-        residual = stepper._residual(z, storage.value(z), ubar, 0.05, [])
+        residual = stepper._residual(z, ubar, 0.05, [])
         mismatches += _value_mismatches(residual, w)
     assert mismatches == 0
 
@@ -1106,9 +1119,7 @@ def test_residual_jacobian_on_three_channels_matches_central_differences(drift, 
             z = rng.uniform(0.5, 1.5, 3).tolist()
             w = (np.array(z) + 0.1 * rng.standard_normal(3)).tolist()
             ubar = rng.standard_normal(3).tolist()
-            residual = stepper._residual(
-                z, system.storage.value(z), ubar, 0.05, []
-            )
+            residual = stepper._residual(z, ubar, 0.05, [])
             rows, _ = _jacobian_with_values(residual, w)
             for k in range(3):
                 up, dn = list(w), list(w)
@@ -1256,9 +1267,7 @@ def test_varying_feedthrough_residual_jacobian_matches_central_differences(rng):
             z = rng.uniform(0.5, 1.5, 1).tolist()
             w = [z[0] + 0.1 * rng.standard_normal()]
             ubar = rng.standard_normal(1).tolist()
-            residual = stepper._residual(
-                z, system.storage.value(z), ubar, 0.05, []
-            )
+            residual = stepper._residual(z, ubar, 0.05, [])
             rows, _ = _jacobian_with_values(residual, w)
             up, dn = [w[0] + h], [w[0] - h]
             column = (residual(up)[0] - residual(dn)[0]) / (2 * h)

@@ -171,7 +171,10 @@ def test_structure_identity_detects_wrong_feedthrough():
 
 def test_system_dimension_inference_and_validation():
     storage = StorageFunction(
-        value=lambda z: 0.5 * z[0] * z[0], gradient=lambda z: (z[0],), dim=1
+        value=lambda z: 0.5 * z[0] * z[0],
+        gradient=lambda z: (z[0],),
+        dim=1,
+        difference=lambda a, b: 0.5 * (b[0] - a[0]) * (b[0] + a[0]),
     )
     supply = SupplyRate(q=0.0, s=0.5, r=0.0)
     sys_ = QsrSystem(

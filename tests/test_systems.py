@@ -168,6 +168,46 @@ def test_synthetic_factory():
     assert custom.supply.r[0, 0] == 4.0
 
 
+EPS = float(np.finfo(float).eps)
+
+FACTORY_STORAGES = [
+    pytest.param(benchmark_settings(name).system.storage, id=name)
+    for name in EXAMPLE_NAMES
+] + [pytest.param(make_pi(channels=3).storage, id="pi-3")]
+
+
+@pytest.mark.parametrize("storage", FACTORY_STORAGES)
+def test_storage_difference_equals_the_value_difference(storage):
+    # apart from coincidence the two agree to the rounding of the values
+    sampler = np.random.default_rng(11)
+    for _ in range(500):
+        a = sampler.uniform(-2.0, 2.0, storage.dim).tolist()
+        b = sampler.uniform(-2.0, 2.0, storage.dim).tolist()
+        ha, hb = storage.value(a), storage.value(b)
+        assert abs(storage.difference(a, b) - (hb - ha)) <= 4.0 * EPS * (
+            abs(ha) + abs(hb)
+        )
+
+
+@pytest.mark.parametrize("storage", FACTORY_STORAGES)
+def test_storage_difference_keeps_its_accuracy_near_coincidence(storage):
+    # H(b) - H(a) = grad H(mid) . (b - a) + O(|b - a|^3); a difference of
+    # two values would be off by about eps |H| instead, far above this
+    # bound once |b - a| is small
+    sampler = np.random.default_rng(12)
+    for exponent in range(-9, -15, -1):
+        for _ in range(100):
+            a = sampler.uniform(-2.0, 2.0, storage.dim)
+            unit = sampler.standard_normal(storage.dim)
+            b = a + 10.0**exponent * unit / np.linalg.norm(unit)
+            step = b - a
+            grad = np.asarray(storage.gradient(((a + b) * 0.5).tolist()))
+            got = storage.difference(a.tolist(), b.tolist())
+            assert abs(got - float(grad @ step)) <= 1e-12 * float(
+                np.linalg.norm(grad) * np.linalg.norm(step)
+            )
+
+
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 @pytest.mark.parametrize(
     "factory, params, field",
