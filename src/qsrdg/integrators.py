@@ -14,16 +14,17 @@ as the second-order reference scheme without the balance guarantee.
 accepted state and dg the discrete gradient there, the balance defect of
 a step is |dg . r| / tau.  So the 1e-13 residual tolerance alone bounds
 it only by |dg| 1e-13 / tau, about 1.4e-10 for the pendulum at
-tau = 5e-3.  The benchmark runs measure at most 1.4e-11 only because
-Newton ends at the rounding floor, far below the tolerance: it updates
-every start whose residual is not exactly zero, and it stops on a fresh
-update, which converges quadratically, or on an update with reused
-factors only once the residual is a hundredth of the tolerance (see
-:func:`qsrdg.numerics.newton_solve`).  A solve that starts from factors
-carried from the last step makes only reused updates, so it ends at a
-hundredth of the tolerance or takes a fresh pass first.  The step takes
-H(w) - H(z) from the storage's closed-form ``difference``, which keeps
-its relative accuracy as w -> z.  The audit,
+tau = 5e-3.  The benchmark runs measure at most 1.9e-11 only because
+Newton ends at the rounding floor, far below the tolerance: it keeps a
+start without an update only when its residual is at most a hundredth
+of the tolerance (and within 4 ulps of the start), and it stops on a
+fresh update, which converges quadratically, or on an update with
+reused factors only once the residual is a hundredth of the tolerance
+(see :func:`qsrdg.numerics.newton_solve`).  A solve that starts from
+factors carried from the last step makes only reused updates, so it
+ends at a hundredth of the tolerance or takes a fresh pass first.  The
+step takes H(w) - H(z) from the storage's closed-form ``difference``,
+which keeps its relative accuracy as w -> z.  The audit,
 :func:`discrete_power_balance_residuals`, subtracts two values instead.
 That checks the closed form independently, but the audited defect
 cannot fall below the rounding of the two values, about
@@ -53,6 +54,7 @@ import math
 import numbers
 import operator
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +177,9 @@ class Trajectory:
 
     An iteration count is the number of kept Newton updates of the step,
     fresh or with reused factors, including the stale updates of a step
-    that started from the factors the last step kept.
+    that started from the factors the last step kept.  A count of 0 means
+    the start was accepted as it was: its residual was on the rounding
+    floor, or the step stayed at rest at a critical point of H.
     """
 
     grid: TimeGrid
@@ -202,21 +206,24 @@ class _Stepper:
 
     def _solve(self, residual, start):
         """Newton from ``start``: the iterate as a float list, the iteration
-        count and the residual.  A stall, a residual above the tolerance
-        of :func:`qsrdg.numerics.newton_solve` at the iterate, warns at the
-        line that called :func:`integrate`, three frames above this one.
+        count, the residual and the residual's values there, from which
+        :func:`integrate` forms the step's increment.  A stall, a residual
+        above the tolerance of :func:`qsrdg.numerics.newton_solve` at the
+        iterate, warns at the line that called :func:`integrate`, three
+        frames above this one.
 
         A solve starts from the factors the last step kept, if any.  Such
         a carried solve costs one float call plus one per stale update; a
         solve with a fresh pass costs n complex calls, a factorization and
-        at least one float call.  So a step keeps its factors for the next
-        one when its pass converged on the first update, or when it was
-        carried and took no pass (it then made at most n updates).  A
-        carried solve that took a pass cost more than a pass alone, and the
-        run takes a pass on every later step.
+        one float call per update.  So a step keeps its factors for the
+        next one when its pass converged within one update (none, when the
+        start was on the rounding floor), or when it was carried and took
+        no pass (it then made at most n updates).  A carried solve that
+        took a pass cost more than a pass alone, and the run takes a pass
+        on every later step.
         """
         carried = self._factors
-        w, its, res, lu = newton_solve(residual, start, _NEWTON, carried)
+        w, its, res, lu, vals = newton_solve(residual, start, _NEWTON, carried)
         w = w.tolist()
         converged = res <= _NEWTON.residual_tolerance or res <= _tolerance(_NEWTON, w)
         if not converged:
@@ -226,11 +233,11 @@ class _Stepper:
                 stacklevel=4,
             )
         if carried is None:
-            keep = self._carrying and its == 1 and converged
+            keep = self._carrying and its <= 1 and converged
         else:
             keep = self._carrying = lu is carried
         self._factors = lu if keep else None
-        return w, its, res
+        return w, its, res, vals
 
 
 class _DgQsrStepper(_Stepper):
@@ -320,14 +327,15 @@ class _DgQsrStepper(_Stepper):
         return residual
 
     def step(self, z, ubar, tau, start):
-        """One step from ``z``, Newton from ``start``: ``(w, ybar, residual, its)``.
+        """One step from ``z``, Newton from ``start``: ``(w, ybar, residual,
+        its, values)``, with ``values`` the residual vector at ``w``.
 
         Where |grad H(z)|^2 is 0.0 in floats, a critical point of H, Newton
         starts from the Euler predictor z + tau (f(z) + B(z) ubar) whatever
         ``start`` is.  If that does not move, w = z solves the step exactly
         (supply minus dissipation is grad H . (f + B ubar) = 0 there) and
-        is returned with output h(z) + D(z) ubar, residual 0 and no Newton
-        update.
+        is returned with output h(z) + D(z) ubar, residual 0, no Newton
+        update and zero residual values, so the step's increment is 0.
         """
         system = self.system
         if norm_sq(system.storage.gradient(z)) == 0.0:
@@ -335,13 +343,13 @@ class _DgQsrStepper(_Stepper):
             rate = [fk + bk for fk, bk in zip(system.drift(z), bu)]
             if not any(rate):
                 ybar = _output(system.output_map(z), system.feedthrough(z), ubar)
-                return z, ybar, 0.0, 0
+                return z, ybar, 0.0, 0, [0.0] * len(z)
             start = [zk + tau * rk for zk, rk in zip(z, rate)]
         last = []
         residual = self._residual(z, ubar, tau, last)
-        w, its, res = self._solve(residual, start)
+        w, its, res, vals = self._solve(residual, start)
         # ``last`` holds hbar and dv of newton_solve's last call, at ``w``
-        return w, _output(*last, ubar), res, its
+        return w, _output(*last, ubar), res, its, vals
 
 
 class _MidpointStepper(_Stepper):
@@ -364,10 +372,10 @@ class _MidpointStepper(_Stepper):
 
     def step(self, z, ubar, tau, start):
         """As :meth:`_DgQsrStepper.step`, without a rest case."""
-        w, its, res = self._solve(self._residual(z, ubar, tau), start)
+        w, its, res, vals = self._solve(self._residual(z, ubar, tau), start)
         mid = [(a + b) * 0.5 for a, b in zip(z, w)]
         ybar = _output(self.system.output_map(mid), self.system.feedthrough(mid), ubar)
-        return w, ybar, res, its
+        return w, ybar, res, its, vals
 
 
 def _output(hv, dv, ubar):
@@ -421,6 +429,38 @@ def _check_map_shapes(system, z):
             raise ValueError(f"{name} returned shape {got}, expected {shape}")
 
 
+def _predictor_weights(widths, tau):
+    """Lagrange weights, at the midpoint of a step of length ``tau``, of
+    the midpoints of the one to four consecutive steps of lengths
+    ``widths`` (oldest first) that lead up to it; fewer than four are
+    padded with leading zeros.
+
+    The nodes are taken as distances d_k from that midpoint, so the
+    weights l_k = prod_{j != k} d_j / (d_j - d_k) keep their accuracy
+    however far the run is from t = 0.  On equal steps they are
+    (-1, 4, -6, 4), (0, 1, -3, 3), (0, 0, -1, 2) and (0, 0, 0, 1).
+    """
+    count = len(widths)
+    d3 = 0.5 * (tau + widths[-1])
+    if count == 1:
+        return (0.0, 0.0, 0.0, 1.0)
+    d2 = d3 + 0.5 * (widths[-1] + widths[-2])
+    if count == 2:
+        return (0.0, 0.0, d3 / (d3 - d2), d2 / (d2 - d3))
+    d1 = d2 + 0.5 * (widths[-2] + widths[-3])
+    e, f, g = d1 - d2, d1 - d3, d2 - d3
+    if count == 3:
+        return (0.0, d2 * d3 / (e * f), -d1 * d3 / (e * g), d1 * d2 / (f * g))
+    d0 = d1 + 0.5 * (widths[-3] + widths[-4])
+    a, b, c = d0 - d1, d0 - d2, d0 - d3
+    return (
+        -d1 * d2 * d3 / (a * b * c),
+        d0 * d2 * d3 / (a * e * f),
+        -d0 * d1 * d3 / (b * e * g),
+        d0 * d1 * d2 / (c * f * g),
+    )
+
+
 def integrate(system, config, grid, control, z0):
     """March the configured scheme over ``grid`` from ``z0``.
 
@@ -436,22 +476,30 @@ def integrate(system, config, grid, control, z0):
     The loop works on Python lists and builds the five arrays of the
     :class:`Trajectory` once, after the last step.
 
-    Newton starts each step from a polynomial extrapolation of the states
-    already computed, evaluated at t_{i+1}.  From the third step on that
-    is the quadratic through the last three states, in divided-difference
-    form with ``h1 = tau_{i-1}``, ``h0 = tau_{i-2}``::
+    Newton starts each step from an extrapolation of the step increments
+    already computed.  Step i records its increment
+    ``V_i = (z_{i+1} - z_i - r_i) / tau_i``, r_i the residual vector of
+    the accepted state, at the abscissa ``s_i = t_i + tau_i / 2``.  That is
+    the scheme's right-hand side at the accepted state; subtracting r_i
+    keeps Newton's residual out of it, and the difference of the two
+    nearby states is exact, so V_i has the relative accuracy of the
+    right-hand side.  Step i starts from::
 
-        z_i + (tau_i / h1) (z_i - z_{i-1})
-            + tau_i (tau_i + h1) / (h1 + h0)
-              * ((z_i - z_{i-1}) / h1 - (z_{i-1} - z_{i-2}) / h0)
+        z_i + tau_i * sum_k l_k(t_i + tau_i / 2) V_k
 
-    which is O(tau^3) accurate on smooth runs, so a step usually needs a
-    single Newton update.  The first two steps differ: the first starts
-    from z_0 and the second from the linear extrapolation
-    ``z_1 + (tau_1 / tau_0) (z_1 - z_0)``; a dg-qsr step from a critical
-    point of H overrides the start (see ``_DgQsrStepper.step``).
-    The difference form returns z_i bit for bit when the last three states
-    are equal, so fixed points stay exact.
+    over the last min(i, 4) increments, with l_k the Lagrange weights of
+    their abscissae (see :func:`_predictor_weights`): on equal steps
+    (-1, 4, -6, 4), oldest first.  On a smooth run the increments are
+    samples of a smooth function of the abscissa, so the cubic through
+    four of them is O(tau^4) off the new step's increment and the start
+    O(tau^5) off its solution; on smooth small steps it usually sits on
+    the rounding floor, where Newton keeps it without an update.  The
+    first step starts from z_0; with one increment the start is the
+    linear extrapolation of the states and with two the quadratic, up to
+    the residual term.  A dg-qsr step from a critical
+    point of H overrides the start (see ``_DgQsrStepper.step``).  An
+    unmoved run records zero increments, so its start is z_i bit for bit
+    and fixed points stay exact.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.n,):
@@ -471,25 +519,23 @@ def integrate(system, config, grid, control, z0):
     outputs = []
     residuals = []
     iterations = []
-    prev = prev2 = prev_tau = left = None
+    # the last four increments and their step lengths, oldest first; until
+    # four steps are done, zero increments with zero weights fill the rest
+    increments = deque([[0.0] * system.n] * 4, maxlen=4)
+    widths = deque(maxlen=4)
+    left = None
     for i in range(grid.num_steps):
         t = pts[i]
         tau = pts[i + 1] - t
         ubar, left = _averaged_input(control, t, tau, m, left)
-        if prev2 is not None:
-            ratio = tau / prev_tau
-            curve = tau * (tau + prev_tau) / (prev_tau + prev2_tau)
+        if widths:
+            l0, l1, l2, l3 = _predictor_weights(widths, tau)
             start = [
-                a
-                + ratio * (a - b)
-                + curve * ((a - b) / prev_tau - (b - c) / prev2_tau)
-                for a, b, c in zip(z, prev, prev2)
+                zk + tau * (l0 * a + l1 * b + l2 * c + l3 * d)
+                for zk, a, b, c, d in zip(z, *increments)
             ]
-        elif prev is not None:
-            ratio = tau / prev_tau
-            start = [a + ratio * (a - b) for a, b in zip(z, prev)]
         try:
-            w, ybar, res, its = stepper.step(z, ubar, tau, start)
+            w, ybar, res, its, vals = stepper.step(z, ubar, tau, start)
         except (
             ZeroDirection,
             SingularMatrix,
@@ -497,8 +543,9 @@ def integrate(system, config, grid, control, z0):
             QuadratureNotConverged,
         ) as exc:
             raise IntegrationError(i, t, str(exc), np.array(z)) from exc
-        prev2, prev2_tau = prev, prev_tau
-        prev, prev_tau, z = z, tau, w
+        increments.append([(a - b - r) / tau for a, b, r in zip(w, z, vals)])
+        widths.append(tau)
+        z = w
         states.append(z)
         inputs.append(ubar)
         outputs.append(ybar)

@@ -28,12 +28,15 @@ solve from them instead of a pass: :mod:`qsrdg.integrators` carries them
 from step to step while that costs fewer residual calls.  Every update,
 fresh or reused, is one substitution and one float evaluation of the
 residual at the new iterate, and Newton stops on that float residual, so
-no Jacobian is ever computed only to confirm convergence.  A step that
-converges on its first update costs one pass and one float call, or two
-float calls from carried factors; see :func:`newton_solve` for when a
-pass is taken.  The stop is relative where the iterate is large: a
-residual need not fall below 4 ulps of the iterate's largest entry,
-which exceeds the absolute tolerance only above about 112.
+no Jacobian is ever computed only to confirm convergence.  A start whose
+residual is already on the rounding floor gets no update at all.  So a
+step whose start is on the floor costs one float call from carried
+factors, or one pass; a step that converges on its first update costs
+one pass and one float call, or two float calls from carried factors;
+see :func:`newton_solve` for when a pass is taken.  The stop is relative
+where the iterate is large: a residual need not fall below 4 ulps of the
+iterate's largest entry, which exceeds the absolute tolerance only above
+about 112.
 """
 
 import math
@@ -121,14 +124,16 @@ class NewtonSettings:
 
 
 class NewtonResult(NamedTuple):
-    """The iterate, the kept updates, the residual there, and the factors
-    of the solve's last Jacobian pass (the given ones if it took none),
-    which a later solve may start from."""
+    """The iterate, the kept updates, the residual there, the factors of
+    the solve's last Jacobian pass (the given ones if it took none), which
+    a later solve may start from, and the residual's values at the
+    iterate, a list of floats."""
 
     x: np.ndarray
     iterations: int
     residual: float
     factors: tuple
+    values: list
 
 
 # a solve that ends on a reused update must reach this fraction of the
@@ -190,17 +195,22 @@ def newton_solve(
       too, which a step's balance defect |dg . r| / tau needs (see
       :mod:`qsrdg.integrators`).
 
-    At least one update is made unless the residual at ``x0`` is exactly
-    zero, so a start already inside the tolerance still moves to the
-    rounding floor.  ``max_iterations`` caps the passes; once they are
-    used up, the solve returns the last kept iterate and its residual.
-    ``iterations`` counts the kept updates, fresh and reused.
+    No update is made when the residual at ``x0`` is already on the
+    rounding floor: at most ``_POLISH`` times the absolute tolerance,
+    the bound a reused update must reach, and at most 4 ulps of the
+    largest entry of ``x0``.  The second bound keeps the floor relative:
+    a start that is tiny in absolute terms but wrong by O(1) still gets
+    its updates.  Every other start gets at least one, so a start inside
+    the tolerance but above the floor still moves to it.
+    ``max_iterations`` caps the passes; once they are used up, the solve
+    returns the last kept iterate and its residual.  ``iterations``
+    counts the kept updates, fresh and reused; 0 means ``x0`` was kept.
 
-    The last call to ``f`` is always at the returned iterate: the first
-    call at ``x0`` when its residual is zero, else the float call after
-    the last kept update, or one more float call there when the passes
-    run out on a discarded update.  Non-convergence is not an error here;
-    callers decide.
+    The last call to ``f`` is always at the returned iterate, and
+    ``values`` are its value parts: the first call at ``x0`` when that
+    start is kept, else the float call after the last kept update, or one
+    more float call there when the passes run out on a discarded update.
+    Non-convergence is not an error here; callers decide.
     """
     atol = settings.residual_tolerance
     passes_left = settings.max_iterations
@@ -214,7 +224,10 @@ def newton_solve(
         reuses, cap = 1, len(x)
     res = _norm(vals)
     its = 0
-    while res:
+    # a start on the rounding floor is kept
+    if res <= atol * _POLISH and res <= _ULPS * max(map(abs, x)):
+        return NewtonResult(np.array(x), its, res, lu, vals)
+    while True:
         x_new = [a - b for a, b in zip(x, substitute(lu, vals))]
         vals_new = _values_of(f(x_new))
         res_new = _norm(vals_new)
@@ -242,4 +255,4 @@ def newton_solve(
         lu, vals = _factored_pass(f, x)
         passes_left -= 1
         reuses, cap = 0, _REUSES_PER_PASS
-    return NewtonResult(np.array(x), its, res, lu)
+    return NewtonResult(np.array(x), its, res, lu, vals)

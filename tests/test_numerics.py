@@ -218,8 +218,9 @@ def test_newton_ends_at_the_last_kept_iterate_when_a_reuse_fails_at_the_cap():
 
 
 def test_newton_updates_a_start_inside_the_tolerance():
-    # a start whose residual 1e-14 already meets the tolerance still gets
-    # one update, which lands at the root
+    # a start whose residual 1e-14 already meets the tolerance, but not
+    # the rounding floor min(1e-15, 4 ulps of the start), still gets one
+    # update, which lands at the root
     f, calls, points = _recording(lambda x: (x[0] * x[0] - 4.0,))
     result = newton_solve(f, (2.0 + 2.5e-15,))
     assert calls == ["jacobian", "float"]
@@ -270,6 +271,34 @@ def test_newton_from_given_factors_takes_no_pass_when_they_converge():
     assert result.iterations == 1
     assert result.x[0] == -0.5
     assert result.factors is factors
+    assert points[-1] == result.x.tolist()
+
+
+def test_newton_keeps_a_start_on_the_rounding_floor():
+    # sqrt(2) rounded leaves x^2 - 2 at 4.4e-16, below 1e-15 and below 4
+    # ulps of the start, 1.3e-15: the float call at the start is the only
+    # one, and the given factors come back with its values
+    factors = _factors_of(lambda x: (x[0] * x[0] - 4.0,), (2.0,))
+    f, calls, points = _recording(lambda x: (x[0] * x[0] - 2.0,))
+    start = math.sqrt(2.0)
+    result = newton_solve(f, (start,), NewtonSettings(), factors)
+    assert calls == ["float"]
+    assert result.iterations == 0
+    assert result.x.tolist() == [start] == points[-1]
+    assert result.factors is factors
+    assert result.values == [start * start - 2.0] != [0.0]
+    assert result.residual == start * start - 2.0
+
+
+def test_newton_updates_a_tiny_start_above_its_own_rounding_floor():
+    # at x = 2e-70 the residual x - 1e-70 is far below 1e-15, but far
+    # above 4 ulps of x, so the start is wrong by O(1) relative and gets
+    # the update that lands at the root
+    f, calls, points = _recording(lambda x: (x[0] - 1e-70,))
+    result = newton_solve(f, (2e-70,))
+    assert calls == ["jacobian", "float"]
+    assert result.iterations == 1
+    assert result.x[0] == 1e-70
     assert points[-1] == result.x.tolist()
 
 
