@@ -34,8 +34,10 @@ for states beyond about 112 the tolerance is 4 ulps of the state's
 largest entry, and the defect bound grows with it.
 
 Both schemes end a step the same way: :meth:`_Stepper._solve` runs
-Newton, carries its factors to the next step while that saves residual
-calls, and warns on a stall, and :func:`_output` forms y = h + D ubar
+Newton from a start extrapolated through up to eight step increments
+(see :func:`integrate`), carries its factors to the next step while that
+saves residual calls, solves a stalled step once more from its own state
+and warns when that stalls too, and :func:`_output` forms y = h + D ubar
 in floats.
 
 All two-point averages are midpoint evaluations, phi((z + w) / 2); the
@@ -177,9 +179,11 @@ class Trajectory:
 
     An iteration count is the number of kept Newton updates of the step,
     fresh or with reused factors, including the stale updates of a step
-    that started from the factors the last step kept.  A count of 0 means
-    the start was accepted as it was: its residual was on the rounding
-    floor, or the step stayed at rest at a critical point of H.
+    that started from the factors the last step kept.  A step whose solve
+    stalled and was solved again from its own state counts the updates of
+    both solves, whichever result it kept.  A count of 0 means the start
+    was accepted as it was: its residual was on the rounding floor, or the
+    step stayed at rest at a critical point of H.
     """
 
     grid: TimeGrid
@@ -204,13 +208,23 @@ class _Stepper:
         self._factors = None
         self._carrying = True
 
-    def _solve(self, residual, start):
+    def _solve(self, residual, z, start):
         """Newton from ``start``: the iterate as a float list, the iteration
         count, the residual and the residual's values there, from which
-        :func:`integrate` forms the step's increment.  A stall, a residual
-        above the tolerance of :func:`qsrdg.numerics.newton_solve` at the
-        iterate, warns at the line that called :func:`integrate`, three
-        frames above this one.
+        :func:`integrate` forms the step's increment.  The last call to
+        ``residual`` is at the returned iterate.
+
+        A solve stalls when its residual is above the tolerance of
+        :func:`qsrdg.numerics.newton_solve` at its iterate.  A solve that
+        stalls and did not start from ``z`` with a fresh pass is solved
+        once more from ``z`` with a fresh pass (Deuflhard 2004, ch. 3): an
+        extrapolated or carried start can be worse than the step's own
+        state when the steps are coarse.  The step keeps the result with
+        the lower residual, calling ``residual`` once more at it when that
+        is the first one, and counts the updates of both solves.  Smooth
+        runs never stall, so they never retry.  A stall of the kept result
+        warns at the line that called :func:`integrate`, three frames
+        above this one.
 
         A solve starts from the factors the last step kept, if any.  Such
         a carried solve costs one float call plus one per stale update; a
@@ -220,24 +234,40 @@ class _Stepper:
         start was on the rounding floor), or when it was carried and took
         no pass (it then made at most n updates).  A carried solve that
         took a pass cost more than a pass alone, and the run takes a pass
-        on every later step.
+        on every later step.  A retried step keeps no factors.
         """
         carried = self._factors
         w, its, res, lu, vals = newton_solve(residual, start, _NEWTON, carried)
         w = w.tolist()
-        converged = res <= _NEWTON.residual_tolerance or res <= _tolerance(_NEWTON, w)
-        if not converged:
+        stalled = _stalled(w, res)
+        retried = stalled and (carried is not None or start != z)
+        if retried:
+            x, more, res_z, _, vals_z = newton_solve(residual, z, _NEWTON)
+            its += more
+            if res_z < res:
+                w, res, vals = x.tolist(), res_z, vals_z
+            else:
+                # the step reads the output terms of the last call
+                residual(w)
+            stalled = _stalled(w, res)
+        if stalled:
             warnings.warn(
                 f"Newton stalled at residual {res:.3e}",
                 NewtonDidNotConverge,
                 stacklevel=4,
             )
         if carried is None:
-            keep = self._carrying and its <= 1 and converged
+            keep = self._carrying and its <= 1 and not stalled
         else:
             keep = self._carrying = lu is carried
-        self._factors = lu if keep else None
+        self._factors = lu if keep and not retried else None
         return w, its, res, vals
+
+
+def _stalled(w, res):
+    """Whether the residual ``res`` at ``w`` is above the tolerance of
+    :func:`qsrdg.numerics.newton_solve` there."""
+    return res > _NEWTON.residual_tolerance and res > _tolerance(_NEWTON, w)
 
 
 class _DgQsrStepper(_Stepper):
@@ -336,18 +366,21 @@ class _DgQsrStepper(_Stepper):
         (supply minus dissipation is grad H . (f + B ubar) = 0 there) and
         is returned with output h(z) + D(z) ubar, residual 0, no Newton
         update and zero residual values, so the step's increment is 0.
+        A stalled solve there retries from the Euler predictor, not from
+        z, whose discrete gradient vanishes.
         """
         system = self.system
+        retry = z
         if norm_sq(system.storage.gradient(z)) == 0.0:
             bu = matvec(system.input_map(z), ubar)
             rate = [fk + bk for fk, bk in zip(system.drift(z), bu)]
             if not any(rate):
                 ybar = _output(system.output_map(z), system.feedthrough(z), ubar)
                 return z, ybar, 0.0, 0, [0.0] * len(z)
-            start = [zk + tau * rk for zk, rk in zip(z, rate)]
+            start = retry = [zk + tau * rk for zk, rk in zip(z, rate)]
         last = []
         residual = self._residual(z, ubar, tau, last)
-        w, its, res, vals = self._solve(residual, start)
+        w, its, res, vals = self._solve(residual, retry, start)
         # ``last`` holds hbar and dv of newton_solve's last call, at ``w``
         return w, _output(*last, ubar), res, its, vals
 
@@ -372,7 +405,7 @@ class _MidpointStepper(_Stepper):
 
     def step(self, z, ubar, tau, start):
         """As :meth:`_DgQsrStepper.step`, without a rest case."""
-        w, its, res, vals = self._solve(self._residual(z, ubar, tau), start)
+        w, its, res, vals = self._solve(self._residual(z, ubar, tau), z, start)
         mid = [(a + b) * 0.5 for a, b in zip(z, w)]
         ybar = _output(self.system.output_map(mid), self.system.feedthrough(mid), ubar)
         return w, ybar, res, its, vals
@@ -431,16 +464,16 @@ def _check_map_shapes(system, z):
 
 def _predictor_weights(widths, tau):
     """Lagrange weights, at the midpoint of a step of length ``tau``, of
-    the midpoints of the one to four consecutive steps of lengths
-    ``widths`` (oldest first) that lead up to it; fewer than four are
-    padded with leading zeros.
+    the midpoints of the last one to four of the consecutive steps of
+    lengths ``widths`` (oldest first) that lead up to it; fewer than four
+    are padded with leading zeros.
 
     The nodes are taken as distances d_k from that midpoint, so the
     weights l_k = prod_{j != k} d_j / (d_j - d_k) keep their accuracy
     however far the run is from t = 0.  On equal steps they are
     (-1, 4, -6, 4), (0, 1, -3, 3), (0, 0, -1, 2) and (0, 0, 0, 1).
     """
-    count = len(widths)
+    count = min(len(widths), 4)
     d3 = 0.5 * (tau + widths[-1])
     if count == 1:
         return (0.0, 0.0, 0.0, 1.0)
@@ -459,6 +492,37 @@ def _predictor_weights(widths, tau):
         -d0 * d1 * d3 / (b * e * g),
         d0 * d1 * d2 / (c * f * g),
     )
+
+
+# a start extrapolates through at most this many step increments
+_INCREMENTS = 8
+# _EQUAL_STEP_WEIGHTS[c]: the weights of the last c increments on equal
+# steps, (-1)^(c - k + 1) C(c, k) for k = 0..c-1, oldest first, padded
+# with leading zeros to _INCREMENTS
+_EQUAL_STEP_WEIGHTS = tuple(
+    (0.0,) * (_INCREMENTS - c)
+    + tuple(float((-1) ** (c - k + 1) * math.comb(c, k)) for k in range(c))
+    for c in range(_INCREMENTS + 1)
+)
+# steps are equal when they differ by at most this many times the last
+# node: a grid node rounds to within half an ulp of itself
+_EQUAL_STEP_ULPS = 4.0 * np.finfo(float).eps
+
+
+def _start_weights(widths, tau, t_next):
+    """Weights, oldest first, of the last ``_INCREMENTS`` increments in the
+    start of a step of length ``tau`` that ends at ``t_next``, after steps
+    of lengths ``widths``.
+
+    Where every width equals ``tau`` up to the rounding of the grid nodes,
+    ``_EQUAL_STEP_ULPS`` times ``t_next``, these are the equal-step
+    weights of all of them; otherwise the closed-form weights of the last
+    four (see :func:`_predictor_weights`), padded with leading zeros.
+    """
+    tol = _EQUAL_STEP_ULPS * t_next
+    if max(widths) - tau <= tol and tau - min(widths) <= tol:
+        return _EQUAL_STEP_WEIGHTS[len(widths)]
+    return (0.0,) * (_INCREMENTS - 4) + _predictor_weights(widths, tau)
 
 
 def integrate(system, config, grid, control, z0):
@@ -487,19 +551,30 @@ def integrate(system, config, grid, control, z0):
 
         z_i + tau_i * sum_k l_k(t_i + tau_i / 2) V_k
 
-    over the last min(i, 4) increments, with l_k the Lagrange weights of
-    their abscissae (see :func:`_predictor_weights`): on equal steps
-    (-1, 4, -6, 4), oldest first.  On a smooth run the increments are
-    samples of a smooth function of the abscissa, so the cubic through
-    four of them is O(tau^4) off the new step's increment and the start
-    O(tau^5) off its solution; on smooth small steps it usually sits on
-    the rounding floor, where Newton keeps it without an update.  The
-    first step starts from z_0; with one increment the start is the
-    linear extrapolation of the states and with two the quadratic, up to
-    the residual term.  A dg-qsr step from a critical
-    point of H overrides the start (see ``_DgQsrStepper.step``).  An
-    unmoved run records zero increments, so its start is z_i bit for bit
-    and fixed points stay exact.
+    with l_k the Lagrange weights of the increments' abscissae (see
+    :func:`_start_weights`).  Where the last min(i, 8) steps all equal
+    tau_i up to the rounding of the grid nodes, the sum runs over those
+    increments with the equal-step weights (-1)^(c - k + 1) C(c, k),
+    k = 0..c-1 oldest first, for c of them: (-1, 4, -6, 4) for four and
+    (-1, 8, -28, 56, -70, 56, -28, 8) for eight.  Otherwise it runs over
+    the last min(i, 4) increments with weights computed in closed form
+    from the step lengths (see :func:`_predictor_weights`).  On a smooth
+    run the increments are samples of a smooth function of the abscissa,
+    so the polynomial through c of them is O(tau^c) off the new step's
+    increment and the start O(tau^(c + 1)) off its solution; on smooth
+    small steps it usually sits on the rounding floor, where Newton keeps
+    it without an update.  Eight increments are the most whose weights,
+    255 in absolute sum, keep the start's own rounding near the floor at
+    the benchmark step (predictor of higher order where steps are small,
+    as in DASSL; Brenan, Campbell & Petzold 1996).  The first step
+    starts from z_0; with one increment the start is the linear
+    extrapolation of the states and with two the quadratic, up to the
+    residual term.  A step whose solve stalls from such a start is solved
+    again from z_i (see :meth:`_Stepper._solve`).  A dg-qsr step from a
+    critical point of H overrides the start (see ``_DgQsrStepper.step``)
+    and retries from that start instead.  An unmoved run records zero
+    increments, so its start is z_i bit for bit and fixed points stay
+    exact.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.n,):
@@ -519,20 +594,30 @@ def integrate(system, config, grid, control, z0):
     outputs = []
     residuals = []
     iterations = []
-    # the last four increments and their step lengths, oldest first; until
-    # four steps are done, zero increments with zero weights fill the rest
-    increments = deque([[0.0] * system.n] * 4, maxlen=4)
-    widths = deque(maxlen=4)
+    # the last eight increments and their step lengths, oldest first; until
+    # eight steps are done, zero increments with zero weights fill the rest
+    increments = deque([[0.0] * system.n] * _INCREMENTS, maxlen=_INCREMENTS)
+    widths = deque(maxlen=_INCREMENTS)
+    weights = None
     left = None
     for i in range(grid.num_steps):
         t = pts[i]
         tau = pts[i + 1] - t
         ubar, left = _averaged_input(control, t, tau, m, left)
         if widths:
-            l0, l1, l2, l3 = _predictor_weights(widths, tau)
+            # a step as long as the last one after eight equal steps keeps
+            # their weights: the tolerance only grows with t
+            if weights is not _EQUAL_STEP_WEIGHTS[-1] or tau != widths[-1]:
+                weights = _start_weights(widths, tau, pts[i + 1])
+            l0, l1, l2, l3, l4, l5, l6, l7 = weights
             start = [
-                zk + tau * (l0 * a + l1 * b + l2 * c + l3 * d)
-                for zk, a, b, c, d in zip(z, *increments)
+                zk
+                + tau
+                * (
+                    l0 * a + l1 * b + l2 * c + l3 * d
+                    + l4 * e + l5 * f + l6 * g + l7 * h
+                )
+                for zk, a, b, c, d, e, f, g, h in zip(z, *increments)
             ]
         try:
             w, ybar, res, its, vals = stepper.step(z, ubar, tau, start)
