@@ -10,8 +10,11 @@ Vectors are plain sequences of scalars and matrices are sequences of row
 sequences.  numpy arrays of floats are accepted anywhere a sequence is;
 the hot loops deliberately avoid numpy because the state dimensions of
 interest are tiny (one or two) and per-call array overhead dominates at
-that size.  These pure-Python kernels are the only backend; ``BACKEND``
-names it for run records.
+that size.  For the same reason the dg-qsr residual forms B^T dg and
+W^T l and its quadratic forms in its own loops, with the accumulation
+order of :func:`dot`, instead of calling a helper per vector of length
+one or two (see :mod:`qsrdg.integrators`).  These pure-Python kernels
+are the only backend; ``BACKEND`` names it for run records.
 
 Dense solves have one elimination code, in two halves.  :func:`factor`
 eliminates a matrix once: it records the pivot row of each step, that
@@ -32,7 +35,6 @@ __all__ = [
     "dot",
     "norm_sq",
     "matvec",
-    "tmatvec",
     "factor",
     "substitute",
     "solve_generic",
@@ -72,18 +74,6 @@ def matvec(a, x):
     return [dot(row, x) for row in a]
 
 
-def tmatvec(a, x):
-    """Transpose matrix-vector product ``a^T x``."""
-    cols = len(a[0])
-    out = []
-    for j in range(cols):
-        acc = a[0][j] * x[0]
-        for i in range(1, len(a)):
-            acc = acc + a[i][j] * x[i]
-        out.append(acc)
-    return out
-
-
 def factor(a):
     """Row-pivoted elimination of a square generic-scalar matrix ``a``.
 
@@ -97,7 +87,7 @@ def factor(a):
     """
     n = len(a)
     m = [list(row) for row in a]
-    limit = _PIVOT_RTOL * max(max(abs(v.real) for v in row) for row in m)
+    limit = _PIVOT_RTOL * max([abs(v.real) for row in m for v in row])
     pivots = []
     multipliers = []
     for k in range(n):

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsrdg._kernels import dot, factor, matvec, norm_sq, substitute, tmatvec, value
+from qsrdg._kernels import dot, factor, matvec, norm_sq, substitute
 
 # the layer trace of perfbench looks this name up here; the dg-qsr step
 # factors once per feedthrough value and calls substitute instead, so
@@ -194,10 +194,6 @@ class Trajectory:
     newton_iterations: np.ndarray
 
 
-def _as_rows(mat):
-    return tuple(tuple(float(x) for x in row) for row in np.atleast_2d(mat))
-
-
 class _Stepper:
     """Per-run Newton state of a scheme: the factored Jacobian that the
     next step's solve starts from, if any, and whether the run still
@@ -238,14 +234,13 @@ class _Stepper:
         """
         carried = self._factors
         w, its, res, lu, vals = newton_solve(residual, start, _NEWTON, carried)
-        w = w.tolist()
         stalled = _stalled(w, res)
         retried = stalled and (carried is not None or start != z)
         if retried:
             x, more, res_z, _, vals_z = newton_solve(residual, z, _NEWTON)
             its += more
             if res_z < res:
-                w, res, vals = x.tolist(), res_z, vals_z
+                w, res, vals = x, res_z, vals_z
             else:
                 # the step reads the output terms of the last call
                 residual(w)
@@ -289,8 +284,9 @@ class _DgQsrStepper(_Stepper):
     def __init__(self, system, config):
         super().__init__(system)
         self.kind = config.dg_kind
-        self.q_rows = _as_rows(system.supply.q)
-        self.s_rows = _as_rows(system.supply.s)
+        # the supply weights are 2-D float arrays (see SupplyRate)
+        self.q_rows = system.supply.q.tolist()
+        self.s_rows = system.supply.s.tolist()
         self._dv_key = None
         self._lu = None
 
@@ -319,7 +315,7 @@ class _DgQsrStepper(_Stepper):
         system = self.system
         mid = [(a + b) * 0.5 for a, b in zip(z, w)]
         dg = _evaluate(self.kind, system.storage, z, w, mid)
-        g2 = norm_sq(dg)
+        g2 = dot(dg, dg)
         fv = system.drift(mid)
         bv = system.input_map(mid)
         dv = system.feedthrough(mid)
@@ -328,12 +324,29 @@ class _DgQsrStepper(_Stepper):
         key = tuple(map(tuple, dv))
         if key != self._dv_key:
             self._refactor(dv, key)
-        bt = tmatvec(bv, dg)
-        wl = tmatvec(wv, lv)
-        hbar = substitute(self._lu, [0.5 * b + c for b, c in zip(bt, wl)])
-        qh = matvec(self.q_rows, hbar)
-        gam_num = dot(hbar, qh) - norm_sq(lv)
-        return dg, g2, fv, bv, dv, hbar, gam_num
+        # B^T dg / 2 + W^T l: entry j sums column j of B, and of W, down
+        # the rows, in the order of a transposed product
+        b0, w0, d0, l0 = bv[0], wv[0], dg[0], lv[0]
+        b_rest, w_rest = range(1, len(bv)), range(1, len(wv))
+        rhs = []
+        for j in range(len(b0)):
+            b = b0[j] * d0
+            for i in b_rest:
+                b = b + bv[i][j] * dg[i]
+            c = w0[j] * l0
+            for i in w_rest:
+                c = c + wv[i][j] * lv[i]
+            rhs.append(0.5 * b + c)
+        hbar = substitute(self._lu, rhs)
+        # hbar . Q hbar - |l|^2, each sum taken in index order
+        q_rows = self.q_rows
+        quad = hbar[0] * dot(q_rows[0], hbar)
+        for i in range(1, len(hbar)):
+            quad = quad + hbar[i] * dot(q_rows[i], hbar)
+        l2 = l0 * l0
+        for i in range(1, len(lv)):
+            l2 = l2 + lv[i] * lv[i]
+        return dg, g2, fv, bv, dv, hbar, quad - l2
 
     def _residual(self, z, ubar, tau, last):
         """The step's Newton residual; each call leaves the output terms
@@ -343,15 +356,14 @@ class _DgQsrStepper(_Stepper):
         def residual(w):
             dg, g2, fv, bv, dv, hbar, gam_num = terms(z, w)
             last[:] = (hbar, dv)
-            if value(g2) == 0.0:
+            if g2.real == 0.0:
                 raise ZeroDirection(
                     "the discrete gradient's squared norm is 0 in floats"
                 )
             coef = (gam_num - dot(dg, fv)) / g2
-            bu = matvec(bv, ubar)
             return [
-                wk - zk - tau * (coef * dk + fk + bk)
-                for wk, zk, dk, fk, bk in zip(w, z, dg, fv, bu)
+                wk - zk - tau * (coef * dk + fk + dot(row, ubar))
+                for wk, zk, dk, fk, row in zip(w, z, dg, fv, bv)
             ]
 
         return residual
@@ -394,11 +406,9 @@ class _MidpointStepper(_Stepper):
 
         def residual(w):
             mid = [(a + b) * 0.5 for a, b in zip(z, w)]
-            fv = drift(mid)
-            bu = matvec(input_map(mid), ubar)
             return [
-                wk - zk - tau * (fk + bk)
-                for wk, zk, fk, bk in zip(w, z, fv, bu)
+                wk - zk - tau * (fk + dot(row, ubar))
+                for wk, zk, fk, row in zip(w, z, drift(mid), input_map(mid))
             ]
 
         return residual
@@ -413,7 +423,7 @@ class _MidpointStepper(_Stepper):
 
 def _output(hv, dv, ubar):
     """h + D ubar in floats, from the value parts of ``hv`` and ``dv``."""
-    return [value(h) + dot([value(x) for x in row], ubar) for h, row in zip(hv, dv)]
+    return [h.real + dot([x.real for x in row], ubar) for h, row in zip(hv, dv)]
 
 
 def _control_values(control, t, m):
@@ -435,7 +445,7 @@ def _averaged_input(control, t, tau, m, left=None):
     end value, which the next step reuses as ``left``."""
     u0 = _control_values(control, t, m) if left is None else left
     u1 = _control_values(control, t + tau, m)
-    return tuple(0.5 * (a + b) for a, b in zip(u0, u1)), u1
+    return tuple([0.5 * (a + b) for a, b in zip(u0, u1)]), u1
 
 
 def _check_map_shapes(system, z):

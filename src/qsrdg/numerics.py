@@ -124,12 +124,12 @@ class NewtonSettings:
 
 
 class NewtonResult(NamedTuple):
-    """The iterate, the kept updates, the residual there, the factors of
-    the solve's last Jacobian pass (the given ones if it took none), which
-    a later solve may start from, and the residual's values at the
-    iterate, a list of floats."""
+    """The iterate, a list of floats; the kept updates; the residual there;
+    the factors of the solve's last Jacobian pass (the given ones if it
+    took none), which a later solve may start from; and the residual's
+    values at the iterate, a list of floats."""
 
-    x: np.ndarray
+    x: list
     iterations: int
     residual: float
     factors: tuple
@@ -143,12 +143,6 @@ _POLISH = 1e-2
 _REUSES_PER_PASS = 4
 # the stop rule's relative part: a few ulps of the iterate's largest entry
 _ULPS = 4.0 * np.finfo(float).eps
-
-
-def _norm(vals):
-    # hypot scales internally, so finite entries above 1e154 whose squares
-    # overflow still give a finite norm
-    return math.hypot(*vals)
 
 
 def _tolerance(settings, x):
@@ -203,8 +197,9 @@ def newton_solve(
     its updates.  Every other start gets at least one, so a start inside
     the tolerance but above the floor still moves to it.
     ``max_iterations`` caps the passes; once they are used up, the solve
-    returns the last kept iterate and its residual.  ``iterations``
-    counts the kept updates, fresh and reused; 0 means ``x0`` was kept.
+    returns the last kept iterate and its residual.  The iterate ``x`` is
+    a list of floats.  ``iterations`` counts the kept updates, fresh and
+    reused; 0 means ``x0`` was kept.
 
     The last call to ``f`` is always at the returned iterate, and
     ``values`` are its value parts: the first call at ``x0`` when that
@@ -222,15 +217,17 @@ def newton_solve(
     else:
         lu, vals = factors, _values_of(f(x))
         reuses, cap = 1, len(x)
-    res = _norm(vals)
+    # hypot scales internally, so finite entries above 1e154 whose squares
+    # overflow still give a finite norm
+    res = math.hypot(*vals)
     its = 0
     # a start on the rounding floor is kept
     if res <= atol * _POLISH and res <= _ULPS * max(map(abs, x)):
-        return NewtonResult(np.array(x), its, res, lu, vals)
+        return NewtonResult(x, its, res, lu, vals)
     while True:
         x_new = [a - b for a, b in zip(x, substitute(lu, vals))]
         vals_new = _values_of(f(x_new))
-        res_new = _norm(vals_new)
+        res_new = math.hypot(*vals_new)
         kept = not reuses or res_new < res
         if kept:
             x, vals, res_old, res = x_new, vals_new, res, res_new
@@ -240,7 +237,7 @@ def newton_solve(
             # stops without the scan of x
             if res <= atol * polish:
                 break
-            tol = _tolerance(settings, x)
+            tol = max(atol, _ULPS * max(map(abs, x)))
             if res <= tol * polish:
                 break
             theta = res / res_old
@@ -255,4 +252,4 @@ def newton_solve(
         lu, vals = _factored_pass(f, x)
         passes_left -= 1
         reuses, cap = 0, _REUSES_PER_PASS
-    return NewtonResult(np.array(x), its, res, lu, vals)
+    return NewtonResult(x, its, res, lu, vals)

@@ -11,8 +11,14 @@ import pytest
 
 from qsrdg import gmath as gm
 from qsrdg import integrators
-from qsrdg._kernels import value
-from qsrdg.dgradients import GONZALEZ, ITOH_ABE, StorageFunction, mean_value
+from qsrdg._kernels import dot, matvec, value
+from qsrdg.dgradients import (
+    GONZALEZ,
+    ITOH_ABE,
+    StorageFunction,
+    discrete_gradient,
+    mean_value,
+)
 from qsrdg.errors import (
     GridMismatch,
     IntegrationError,
@@ -1292,6 +1298,76 @@ def test_residual_jacobian_on_three_channels_matches_central_differences(drift, 
                 np.testing.assert_allclose(
                     [row[k] for row in rows], column, rtol=0.0, atol=1e-7
                 )
+
+
+def two_channel_system():
+    """n = 3, m = 2, p = 2 with non-symmetric B and W, and full Q, S and D.
+
+    Only the output solve's algebra is under test, so the system need not
+    be dissipative.  B, W and l vary with the state, so a Jacobian pass
+    carries tangents through every entry of the right-hand side."""
+    p_rows = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]]
+
+    def gradient(z):
+        return matvec(p_rows, z)
+
+    def difference(a, b):
+        # (b - a) . P (b + a) / 2
+        diff = [y - x for x, y in zip(a, b)]
+        return 0.5 * dot(diff, gradient([x + y for x, y in zip(a, b)]))
+
+    return QsrSystem(
+        storage=StorageFunction(
+            value=lambda z: difference([0.0] * 3, z),
+            gradient=gradient,
+            dim=3,
+            difference=difference,
+        ),
+        supply=SupplyRate(
+            q=[[-1.0, 0.3], [0.3, -0.5]],
+            s=[[0.5, 0.2], [-0.1, 0.4]],
+            r=[[0.1, 0.0], [0.0, 0.1]],
+        ),
+        drift=lambda z: [z[1] * z[2], gm.sin(z[2]) - z[0], -z[2]],
+        input_map=lambda z: [[1.0, 0.3 * z[0]], [gm.sin(z[1]), 2.0], [0.5, -z[2]]],
+        output_map=lambda z: [z[0] + z[2], z[1]],
+        feedthrough=lambda z: [[0.4, -0.7], [0.2, 0.9]],
+        loss_state=lambda z: [z[0] * z[1], gm.sin(z[2]) + 0.5],
+        loss_input=lambda z: [[0.3, -1.1], [0.8, 0.25 * z[1] + 1.0]],
+    )
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
+def test_two_channel_output_solve_matches_numpy(kind, rng):
+    # every other multi-channel system in the suite has B = I and W = 0,
+    # so a transposed index in the right-hand side B^T dg / 2 + W^T l or
+    # in the quadratic form would pass there
+    system = two_channel_system()
+    stepper = integrators._DgQsrStepper(system, SchemeConfig(dg_kind=kind))
+    q, s = system.supply.q, system.supply.s
+    for _ in range(10):
+        z = rng.uniform(-1.0, 1.0, 3)
+        w = z + 0.1 * rng.standard_normal(3)
+        mid = ((z + w) * 0.5).tolist()
+        z, w = z.tolist(), w.tolist()
+        dg, g2, _, _, dv, hbar, gam_num = stepper._terms(z, w)
+        dg_np = discrete_gradient(kind, system.storage, z, w)
+        b = np.array(system.input_map(mid))
+        wv = np.array(system.loss_input(mid))
+        lv = np.array(system.loss_state(mid))
+        expected = np.linalg.solve(
+            (q @ np.array(dv) + s).T, b.T @ dg_np / 2.0 + wv.T @ lv
+        )
+        np.testing.assert_allclose(hbar, expected, rtol=1e-13)
+        np.testing.assert_allclose(
+            gam_num, expected @ q @ expected - lv @ lv, rtol=1e-13
+        )
+        floats = [*dg, g2, *hbar, gam_num]
+        for k, wk in enumerate(w):
+            probe = list(w)
+            probe[k] = complex(wk, _H)
+            dg_c, g2_c, _, _, _, hbar_c, gam_c = stepper._terms(z, probe)
+            assert [value(v) for v in (*dg_c, g2_c, *hbar_c, gam_c)] == floats
 
 
 def test_newton_stall_warns_but_continues():

@@ -19,7 +19,6 @@ from qsrdg._kernels import (
     norm_sq,
     solve_generic,
     substitute,
-    tmatvec,
     value,
 )
 from qsrdg.errors import SingularMatrix
@@ -236,7 +235,6 @@ def test_vector_helpers_match_numpy(rng):
     assert math.isclose(dot(list(x), list(y)), float(x @ y), rel_tol=1e-15)
     assert math.isclose(norm_sq(list(x)), float(x @ x), rel_tol=1e-15)
     np.testing.assert_allclose(matvec(a.tolist(), x.tolist()), a @ x, rtol=1e-14)
-    np.testing.assert_allclose(tmatvec(a.tolist(), x.tolist()), a.T @ x, rtol=1e-14)
 
 
 def test_solve_generic_oracle_cases():

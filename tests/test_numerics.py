@@ -109,7 +109,7 @@ def test_newton_exact_guess_makes_one_pass():
     result = newton_solve(f, (2.0,))
     assert result.iterations == 0
     assert calls == ["jacobian"]
-    assert points[-1] == result.x.tolist()
+    assert points[-1] == list(result.x)
 
 
 def test_newton_single_update_returns_its_float_residual():
@@ -119,7 +119,7 @@ def test_newton_single_update_returns_its_float_residual():
     assert result.x[0] == -1.0
     assert result.residual == math.exp(-1.0)
     assert calls == ["jacobian", "float"]
-    assert points[-1] == result.x.tolist()
+    assert points[-1] == list(result.x)
 
 
 def test_newton_call_pattern_for_x_squared_minus_four_from_three():
@@ -133,7 +133,7 @@ def test_newton_call_pattern_for_x_squared_minus_four_from_three():
     assert result.iterations == 5
     assert result.x[0] == 2.0
     assert result.residual == 0.0
-    assert points[-1] == result.x.tolist()
+    assert points[-1] == list(result.x)
 
 
 def test_newton_coupled_system():
@@ -147,7 +147,7 @@ def test_newton_coupled_system():
     np.testing.assert_allclose(roots, [1.0, 2.0], atol=1e-12)
     assert calls == ["jacobian", "jacobian", "float"] * 5 + ["float"] * 2
     assert result.iterations == 7
-    assert points[-1] == result.x.tolist()
+    assert points[-1] == list(result.x)
 
 
 def _secant_slope_at_one(x):
@@ -172,7 +172,7 @@ def test_newton_discards_a_reused_update_that_does_not_lower_the_residual():
     assert result.iterations == 2
     assert abs(result.x[0]) <= 1e-15
     assert result.residual <= 1e-15
-    assert points[-1] == result.x.tolist()
+    assert points[-1] == list(result.x)
 
 
 def test_newton_caps_jacobian_passes_not_updates():
@@ -189,7 +189,7 @@ def test_newton_caps_jacobian_passes_not_updates():
     assert calls == ["jacobian", "float"] * 3
     assert result.iterations == 3
     assert math.isclose(result.residual, 4.096e-5, rel_tol=1e-3)
-    assert points[-1] == result.x.tolist()
+    assert points[-1] == list(result.x)
 
 
 def test_newton_takes_a_fresh_pass_after_four_reused_updates():
@@ -213,7 +213,7 @@ def test_newton_ends_at_the_last_kept_iterate_when_a_reuse_fails_at_the_cap():
     result = newton_solve(f, (1.0 + 2.0**-22,), NewtonSettings(max_iterations=1))
     assert calls == ["jacobian", "float", "float", "float"]
     assert result.iterations == 1
-    assert result.x.tolist() == points[1] == points[-1]
+    assert list(result.x) == points[1] == points[-1]
     assert result.residual == abs(_secant_slope_at_one(points[1])[0])
 
 
@@ -226,7 +226,7 @@ def test_newton_updates_a_start_inside_the_tolerance():
     assert calls == ["jacobian", "float"]
     assert result.iterations == 1
     assert result.x[0] == 2.0
-    assert points[-1] == result.x.tolist()
+    assert points[-1] == list(result.x)
 
 
 def test_newton_respects_iteration_cap():
@@ -239,7 +239,7 @@ def test_newton_respects_iteration_cap():
     assert result.iterations == 4
     assert math.isclose(result.residual, math.exp(-4.0), rel_tol=1e-12)
     assert calls == ["jacobian", "float"] * 4
-    assert points[-1] == result.x.tolist()
+    assert points[-1] == list(result.x)
 
 
 def test_newton_stops_at_the_rounding_floor_of_a_large_iterate():
@@ -271,7 +271,7 @@ def test_newton_from_given_factors_takes_no_pass_when_they_converge():
     assert result.iterations == 1
     assert result.x[0] == -0.5
     assert result.factors is factors
-    assert points[-1] == result.x.tolist()
+    assert points[-1] == list(result.x)
 
 
 def test_newton_keeps_a_start_on_the_rounding_floor():
@@ -284,7 +284,7 @@ def test_newton_keeps_a_start_on_the_rounding_floor():
     result = newton_solve(f, (start,), NewtonSettings(), factors)
     assert calls == ["float"]
     assert result.iterations == 0
-    assert result.x.tolist() == [start] == points[-1]
+    assert list(result.x) == [start] == points[-1]
     assert result.factors is factors
     assert result.values == [start * start - 2.0] != [0.0]
     assert result.residual == start * start - 2.0
@@ -299,7 +299,7 @@ def test_newton_updates_a_tiny_start_above_its_own_rounding_floor():
     assert calls == ["jacobian", "float"]
     assert result.iterations == 1
     assert result.x[0] == 1e-70
-    assert points[-1] == result.x.tolist()
+    assert points[-1] == list(result.x)
 
 
 def test_newton_from_given_factors_takes_a_pass_after_n_stale_updates():
@@ -315,9 +315,9 @@ def test_newton_from_given_factors_takes_a_pass_after_n_stale_updates():
     result = newton_solve(f, (2.0, 3.0), NewtonSettings(), factors)
     assert calls == ["float"] * 3 + ["jacobian", "jacobian", "float"]
     assert result.iterations == 3
-    assert result.x.tolist() == [1.0, 2.0]
+    assert list(result.x) == [1.0, 2.0]
     assert result.factors is not factors
-    assert points[-1] == result.x.tolist()
+    assert points[-1] == list(result.x)
 
 
 def test_newton_discards_a_stale_update_from_given_factors():
@@ -346,7 +346,7 @@ def test_newton_accepts_finite_values_whose_sum_overflows():
     assert 5 * 1e308 * math.exp(-1.0) > np.finfo(float).max
     result = newton_solve(f, [0.0] * 5, NewtonSettings(max_iterations=2))
     assert result.iterations == 2
-    assert result.x.tolist() == [-2.0] * 5
+    assert list(result.x) == [-2.0] * 5
     assert math.isfinite(result.residual)
 
 
