@@ -52,6 +52,7 @@ substitutes; a state-dependent one is refactored on every call, as
 before, at the cost of one more comparison.
 """
 
+import itertools
 import math
 import numbers
 import operator
@@ -448,71 +449,77 @@ def _averaged_input(control, t, tau, m, left=None):
     return tuple([0.5 * (a + b) for a, b in zip(u0, u1)]), u1
 
 
+# hasattr's second argument for each entry of a map's value
+_LEN = itertools.repeat("__len__")
+
+
+def _shape(out):
+    """``np.shape(out)`` for a map's value, from lengths alone: () for a
+    scalar, (k,) for k scalars and (k, j) for k rows of j scalars; rows of
+    unequal length, and any other nesting, are "ragged"."""
+    if not hasattr(out, "__len__"):
+        return ()
+    rows = list(map(hasattr, out, _LEN))
+    if not any(rows):
+        return (len(out),)
+    if all(rows):
+        lengths = set(map(len, out))
+        if len(lengths) == 1 and not any(map(hasattr, itertools.chain(*out), _LEN)):
+            return (len(out), *lengths)
+    return "ragged"
+
+
 def _check_map_shapes(system, z):
     """Raise ``ValueError`` naming the first map whose value at ``z`` has
     the wrong shape: the step loops would index past a short one and
     ``zip`` would cut a long one."""
     n, m = system.n, system.m
-    lv = system.loss_state(z)
-    p = np.size(lv)
-    for name, out, shape in (
-        ("storage gradient", system.storage.gradient(z), (n,)),
-        ("drift", system.drift(z), (n,)),
-        ("input_map", system.input_map(z), (n, m)),
-        ("output_map", system.output_map(z), (m,)),
-        ("feedthrough", system.feedthrough(z), (m, m)),
-        ("loss_state", lv, (p,)),
-        ("loss_input", system.loss_input(z), (p, m)),
+    l_shape = _shape(system.loss_state(z))
+    # l may have any length p; W must have p rows
+    p = l_shape[0] if l_shape and l_shape != "ragged" else 1
+    for name, got, shape in (
+        ("storage gradient", _shape(system.storage.gradient(z)), (n,)),
+        ("drift", _shape(system.drift(z)), (n,)),
+        ("input_map", _shape(system.input_map(z)), (n, m)),
+        ("output_map", _shape(system.output_map(z)), (m,)),
+        ("feedthrough", _shape(system.feedthrough(z)), (m, m)),
+        ("loss_state", l_shape, (p,)),
+        ("loss_input", _shape(system.loss_input(z)), (p, m)),
     ):
-        try:
-            got = np.shape(out)
-        except ValueError:  # rows of unequal length
-            got = "ragged"
         if got != shape:
             raise ValueError(f"{name} returned shape {got}, expected {shape}")
 
 
-def _predictor_weights(widths, tau):
-    """Lagrange weights, at the midpoint of a step of length ``tau``, of
-    the midpoints of the last one to four of the consecutive steps of
-    lengths ``widths`` (oldest first) that lead up to it; fewer than four
-    are padded with leading zeros.
-
-    The nodes are taken as distances d_k from that midpoint, so the
-    weights l_k = prod_{j != k} d_j / (d_j - d_k) keep their accuracy
-    however far the run is from t = 0.  On equal steps they are
-    (-1, 4, -6, 4), (0, 1, -3, 3), (0, 0, -1, 2) and (0, 0, 0, 1).
-    """
-    count = min(len(widths), 4)
-    d3 = 0.5 * (tau + widths[-1])
-    if count == 1:
-        return (0.0, 0.0, 0.0, 1.0)
-    d2 = d3 + 0.5 * (widths[-1] + widths[-2])
-    if count == 2:
-        return (0.0, 0.0, d3 / (d3 - d2), d2 / (d2 - d3))
-    d1 = d2 + 0.5 * (widths[-2] + widths[-3])
-    e, f, g = d1 - d2, d1 - d3, d2 - d3
-    if count == 3:
-        return (0.0, d2 * d3 / (e * f), -d1 * d3 / (e * g), d1 * d2 / (f * g))
-    d0 = d1 + 0.5 * (widths[-3] + widths[-4])
-    a, b, c = d0 - d1, d0 - d2, d0 - d3
-    return (
-        -d1 * d2 * d3 / (a * b * c),
-        d0 * d2 * d3 / (a * e * f),
-        -d0 * d1 * d3 / (b * e * g),
-        d0 * d1 * d2 / (c * f * g),
-    )
-
-
 # a start extrapolates through at most this many step increments
 _INCREMENTS = 8
+
+
+def _lagrange_weights(distances):
+    """Lagrange weights, at the new step's midpoint, of increments whose
+    midpoints lie ``distances`` before it, oldest first, padded with
+    leading zeros to ``_INCREMENTS``.
+
+    Weight k is l_k = prod_{j != k} d_j / prod_{j != k} (d_j - d_k), each
+    product taken in index order.  Distances rather than abscissae keep
+    the weights accurate however far the run is from t = 0.
+    """
+    weights = []
+    for k, dk in enumerate(distances):
+        num = den = 1.0
+        for j, dj in enumerate(distances):
+            if j != k:
+                num *= dj
+                den *= dj - dk
+        weights.append(num / den)
+    return (0.0,) * (_INCREMENTS - len(weights)) + tuple(weights)
+
+
 # _EQUAL_STEP_WEIGHTS[c]: the weights of the last c increments on equal
-# steps, (-1)^(c - k + 1) C(c, k) for k = 0..c-1, oldest first, padded
-# with leading zeros to _INCREMENTS
+# steps, from the distances c, ..., 1 in steps; the products of those
+# integers are exact, so every row holds exact integers,
+# (-1)^(c - k + 1) C(c, k) for k = 0..c-1
 _EQUAL_STEP_WEIGHTS = tuple(
-    (0.0,) * (_INCREMENTS - c)
-    + tuple(float((-1) ** (c - k + 1) * math.comb(c, k)) for k in range(c))
-    for c in range(_INCREMENTS + 1)
+    _lagrange_weights(range(c, 0, -1)) for c in range(_INCREMENTS + 1)
 )
 # steps are equal when they differ by at most this many times the last
 # node: a grid node rounds to within half an ulp of itself
@@ -526,26 +533,35 @@ def _start_weights(widths, tau, t_next):
 
     Where every width equals ``tau`` up to the rounding of the grid nodes,
     ``_EQUAL_STEP_ULPS`` times ``t_next``, these are the equal-step
-    weights of all of them; otherwise the closed-form weights of the last
-    four (see :func:`_predictor_weights`), padded with leading zeros.
+    weights of all of them.  Otherwise they are the Lagrange weights of
+    the last four, from the distances of their midpoints to the new
+    step's, summed step by step from the new one back.
     """
     tol = _EQUAL_STEP_ULPS * t_next
     if max(widths) - tau <= tol and tau - min(widths) <= tol:
         return _EQUAL_STEP_WEIGHTS[len(widths)]
-    return (0.0,) * (_INCREMENTS - 4) + _predictor_weights(widths, tau)
+    distances = []
+    d, right = 0.0, tau
+    for width in list(widths)[:-5:-1]:
+        d += 0.5 * (right + width)
+        distances.append(d)
+        right = width
+    return _lagrange_weights(distances[::-1])
 
 
 def integrate(system, config, grid, control, z0):
     """March the configured scheme over ``grid`` from ``z0``.
 
     Hard step failures (singular Jacobian, vanished discrete gradient,
-    non-finite evaluations, mean-value quadrature that misses its secant
-    tolerance at the panel cap) are re-raised as :class:`IntegrationError`
-    carrying the failing step index and the last good state z_i; Newton
-    stalls only warn, each at the line that called ``integrate``, and are
-    visible in the returned residuals.  A non-finite ``z0``, or a map
-    whose value at ``z0`` has the wrong shape, raises ``ValueError``
-    before the first step.
+    non-finite evaluations, a map that raises ``OverflowError``,
+    ``ValueError`` or ``ZeroDivisionError`` inside Newton, mean-value
+    quadrature that misses its secant tolerance at the panel cap) are
+    re-raised as :class:`IntegrationError` carrying the failing step
+    index and the last good state z_i; Newton stalls only warn, each at
+    the line that called ``integrate``, and are visible in the returned
+    residuals.  A non-finite ``z0``, or a map whose value at ``z0`` has
+    the wrong shape, a ragged row or a nested entry included, raises
+    ``ValueError`` before the first step.
 
     The loop works on Python lists and builds the five arrays of the
     :class:`Trajectory` once, after the last step.
@@ -561,14 +577,16 @@ def integrate(system, config, grid, control, z0):
 
         z_i + tau_i * sum_k l_k(t_i + tau_i / 2) V_k
 
-    with l_k the Lagrange weights of the increments' abscissae (see
-    :func:`_start_weights`).  Where the last min(i, 8) steps all equal
+    with l_k the Lagrange weights of the increments' abscissae, all from
+    one formula over the abscissae's distances to t_i + tau_i / 2 (see
+    :func:`_lagrange_weights`).  Where the last min(i, 8) steps all equal
     tau_i up to the rounding of the grid nodes, the sum runs over those
-    increments with the equal-step weights (-1)^(c - k + 1) C(c, k),
-    k = 0..c-1 oldest first, for c of them: (-1, 4, -6, 4) for four and
-    (-1, 8, -28, 56, -70, 56, -28, 8) for eight.  Otherwise it runs over
-    the last min(i, 4) increments with weights computed in closed form
-    from the step lengths (see :func:`_predictor_weights`).  On a smooth
+    increments, whose distances are the integers c, ..., 1 in steps for
+    c of them, so their weights are exact integers from a table:
+    (-1)^(c - k + 1) C(c, k), k = 0..c-1 oldest first, (-1, 4, -6, 4) for
+    four and (-1, 8, -28, 56, -70, 56, -28, 8) for eight.  Otherwise it
+    runs over the last min(i, 4) increments, with distances summed from
+    the step lengths (see :func:`_start_weights`).  On a smooth
     run the increments are samples of a smooth function of the abscissa,
     so the polynomial through c of them is O(tau^c) off the new step's
     increment and the start O(tau^(c + 1)) off its solution; on smooth

@@ -63,12 +63,28 @@ __all__ = [
 ]
 
 
-def _values_of(out):
-    """Value parts of a map's output; raises on a NaN or infinite entry.
+# what a map raises off its domain: math's range and domain errors and a
+# division by zero
+_MAP_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+
+
+def _raised(exc):
+    """The :class:`NonFiniteEvaluation` that a map's ``exc`` becomes."""
+    return NonFiniteEvaluation(f"map raised {type(exc).__name__}: {exc}")
+
+
+def _values_of(f, x):
+    """Value parts of ``f`` at ``x``; raises :class:`NonFiniteEvaluation`
+    on a NaN or infinite entry, and in place of one of ``_MAP_ERRORS``
+    that ``f`` raises.
 
     One finiteness test of the sum stands for all entries; only when the
     sum is not finite, which a sum of large finite entries can be, are the
     entries tested one by one."""
+    try:
+        out = f(x)
+    except _MAP_ERRORS as exc:
+        raise _raised(exc) from exc
     vals = [c.real for c in out]
     if not math.isfinite(sum(vals)):
         for v in vals:
@@ -85,12 +101,16 @@ _INV_H = 2.0**600
 def _jacobian_with_values(f, x):
     """Jacobian rows and map values at ``x`` (a list of floats), from one
     complex-step evaluation per coordinate; every evaluation has the
-    float values as its real parts."""
+    float values as its real parts.  Like :func:`_values_of`, it raises
+    :class:`NonFiniteEvaluation` in place of one of ``_MAP_ERRORS``."""
     cols = []
     for k, xk in enumerate(x):
         probe = list(x)
         probe[k] = complex(xk, _H)
-        out = f(probe)
+        try:
+            out = f(probe)
+        except _MAP_ERRORS as exc:
+            raise _raised(exc) from exc
         # a component that does not depend on x may come back as a float,
         # whose imaginary part is 0
         cols.append([c.imag * _INV_H for c in out])
@@ -205,7 +225,10 @@ def newton_solve(
     ``values`` are its value parts: the first call at ``x0`` when that
     start is kept, else the float call after the last kept update, or one
     more float call there when the passes run out on a discarded update.
-    Non-convergence is not an error here; callers decide.
+    Non-convergence is not an error here; callers decide.  A NaN or
+    infinite value or derivative raises :class:`NonFiniteEvaluation`, and
+    so does an ``OverflowError``, ``ValueError`` or ``ZeroDivisionError``
+    that a call to ``f`` raises, chained to it.
     """
     atol = settings.residual_tolerance
     passes_left = settings.max_iterations
@@ -215,7 +238,7 @@ def newton_solve(
         passes_left -= 1
         reuses, cap = 0, _REUSES_PER_PASS
     else:
-        lu, vals = factors, _values_of(f(x))
+        lu, vals = factors, _values_of(f, x)
         reuses, cap = 1, len(x)
     # hypot scales internally, so finite entries above 1e154 whose squares
     # overflow still give a finite norm
@@ -226,7 +249,7 @@ def newton_solve(
         return NewtonResult(x, its, res, lu, vals)
     while True:
         x_new = [a - b for a, b in zip(x, substitute(lu, vals))]
-        vals_new = _values_of(f(x_new))
+        vals_new = _values_of(f, x_new)
         res_new = math.hypot(*vals_new)
         kept = not reuses or res_new < res
         if kept:
@@ -247,7 +270,7 @@ def newton_solve(
         if not passes_left:
             if not kept:
                 # callers read the terms of the last call as the result's
-                f(x)
+                _values_of(f, x)
             break
         lu, vals = _factored_pass(f, x)
         passes_left -= 1

@@ -498,6 +498,21 @@ def test_integrate_validates_initial_state():
             "loss_input returned shape (1, 1), expected (2, 1)",
             id="mismatched-loss-maps",
         ),
+        pytest.param(
+            lambda s: {"input_map": lambda z: ((0.0,), (1.0, 0.0))},
+            "input_map returned shape ragged, expected (2, 1)",
+            id="ragged-input-map",
+        ),
+        pytest.param(
+            lambda s: {"drift": lambda z: [z[1], [0.0]]},
+            "drift returned shape ragged, expected (2,)",
+            id="nested-drift-entry",
+        ),
+        pytest.param(
+            lambda s: {"feedthrough": lambda z: (((0.0,),),)},
+            "feedthrough returned shape ragged, expected (1, 1)",
+            id="nested-feedthrough-entry",
+        ),
     ),
 )
 def test_integrate_rejects_maps_of_the_wrong_shape(scheme, bad_maps, message):
@@ -534,6 +549,52 @@ def test_integration_error_carries_step_location():
     good = integrate(sys_, SchemeConfig(), cut, failing, (1.0,))
     assert info.value.state.dtype == float
     assert np.array_equal(info.value.state, good.states[3])
+
+
+def cosh_system():
+    """H = cosh z - 1, f = -sinh z, l = h = sinh z, B = 1 and supply u y:
+    dissipative, but sinh and cosh overflow above about 710, where
+    ``math`` raises ``OverflowError`` instead of returning inf."""
+    return QsrSystem(
+        storage=StorageFunction(
+            value=lambda z: gm.cosh(z[0]) - 1.0,
+            gradient=lambda z: [gm.sinh(z[0])],
+            dim=1,
+            difference=lambda a, b: (
+                2.0 * gm.sinh(0.5 * (b[0] + a[0])) * gm.sinh(0.5 * (b[0] - a[0]))
+            ),
+        ),
+        supply=SupplyRate(q=0.0, s=0.5, r=0.0),
+        drift=lambda z: [-gm.sinh(z[0])],
+        input_map=lambda z: ((1.0,),),
+        output_map=lambda z: [gm.sinh(z[0])],
+        feedthrough=lambda z: ((0.0,),),
+        loss_state=lambda z: [gm.sinh(z[0])],
+        loss_input=lambda z: ((0.0,),),
+    )
+
+
+@pytest.mark.parametrize("scheme", (DG_QSR, IMPLICIT_MIDPOINT))
+@pytest.mark.parametrize("tau, z0", ((2.0, 20.0), (5.0, 100.0), (1.0, 700.0)))
+def test_a_map_that_raises_fails_the_step_with_a_typed_error(scheme, tau, z0):
+    # coarse steps from large states send Newton's iterates past the
+    # overflow of sinh; that used to escape integrate as a bare
+    # OverflowError with no step index and no last good state
+    system = cosh_system()
+    assert max(hill_moylan_residual(system, [1.5])) <= 1e-12
+    grid = TimeGrid.with_step(tau, 10)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NewtonDidNotConverge)
+            traj = integrate(system, SchemeConfig(scheme=scheme), grid, zero_control, (z0,))
+    except IntegrationError as exc:
+        assert f"step {exc.step_index} " in str(exc)
+        assert isinstance(exc.__cause__, NonFiniteEvaluation)
+        raised = exc.__cause__.__cause__
+        assert raised is None or isinstance(raised, OverflowError)
+        assert exc.state.shape == (1,) and np.all(np.isfinite(exc.state))
+    else:
+        assert np.max(discrete_power_balance_residuals(system, traj)) <= 1e-10
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
@@ -1025,25 +1086,27 @@ def test_newton_starts_from_extrapolated_state(scheme, monkeypatch):
 
 def test_unequal_steps_start_from_the_last_four_increments(monkeypatch):
     # on a geometric grid no two steps are equal, so every start takes
-    # the closed-form weights of the last four increments, bit for bit
-    # with these operations in this order.  Those weights are the
-    # Lagrange weights of the increments' midpoints at the new step's,
-    # here computed exactly in fractions of the grid nodes
+    # the weights of the last four increments, bit for bit with these
+    # operations in this order.  Those weights are the Lagrange weights
+    # of the increments' midpoints at the new step's, here computed
+    # exactly in fractions of the grid nodes
     counts = _counting_newton(monkeypatch)
     case = benchmark_settings("pendulum")
     grid = TimeGrid(np.concatenate(([0.0], np.cumsum(5e-3 * 1.002 ** np.arange(20)))))
     traj = integrate(
         case.system, SchemeConfig(), grid, case.control, case.initial_state
     )
-    z, widths = traj.states.tolist(), grid.steps.tolist()
-    nodes_t = [Fraction(t) for t in grid.points.tolist()]
+    pts, z, widths = grid.points.tolist(), traj.states.tolist(), grid.steps.tolist()
+    nodes_t = [Fraction(t) for t in pts]
     mids = [(a + b) / 2 for a, b in zip(nodes_t, nodes_t[1:])]
     incs = [[0.0] * case.system.n] * 4 + _increments(traj, counts["values"]).tolist()
     starts = counts["starts"]
     assert len(starts) == grid.num_steps
     for i in range(1, grid.num_steps):
         tau = widths[i]
-        l0, l1, l2, l3 = integrators._predictor_weights(widths[:i], tau)
+        weights = integrators._start_weights(widths[max(0, i - 8):i], tau, pts[i + 1])
+        assert weights[:4] == (0.0,) * 4
+        l0, l1, l2, l3 = weights[4:]
         nodes = range(max(0, i - 4), i)
         exact = [
             float(
@@ -1071,6 +1134,11 @@ def test_steps_equal_up_to_the_rounding_of_the_nodes_count_as_equal():
         assert weights == integrators._EQUAL_STEP_WEIGHTS[min(i, 8)]
     assert integrators._EQUAL_STEP_WEIGHTS[8] == (-1, 8, -28, 56, -70, 56, -28, 8)
     assert integrators._EQUAL_STEP_WEIGHTS[4][4:] == (-1, 4, -6, 4)
+    # the Lagrange weights of the distances c, ..., 1 are exact integers
+    for c, row in enumerate(integrators._EQUAL_STEP_WEIGHTS):
+        binomial = [(-1) ** (c - k + 1) * math.comb(c, k) for k in range(c)]
+        assert list(row) == [0] * (8 - c) + binomial
+        assert all(type(x) is float for x in row)
 
 
 def test_a_stalled_step_is_retried_once_from_z_with_a_fresh_pass(monkeypatch):

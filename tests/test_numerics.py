@@ -363,6 +363,35 @@ def test_newton_rejects_a_nan_entry_next_to_large_ones(where):
         newton_solve(f, [0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "error, op",
+    (
+        (OverflowError, lambda v: math.exp(v + 1e3)),
+        (ValueError, lambda v: math.log(v - 1e3)),
+        (ZeroDivisionError, lambda v: 1.0 / (v - v)),
+    ),
+    ids=("overflow", "domain", "division"),
+)
+@pytest.mark.parametrize("where", ("jacobian pass", "float call", "carried factors"))
+def test_newton_turns_a_map_that_raises_into_non_finite_evaluation(error, op, where):
+    # a map written with math, or with its own division, raises instead of
+    # returning inf or NaN; Newton reports that as a non-finite evaluation
+    # chained to the original error
+    def f(x):
+        if where == "jacobian pass" and isinstance(x[0], complex):
+            op(x[0].real)
+        if where != "jacobian pass" and not isinstance(x[0], complex):
+            op(x[0])
+        return [x[0] - 1.0]
+
+    factors = None
+    if where == "carried factors":
+        factors = newton_solve(lambda x: [x[0] - 1.0], [0.0]).factors
+    with pytest.raises(NonFiniteEvaluation, match=error.__name__) as info:
+        newton_solve(f, [0.0], NewtonSettings(), factors)
+    assert isinstance(info.value.__cause__, error)
+
+
 def test_newton_settings_validation():
     with pytest.raises(ValueError):
         NewtonSettings(max_iterations=0)
