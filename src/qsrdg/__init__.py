@@ -33,7 +33,6 @@ from qsrdg.errors import (
     QuadratureNotConverged,
     SingularMatrix,
     UnknownExample,
-    ZeroDirection,
 )
 from qsrdg.integrators import (
     SchemeConfig,
@@ -115,7 +114,6 @@ __all__ = [
     "QsrdgError",
     "SingularMatrix",
     "NonFiniteEvaluation",
-    "ZeroDirection",
     "GridMismatch",
     "AreNotConverged",
     "NotStabilizing",

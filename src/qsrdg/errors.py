@@ -13,11 +13,6 @@ class NonFiniteEvaluation(QsrdgError):
     """A map produced NaN or infinity where a finite value was required."""
 
 
-class ZeroDirection(QsrdgError):
-    """A discrete gradient's squared norm was 0 in floats, so the step
-    could not divide by it."""
-
-
 class GridMismatch(QsrdgError):
     """Two time grids that must share nodes do not align."""
 

@@ -10,6 +10,12 @@ exactly (up to the Newton residual), mirroring the continuous power
 balance.  An implicit midpoint stepper over the same averaged maps serves
 as the second-order reference scheme without the balance guarantee.
 
+Where the discrete gradient's squared norm is 0.0 in floats, at rest at
+a critical point of H or once |dg| is below about 1e-154, a residual call
+takes the coefficient as 0, so the step there is the implicit midpoint
+step over the same maps.  Wherever dg is not 0, dg . (w - z) =
+H(w) - H(z) is untouched, and so is the balance.
+
 "Up to the Newton residual" has a size.  With r the residual at the
 accepted state and dg the discrete gradient there, the balance defect of
 a step is |dg . r| / tau.  So the 1e-13 residual tolerance alone bounds
@@ -62,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsrdg._kernels import dot, factor, matvec, norm_sq, substitute
+from qsrdg._kernels import dot, factor, norm_sq, substitute
 
 # the layer trace of perfbench looks this name up here; the dg-qsr step
 # factors once per feedthrough value and calls substitute instead, so
@@ -76,10 +82,15 @@ from qsrdg.errors import (
     NonFiniteEvaluation,
     QuadratureNotConverged,
     SingularMatrix,
-    ZeroDirection,
 )
 from qsrdg.model import supply_value
-from qsrdg.numerics import NewtonSettings, _tolerance, newton_solve
+from qsrdg.numerics import (
+    _MAP_ERRORS,
+    NewtonSettings,
+    _raised,
+    _tolerance,
+    newton_solve,
+)
 
 __all__ = [
     "TimeGrid",
@@ -152,10 +163,7 @@ class SchemeConfig:
     """Scheme and discrete gradient for one integration run.
 
     Every other number of a step is fixed.  Newton runs with the defaults
-    of :class:`NewtonSettings`.  A gradient vanishes only when its squared
-    norm is 0.0 in floats: a step from such a z is a critical-point step
-    (see ``_DgQsrStepper.step``), and a residual call whose discrete
-    gradient has squared norm 0.0 raises :class:`ZeroDirection`.
+    of :class:`NewtonSettings`.
     """
 
     scheme: str = DG_QSR
@@ -183,8 +191,7 @@ class Trajectory:
     that started from the factors the last step kept.  A step whose solve
     stalled and was solved again from its own state counts the updates of
     both solves, whichever result it kept.  A count of 0 means the start
-    was accepted as it was: its residual was on the rounding floor, or the
-    step stayed at rest at a critical point of H.
+    was accepted as it was: its residual was on the rounding floor.
     """
 
     grid: TimeGrid
@@ -357,11 +364,8 @@ class _DgQsrStepper(_Stepper):
         def residual(w):
             dg, g2, fv, bv, dv, hbar, gam_num = terms(z, w)
             last[:] = (hbar, dv)
-            if g2.real == 0.0:
-                raise ZeroDirection(
-                    "the discrete gradient's squared norm is 0 in floats"
-                )
-            coef = (gam_num - dot(dg, fv)) / g2
+            # where |dg|^2 is 0.0 in floats the step is implicit midpoint
+            coef = 0.0 if g2.real == 0.0 else (gam_num - dot(dg, fv)) / g2
             return [
                 wk - zk - tau * (coef * dk + fk + dot(row, ubar))
                 for wk, zk, dk, fk, row in zip(w, z, dg, fv, bv)
@@ -371,29 +375,9 @@ class _DgQsrStepper(_Stepper):
 
     def step(self, z, ubar, tau, start):
         """One step from ``z``, Newton from ``start``: ``(w, ybar, residual,
-        its, values)``, with ``values`` the residual vector at ``w``.
-
-        Where |grad H(z)|^2 is 0.0 in floats, a critical point of H, Newton
-        starts from the Euler predictor z + tau (f(z) + B(z) ubar) whatever
-        ``start`` is.  If that does not move, w = z solves the step exactly
-        (supply minus dissipation is grad H . (f + B ubar) = 0 there) and
-        is returned with output h(z) + D(z) ubar, residual 0, no Newton
-        update and zero residual values, so the step's increment is 0.
-        A stalled solve there retries from the Euler predictor, not from
-        z, whose discrete gradient vanishes.
-        """
-        system = self.system
-        retry = z
-        if norm_sq(system.storage.gradient(z)) == 0.0:
-            bu = matvec(system.input_map(z), ubar)
-            rate = [fk + bk for fk, bk in zip(system.drift(z), bu)]
-            if not any(rate):
-                ybar = _output(system.output_map(z), system.feedthrough(z), ubar)
-                return z, ybar, 0.0, 0, [0.0] * len(z)
-            start = retry = [zk + tau * rk for zk, rk in zip(z, rate)]
+        its, values)``, with ``values`` the residual vector at ``w``."""
         last = []
-        residual = self._residual(z, ubar, tau, last)
-        w, its, res, vals = self._solve(residual, retry, start)
+        w, its, res, vals = self._solve(self._residual(z, ubar, tau, last), z, start)
         # ``last`` holds hbar and dv of newton_solve's last call, at ``w``
         return w, _output(*last, ubar), res, its, vals
 
@@ -415,7 +399,7 @@ class _MidpointStepper(_Stepper):
         return residual
 
     def step(self, z, ubar, tau, start):
-        """As :meth:`_DgQsrStepper.step`, without a rest case."""
+        """As :meth:`_DgQsrStepper.step`."""
         w, its, res, vals = self._solve(self._residual(z, ubar, tau), z, start)
         mid = [(a + b) * 0.5 for a, b in zip(z, w)]
         ybar = _output(self.system.output_map(mid), self.system.feedthrough(mid), ubar)
@@ -472,20 +456,27 @@ def _shape(out):
 def _check_map_shapes(system, z):
     """Raise ``ValueError`` naming the first map whose value at ``z`` has
     the wrong shape: the step loops would index past a short one and
-    ``zip`` would cut a long one."""
+    ``zip`` would cut a long one.  A map that raises one of
+    ``_MAP_ERRORS`` at ``z`` fails step 0 with :class:`IntegrationError`."""
     n, m = system.n, system.m
-    l_shape = _shape(system.loss_state(z))
+    maps = {
+        "storage gradient": system.storage.gradient,
+        "drift": system.drift,
+        "input_map": system.input_map,
+        "output_map": system.output_map,
+        "feedthrough": system.feedthrough,
+        "loss_state": system.loss_state,
+        "loss_input": system.loss_input,
+    }
+    try:
+        shapes = {name: _shape(f(z)) for name, f in maps.items()}
+    except _MAP_ERRORS as exc:
+        raise IntegrationError(0, 0.0, str(_raised(exc)), np.array(z)) from exc
+    l_shape = shapes["loss_state"]
     # l may have any length p; W must have p rows
     p = l_shape[0] if l_shape and l_shape != "ragged" else 1
-    for name, got, shape in (
-        ("storage gradient", _shape(system.storage.gradient(z)), (n,)),
-        ("drift", _shape(system.drift(z)), (n,)),
-        ("input_map", _shape(system.input_map(z)), (n, m)),
-        ("output_map", _shape(system.output_map(z)), (m,)),
-        ("feedthrough", _shape(system.feedthrough(z)), (m, m)),
-        ("loss_state", l_shape, (p,)),
-        ("loss_input", _shape(system.loss_input(z)), (p, m)),
-    ):
+    expected = ((n,), (n,), (n, m), (m,), (m, m), (p,), (p, m))
+    for (name, got), shape in zip(shapes.items(), expected):
         if got != shape:
             raise ValueError(f"{name} returned shape {got}, expected {shape}")
 
@@ -552,16 +543,16 @@ def _start_weights(widths, tau, t_next):
 def integrate(system, config, grid, control, z0):
     """March the configured scheme over ``grid`` from ``z0``.
 
-    Hard step failures (singular Jacobian, vanished discrete gradient,
-    non-finite evaluations, a map that raises ``OverflowError``,
-    ``ValueError`` or ``ZeroDivisionError`` inside Newton, mean-value
-    quadrature that misses its secant tolerance at the panel cap) are
-    re-raised as :class:`IntegrationError` carrying the failing step
-    index and the last good state z_i; Newton stalls only warn, each at
-    the line that called ``integrate``, and are visible in the returned
-    residuals.  A non-finite ``z0``, or a map whose value at ``z0`` has
-    the wrong shape, a ragged row or a nested entry included, raises
-    ``ValueError`` before the first step.
+    Hard step failures (singular Jacobian, non-finite evaluations, a map
+    that raises ``OverflowError``, ``ValueError`` or ``ZeroDivisionError``,
+    mean-value quadrature that misses its secant tolerance at the panel
+    cap) are re-raised as :class:`IntegrationError` carrying the failing
+    step index and the last good state z_i, chained to the original
+    error; a map that raises at ``z0`` in the shape check fails step 0.
+    Newton stalls only warn, each at the line that called ``integrate``,
+    and are visible in the returned residuals.  A non-finite ``z0``, or a
+    map whose value at ``z0`` has the wrong shape, a ragged row or a
+    nested entry included, raises ``ValueError`` before the first step.
 
     The loop works on Python lists and builds the five arrays of the
     :class:`Trajectory` once, after the last step.
@@ -598,11 +589,9 @@ def integrate(system, config, grid, control, z0):
     starts from z_0; with one increment the start is the linear
     extrapolation of the states and with two the quadratic, up to the
     residual term.  A step whose solve stalls from such a start is solved
-    again from z_i (see :meth:`_Stepper._solve`).  A dg-qsr step from a
-    critical point of H overrides the start (see ``_DgQsrStepper.step``)
-    and retries from that start instead.  An unmoved run records zero
-    increments, so its start is z_i bit for bit and fixed points stay
-    exact.
+    again from z_i (see :meth:`_Stepper._solve`).  An unmoved run records
+    zero increments, so its start is z_i bit for bit and fixed points
+    stay exact.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.n,):
@@ -649,13 +638,11 @@ def integrate(system, config, grid, control, z0):
             ]
         try:
             w, ybar, res, its, vals = stepper.step(z, ubar, tau, start)
-        except (
-            ZeroDirection,
-            SingularMatrix,
-            NonFiniteEvaluation,
-            QuadratureNotConverged,
-        ) as exc:
+        except (SingularMatrix, NonFiniteEvaluation, QuadratureNotConverged) as exc:
             raise IntegrationError(i, t, str(exc), np.array(z)) from exc
+        except _MAP_ERRORS as exc:
+            # a map called outside Newton: the midpoint step's output
+            raise IntegrationError(i, t, str(_raised(exc)), np.array(z)) from exc
         increments.append([(a - b - r) / tau for a, b, r in zip(w, z, vals)])
         widths.append(tau)
         z = w
