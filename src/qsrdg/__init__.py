@@ -43,6 +43,7 @@ from qsrdg.integrators import (
     relative_error,
 )
 from qsrdg.model import (
+    ConstantMap,
     QsrSystem,
     SupplyRate,
     continuous_power_balance_residual,
@@ -79,6 +80,7 @@ __all__ = [
     "mean_value",
     "discrete_gradient",
     # model
+    "ConstantMap",
     "SupplyRate",
     "QsrSystem",
     "supply_value",

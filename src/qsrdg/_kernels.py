@@ -10,10 +10,10 @@ Vectors are plain sequences of scalars and matrices are sequences of row
 sequences.  numpy arrays of floats are accepted anywhere a sequence is;
 the hot loops deliberately avoid numpy because the state dimensions of
 interest are tiny (one or two) and per-call array overhead dominates at
-that size.  For the same reason the dg-qsr residual forms B^T dg and
-W^T l and its quadratic forms in its own loops, with the accumulation
-order of :func:`dot`, instead of calling a helper per vector of length
-one or two (see :mod:`qsrdg.integrators`).  These pure-Python kernels
+that size.  For the same reason the dg-qsr residual forms its quadratic
+forms in its own loops, with the accumulation order of :func:`dot`,
+instead of calling a helper per vector of length one or two (see
+:mod:`qsrdg.integrators`).  These pure-Python kernels
 are the only backend; ``BACKEND`` names it for run records.
 
 Dense solves have one elimination code, in two halves.  :func:`factor`
@@ -21,7 +21,7 @@ eliminates a matrix once: it records the pivot row of each step, that
 step's multipliers and the rows of U.  :func:`substitute` applies those
 factors to a right-hand side: the recorded swaps and multipliers in
 elimination order, then back substitution.  ``solve_generic(a, b)`` is
-``substitute(factor(a), b)``.  Newton's update and the output solve go
+``substitute(factor(a), b)``.  Newton's update and the output gains go
 through these two; a caller that solves with one matrix many times keeps
 the factors.
 """

@@ -50,12 +50,15 @@ All two-point averages are midpoint evaluations, phi((z + w) / 2); the
 averaged input is the trapezoidal endpoint mean (u(t_i) + u(t_{i+1})) / 2.
 
 Each residual call of the structure-preserving step recovers the output
-from (Q D + S)^T hbar = B^T dg / 2 + W^T l.  A run keeps one set of
-factors of that matrix, keyed on a copy of the feedthrough values D it
-was built from, and refactors only when a call's D has other values.
-So a constant feedthrough is factored once per run and every call only
-substitutes; a state-dependent one is refactored on every call, as
-before, at the cost of one more comparison.
+from (Q D + S)^T hbar = B^T dg / 2 + W^T l, by one formula:
+hbar = A dg + C l, with the gains A = (Q D + S)^{-T} B^T / 2 and
+C = (Q D + S)^{-T} W^T.  A system that declares B, D and W as
+:class:`~qsrdg.model.ConstantMap`, as every shipped example does, has
+its gains formed once per run, and its residual calls make no call of
+the three maps.  Otherwise every call forms them from its own values of
+B, D and W, so a state-dependent feedthrough is refactored on every
+call.  The implicit midpoint step and the balance audit also read a
+declared B, D or W instead of calling it.
 """
 
 import itertools
@@ -71,8 +74,8 @@ import numpy as np
 from qsrdg._kernels import dot, factor, norm_sq, substitute
 
 # the layer trace of perfbench looks this name up here; the dg-qsr step
-# factors once per feedthrough value and calls substitute instead, so
-# the traced full solves now count zero
+# forms its output gains with factor and substitute instead, so the
+# traced full solves count zero
 from qsrdg._kernels import solve_generic  # noqa: F401
 from qsrdg.dgradients import GONZALEZ, DiscreteGradientKind, _evaluate
 from qsrdg.errors import (
@@ -83,7 +86,7 @@ from qsrdg.errors import (
     QuadratureNotConverged,
     SingularMatrix,
 )
-from qsrdg.model import supply_value
+from qsrdg.model import ConstantMap, supply_value
 from qsrdg.numerics import (
     _MAP_ERRORS,
     NewtonSettings,
@@ -273,20 +276,22 @@ def _stalled(w, res):
     return res > _NEWTON.residual_tolerance and res > _tolerance(_NEWTON, w)
 
 
+def _rows(f):
+    """The rows of a map declared as a :class:`ConstantMap`, else None."""
+    return f.rows if isinstance(f, ConstantMap) else None
+
+
 class _DgQsrStepper(_Stepper):
     """Per-run machinery for the structure-preserving scheme.
 
-    Every residual call solves (Q D + S)^T hbar = B^T dg / 2 + W^T l for
-    the output terms, with D the feedthrough at the midpoint.  The stepper
-    keeps one factored matrix for the run: a snapshot of the feedthrough
-    values it was built from, and the factors of (Q D + S)^T.  A call whose
-    feedthrough has the same values only substitutes; any other value
-    refactors and replaces the snapshot.  The key is a copy of the values,
-    not the object, because a map may return one list that it mutates
-    between calls; and a Jacobian-pass entry with a nonzero tangent never
-    equals a float, so a feedthrough that depends on the state refactors
-    on every call.  With a constant feedthrough, as in every shipped
-    example, the matrix is factored once per run.
+    Every residual call recovers the output terms as hbar = A dg + C l,
+    the solution of (Q D + S)^T hbar = B^T dg / 2 + W^T l with B, D and W
+    at the midpoint (see :meth:`_gains`).  When the system declares all
+    three as :class:`ConstantMap`, the gains are formed once, here, and
+    ``constants`` holds B, D and the rows of A and C; a residual call then
+    calls none of the three maps.  Otherwise ``constants`` is None and
+    every call forms the gains from its own map values, which may carry
+    a Jacobian pass's tangents.
     """
 
     def __init__(self, system, config):
@@ -295,66 +300,58 @@ class _DgQsrStepper(_Stepper):
         # the supply weights are 2-D float arrays (see SupplyRate)
         self.q_rows = system.supply.q.tolist()
         self.s_rows = system.supply.s.tolist()
-        self._dv_key = None
-        self._lu = None
+        bv, dv, wv = (
+            _rows(system.input_map), _rows(system.feedthrough), _rows(system.loss_input)
+        )
+        if bv is None or dv is None or wv is None:
+            self.constants = None
+        else:
+            self.constants = (bv, dv, *self._gains(bv, dv, wv))
 
-    def _refactor(self, dv, key):
-        q_rows, s_rows = self.q_rows, self.s_rows
-        m = len(q_rows)
-        # rows of (Q D + S)^T: entry (j, i) is sum_k q[i][k] d[k][j] + s[i][j]
+    def _gains(self, bv, dv, wv):
+        """Rows of A = (Q D + S)^{-T} B^T / 2 and C = (Q D + S)^{-T} W^T
+        from the values ``bv``, ``dv`` and ``wv`` of B, D and W, generic
+        scalars throughout: column i of A solves (Q D + S)^T a = B_i / 2
+        and column k of C solves (Q D + S)^T c = W_k, with B_i and W_k
+        rows of B and W."""
+        # rows of (Q D + S)^T: entry (j, i) is row i of Q times column j
+        # of D, plus s[i][j]
         mt = [
-            [
-                sum(q_rows[i][k] * dv[k][j] for k in range(m)) + s_rows[i][j]
-                for i in range(m)
-            ]
-            for j in range(m)
+            [dot(q, col) + s[j] for q, s in zip(self.q_rows, self.s_rows)]
+            for j, col in enumerate(zip(*dv))
         ]
-        self._lu = factor(mt)
-        self._dv_key = key
+        lu = factor(mt)
+        a_cols = [substitute(lu, [0.5 * b for b in row]) for row in bv]
+        c_cols = [substitute(lu, row) for row in wv]
+        return list(zip(*a_cols)), list(zip(*c_cols))
 
     def _terms(self, z, w):
         """Shared two-point quantities of the structure-preserving step.
 
         Works on generic scalars: ``z`` holds floats, ``w`` may be complex.
         Returns the discrete gradient, its squared norm, the midpoint
-        drift, input and feedthrough evaluations, the recovered output,
-        and the numerator of the drift coefficient.
+        drift, input and feedthrough values, the recovered output, and
+        the numerator of the drift coefficient.
         """
         system = self.system
         mid = [(a + b) * 0.5 for a, b in zip(z, w)]
         dg = _evaluate(self.kind, system.storage, z, w, mid)
         g2 = dot(dg, dg)
         fv = system.drift(mid)
-        bv = system.input_map(mid)
-        dv = system.feedthrough(mid)
         lv = system.loss_state(mid)
-        wv = system.loss_input(mid)
-        key = tuple(map(tuple, dv))
-        if key != self._dv_key:
-            self._refactor(dv, key)
-        # B^T dg / 2 + W^T l: entry j sums column j of B, and of W, down
-        # the rows, in the order of a transposed product
-        b0, w0, d0, l0 = bv[0], wv[0], dg[0], lv[0]
-        b_rest, w_rest = range(1, len(bv)), range(1, len(wv))
-        rhs = []
-        for j in range(len(b0)):
-            b = b0[j] * d0
-            for i in b_rest:
-                b = b + bv[i][j] * dg[i]
-            c = w0[j] * l0
-            for i in w_rest:
-                c = c + wv[i][j] * lv[i]
-            rhs.append(0.5 * b + c)
-        hbar = substitute(self._lu, rhs)
+        if self.constants is None:
+            bv = system.input_map(mid)
+            dv = system.feedthrough(mid)
+            a_rows, c_rows = self._gains(bv, dv, system.loss_input(mid))
+        else:
+            bv, dv, a_rows, c_rows = self.constants
+        hbar = [dot(a, dg) + dot(c, lv) for a, c in zip(a_rows, c_rows)]
         # hbar . Q hbar - |l|^2, each sum taken in index order
         q_rows = self.q_rows
         quad = hbar[0] * dot(q_rows[0], hbar)
         for i in range(1, len(hbar)):
             quad = quad + hbar[i] * dot(q_rows[i], hbar)
-        l2 = l0 * l0
-        for i in range(1, len(lv)):
-            l2 = l2 + lv[i] * lv[i]
-        return dg, g2, fv, bv, dv, hbar, quad - l2
+        return dg, g2, fv, bv, dv, hbar, quad - dot(lv, lv)
 
     def _residual(self, z, ubar, tau, last):
         """The step's Newton residual; each call leaves the output terms
@@ -383,17 +380,26 @@ class _DgQsrStepper(_Stepper):
 
 
 class _MidpointStepper(_Stepper):
-    """Implicit midpoint over the same averaged maps (reference scheme)."""
+    """Implicit midpoint over the same averaged maps (reference scheme).
+    It reads the rows of a declared B or D instead of calling the map."""
+
+    def __init__(self, system):
+        super().__init__(system)
+        self.b_rows = _rows(system.input_map)
+        self.d_rows = _rows(system.feedthrough)
 
     def _residual(self, z, ubar, tau):
         drift = self.system.drift
         input_map = self.system.input_map
+        b_rows = self.b_rows
 
         def residual(w):
             mid = [(a + b) * 0.5 for a, b in zip(z, w)]
+            fv = drift(mid)
+            bv = input_map(mid) if b_rows is None else b_rows
             return [
                 wk - zk - tau * (fk + dot(row, ubar))
-                for wk, zk, fk, row in zip(w, z, drift(mid), input_map(mid))
+                for wk, zk, fk, row in zip(w, z, fv, bv)
             ]
 
         return residual
@@ -402,8 +408,9 @@ class _MidpointStepper(_Stepper):
         """As :meth:`_DgQsrStepper.step`."""
         w, its, res, vals = self._solve(self._residual(z, ubar, tau), z, start)
         mid = [(a + b) * 0.5 for a, b in zip(z, w)]
-        ybar = _output(self.system.output_map(mid), self.system.feedthrough(mid), ubar)
-        return w, ybar, res, its, vals
+        hv = self.system.output_map(mid)
+        dv = self.system.feedthrough(mid) if self.d_rows is None else self.d_rows
+        return w, _output(hv, dv, ubar), res, its, vals
 
 
 def _output(hv, dv, ubar):
@@ -412,7 +419,16 @@ def _output(hv, dv, ubar):
 
 
 def _control_values(control, t, m):
-    out = control(t)
+    """The control's ``m`` values at ``t`` as floats.  A control that
+    raises one of ``_MAP_ERRORS`` raises :class:`NonFiniteEvaluation`
+    chained to it; one that returns another number of values raises
+    ``ValueError``."""
+    try:
+        out = control(t)
+    except _MAP_ERRORS as exc:
+        raise NonFiniteEvaluation(
+            f"control raised {type(exc).__name__} at t = {t!r}: {exc}"
+        ) from exc
     if isinstance(out, (int, float)):
         vals = (float(out),)
     elif isinstance(out, numbers.Real) or getattr(out, "shape", None) == ():
@@ -548,7 +564,9 @@ def integrate(system, config, grid, control, z0):
     mean-value quadrature that misses its secant tolerance at the panel
     cap) are re-raised as :class:`IntegrationError` carrying the failing
     step index and the last good state z_i, chained to the original
-    error; a map that raises at ``z0`` in the shape check fails step 0.
+    error; so is a control that raises one of those three.  A map that
+    raises at ``z0`` in the shape check, and a declared Q D + S that is
+    singular, fail step 0.
     Newton stalls only warn, each at the line that called ``integrate``,
     and are visible in the returned residuals.  A non-finite ``z0``, or a
     map whose value at ``z0`` has the wrong shape, a ragged row or a
@@ -600,7 +618,11 @@ def integrate(system, config, grid, control, z0):
         raise ValueError(f"initial state must be finite, got {z0.tolist()}")
     _check_map_shapes(system, z0.tolist())
     if config.scheme == DG_QSR:
-        stepper = _DgQsrStepper(system, config)
+        try:
+            stepper = _DgQsrStepper(system, config)
+        except SingularMatrix as exc:
+            # a declared Q D + S is singular: no step can recover its output
+            raise IntegrationError(0, 0.0, str(exc), z0.copy()) from exc
     else:
         stepper = _MidpointStepper(system)
     m = system.m
@@ -620,7 +642,11 @@ def integrate(system, config, grid, control, z0):
     for i in range(grid.num_steps):
         t = pts[i]
         tau = pts[i + 1] - t
-        ubar, left = _averaged_input(control, t, tau, m, left)
+        try:
+            ubar, left = _averaged_input(control, t, tau, m, left)
+        except NonFiniteEvaluation as exc:
+            # the control raised; a wrong number of values is a ValueError
+            raise IntegrationError(i, t, str(exc), np.array(z)) from exc.__cause__
         if widths:
             # a step as long as the last one after eight equal steps keeps
             # their weights: the tolerance only grows with t
@@ -677,12 +703,13 @@ def discrete_power_balance_residuals(system, trajectory):
     ).tolist()
     hval = system.storage.value
     h = [hval(z) for z in states]
+    w_rows = _rows(system.loss_input)
     out = []
     for i, (z0, z1, u, tau, sup) in enumerate(
         zip(states, states[1:], inputs, taus, supplies)
     ):
         mid = [(a + b) * 0.5 for a, b in zip(z0, z1)]
-        wv = system.loss_input(mid)
+        wv = system.loss_input(mid) if w_rows is None else w_rows
         sig = [lk + dot(row, u) for lk, row in zip(system.loss_state(mid), wv)]
         diss = norm_sq(sig)
         dh = (h[i + 1] - h[i]) / tau

@@ -16,6 +16,7 @@ the power balance dH/dt = s(u, y) - ||l + W u||^2 along solutions, which
 is the identity the discrete scheme reproduces exactly.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +25,7 @@ import numpy as np
 from qsrdg.dgradients import StorageFunction
 
 __all__ = [
+    "ConstantMap",
     "SupplyRate",
     "QsrSystem",
     "supply_value",
@@ -62,6 +64,33 @@ class SupplyRate:
         return self.q.shape[0]
 
 
+class ConstantMap:
+    """A matrix-valued map that does not depend on the state, given as data.
+
+    ``rows`` becomes a tuple of row tuples of floats, and calling the map
+    at any state returns it, so a ``ConstantMap`` serves wherever a map is
+    called.  Declared as the ``input_map``, ``feedthrough`` or
+    ``loss_input`` of a :class:`QsrSystem`, it is checked when the system
+    is built, and the integrators read its rows instead of calling it.
+    It is a plain class because a dataclass generates its methods when
+    the package is imported, which the benchmark's set-up time counts.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        # an array converts faster through its own tolist
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        self.rows = tuple(tuple(map(float, row)) for row in rows)
+
+    def __call__(self, z):
+        return self.rows
+
+    def __repr__(self):
+        return f"ConstantMap({self.rows!r})"
+
+
 @dataclass(frozen=True)
 class QsrSystem:
     """A QSR-dissipative system given by its maps and structure data.
@@ -73,6 +102,14 @@ class QsrSystem:
     gradient.  Maps must follow the generic-scalar contract of
     :mod:`qsrdg.gmath`, because Newton differentiates them by complex
     steps.
+
+    A B, D or W that does not depend on the state is best declared as
+    data, ``input_map=ConstantMap(((0.0,), (1.0,)))``: the system then
+    checks its shape and finiteness here, raising ``ValueError`` naming
+    the map, and a dg-qsr run whose B, D and W are all declared forms its
+    output gains once per run instead of on every residual call (see
+    :mod:`qsrdg.integrators`).  A plain function returning the same rows
+    gives the same run, only slower.
     """
 
     storage: StorageFunction
@@ -84,6 +121,16 @@ class QsrSystem:
     loss_state: Callable
     loss_input: Callable
 
+    def __post_init__(self):
+        n, m = self.n, self.m
+        # W may have any number p of rows
+        for name, shape in (
+            ("input_map", (n, m)), ("feedthrough", (m, m)), ("loss_input", ("p", m))
+        ):
+            f = getattr(self, name)
+            if isinstance(f, ConstantMap):
+                _check_rows(name, f.rows, shape)
+
     @property
     def n(self):
         """State dimension, the storage's."""
@@ -93,6 +140,21 @@ class QsrSystem:
     def m(self):
         """Input and output dimension, the supply rate's."""
         return self.supply.m
+
+
+def _check_rows(name, rows, expected):
+    """Raise ``ValueError`` naming the declared map ``name`` unless its
+    ``rows`` are finite and of the ``expected`` shape, whose row count
+    "p" stands for any positive number."""
+    lengths = {len(row) for row in rows}
+    if len(lengths) > 1:
+        raise ValueError(f"{name} has ragged rows of lengths {sorted(lengths)}")
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValueError(f"{name} has non-finite entries")
+    shape = (len(rows), *lengths)
+    p, m = expected
+    if shape != (shape[0] if p == "p" else p, m):
+        raise ValueError(f"{name} has shape {shape}, expected ({p}, {m})")
 
 
 def supply_value(supply, u, y):

@@ -3,7 +3,9 @@ scalar saturating nonlinearity.
 
 Every factory returns a :class:`~qsrdg.model.QsrSystem` whose maps are
 written against :mod:`qsrdg.gmath`, so they compose with the automatic
-differentiation used by the implicit solvers.  The structure identities
+differentiation used by the implicit solvers.  All four have a constant
+input map, feedthrough and loss input, and declare them as
+:class:`~qsrdg.model.ConstantMap`.  The structure identities
 hold exactly for all four (see the tests), which is what entitles them to
 the discrete power balance.
 
@@ -22,7 +24,7 @@ from qsrdg import gmath as gm
 from qsrdg._kernels import dot, matvec
 from qsrdg.dgradients import StorageFunction
 from qsrdg.errors import UnknownExample
-from qsrdg.model import QsrSystem, SupplyRate
+from qsrdg.model import ConstantMap, QsrSystem, SupplyRate
 from qsrdg.riccati import solve_are
 
 __all__ = [
@@ -79,30 +81,21 @@ def make_pendulum(params=PendulumParams()):
     def drift(z):
         return [z[1], -g * gm.sin(z[0]) - lam * z[1]]
 
-    def input_map(z):
-        return ((0.0,), (1.0,))
-
     def output_map(z):
         return [z[1]]
 
-    def feedthrough(z):
-        return ((0.0,),)
-
     def loss_state(z):
         return (0.0,)
-
-    def loss_input(z):
-        return ((0.0,),)
 
     return QsrSystem(
         storage=StorageFunction(energy, energy_grad, 2, energy_difference),
         supply=SupplyRate(q=[[-lam]], s=[[0.5]], r=[[0.0]]),
         drift=drift,
-        input_map=input_map,
+        input_map=ConstantMap(((0.0,), (1.0,))),
         output_map=output_map,
-        feedthrough=feedthrough,
+        feedthrough=ConstantMap(((0.0,),)),
         loss_state=loss_state,
-        loss_input=loss_input,
+        loss_input=ConstantMap(((0.0,),)),
     )
 
 
@@ -135,9 +128,6 @@ def make_lti_ocp(params=LtiOcpParams()):
     p_rows = tuple(tuple(row) for row in p_c.tolist())
     bp_rows = tuple(tuple(row) for row in (b.T @ p_c).tolist())
     cl_rows = tuple(tuple(row) for row in (c / math.sqrt(2.0)).tolist())
-    b_rows = tuple(tuple(row) for row in b.tolist())
-    zero_mm = tuple((0.0,) * m for _ in range(m))
-    zero_pm = tuple((0.0,) * m for _ in range(p_out))
 
     def value(z):
         return 0.5 * dot(z, matvec(p_rows, z))
@@ -153,31 +143,22 @@ def make_lti_ocp(params=LtiOcpParams()):
     def drift(z):
         return matvec(a_rows, z)
 
-    def input_map(z):
-        return b_rows
-
     def output_map(z):
         return matvec(bp_rows, z)
 
-    def feedthrough(z):
-        return zero_mm
-
     def loss_state(z):
         return matvec(cl_rows, z)
-
-    def loss_input(z):
-        return zero_pm
 
     half_eye = 0.5 * np.eye(m)
     return QsrSystem(
         storage=StorageFunction(value, gradient, n, difference),
         supply=SupplyRate(q=half_eye, s=half_eye, r=np.zeros((m, m))),
         drift=drift,
-        input_map=input_map,
+        input_map=ConstantMap(b),
         output_map=output_map,
-        feedthrough=feedthrough,
+        feedthrough=ConstantMap(np.zeros((m, m))),
         loss_state=loss_state,
-        loss_input=loss_input,
+        loss_input=ConstantMap(np.zeros((p_out, m))),
     )
 
 
@@ -204,11 +185,6 @@ def make_pi(params=PiParams(), channels=1):
         )
     if n < 1:
         raise ValueError("need at least one channel")
-    eye = tuple(
-        tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n)
-    )
-    kp_eye = tuple(tuple(kp * x for x in row) for row in eye)
-    zero_pm = ((0.0,) * n,)
 
     def value(z):
         acc = z[0] * z[0]
@@ -228,20 +204,11 @@ def make_pi(params=PiParams(), channels=1):
     def drift(z):
         return [0.0] * n
 
-    def input_map(z):
-        return eye
-
     def output_map(z):
         return [ki * z[k] for k in range(n)]
 
-    def feedthrough(z):
-        return kp_eye
-
     def loss_state(z):
         return (0.0,)
-
-    def loss_input(z):
-        return zero_pm
 
     return QsrSystem(
         storage=StorageFunction(value, gradient, n, difference),
@@ -249,11 +216,11 @@ def make_pi(params=PiParams(), channels=1):
             q=np.zeros((n, n)), s=0.5 * np.eye(n), r=-kp * np.eye(n)
         ),
         drift=drift,
-        input_map=input_map,
+        input_map=ConstantMap(np.eye(n)),
         output_map=output_map,
-        feedthrough=feedthrough,
+        feedthrough=ConstantMap(kp * np.eye(n)),
         loss_state=loss_state,
-        loss_input=loss_input,
+        loss_input=ConstantMap(np.zeros((1, n))),
     )
 
 
@@ -296,34 +263,25 @@ def make_synthetic(params=SyntheticParams()):
         x2 = x * x
         return [-x - alpha * x / (1.0 + x2 * x2)]
 
-    def input_map(z):
-        return ((2.0 * lam,),)
-
     def output_map(z):
         x = z[0]
         x2 = x * x
         return [-alpha * x / (1.0 + x2 * x2)]
-
-    def feedthrough(z):
-        return ((lam,),)
 
     def loss_state(z):
         x = z[0]
         x2 = x * x
         return [sqrt_alpha * x / gm.sqrt(1.0 + x2 * x2)]
 
-    def loss_input(z):
-        return ((0.0,),)
-
     return QsrSystem(
         storage=StorageFunction(value, gradient, 1, difference),
         supply=SupplyRate(q=[[-1.0]], s=[[0.0]], r=[[lam * lam]]),
         drift=drift,
-        input_map=input_map,
+        input_map=ConstantMap(((2.0 * lam,),)),
         output_map=output_map,
-        feedthrough=feedthrough,
+        feedthrough=ConstantMap(((lam,),)),
         loss_state=loss_state,
-        loss_input=loss_input,
+        loss_input=ConstantMap(((0.0,),)),
     )
 
 

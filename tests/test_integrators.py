@@ -25,6 +25,7 @@ from qsrdg.errors import (
     NewtonDidNotConverge,
     NonFiniteEvaluation,
     QuadratureNotConverged,
+    SingularMatrix,
 )
 from qsrdg.integrators import (
     DG_QSR,
@@ -35,7 +36,13 @@ from qsrdg.integrators import (
     integrate,
     relative_error,
 )
-from qsrdg.model import QsrSystem, SupplyRate, hill_moylan_residual, supply_value
+from qsrdg.model import (
+    ConstantMap,
+    QsrSystem,
+    SupplyRate,
+    hill_moylan_residual,
+    supply_value,
+)
 from qsrdg.numerics import _H, NewtonSettings, _jacobian_with_values, _tolerance
 from qsrdg.systems import (
     EXAMPLE_NAMES,
@@ -824,6 +831,38 @@ def test_control_with_the_wrong_number_of_values_raises(sample):
         )
 
 
+@pytest.mark.parametrize(
+    "control, error",
+    (
+        (lambda t: 1.0 / (1.0 - t), ZeroDivisionError),
+        (lambda t: math.log(1.0 - t), ValueError),
+        (lambda t: 0.0 * math.exp(800.0 * t), OverflowError),
+    ),
+    ids=("zero-division", "domain", "overflow"),
+)
+def test_a_control_that_raises_fails_the_step_with_a_typed_error(control, error):
+    # each control raises first at t = 1, the right end of step 1, where
+    # it used to escape integrate bare; a control that returns the wrong
+    # number of values there still raises its own ValueError
+    case = benchmark_settings("synthetic")
+    grid = TimeGrid.with_step(0.5, 4)
+    match = f"control raised {error.__name__}"
+    with pytest.raises(IntegrationError, match=match) as info:
+        integrate(case.system, SchemeConfig(), grid, control, case.initial_state)
+    assert info.value.step_index == 1 and "step 1 " in str(info.value)
+    assert type(info.value.__cause__) is error
+    good = integrate(
+        case.system, SchemeConfig(), TimeGrid(grid.points[:2]), control,
+        case.initial_state,
+    )
+    assert np.array_equal(info.value.state, good.states[1])
+    with pytest.raises(ValueError, match="control returned 2 values, expected 1"):
+        integrate(
+            case.system, SchemeConfig(), grid,
+            lambda t: (0.0, 0.0) if t >= 1.0 else control(t), case.initial_state,
+        )
+
+
 def test_integration_error_wraps_unconverged_quadrature():
     # H = sqrt(|x|) has a gradient singular at 0; the first Newton update
     # carries the state across it, so the mean-value quadrature hits its
@@ -1420,12 +1459,15 @@ def test_residual_jacobian_on_three_channels_matches_central_differences(drift, 
                 )
 
 
-def two_channel_system():
+def two_channel_system(declared=False):
     """n = 3, m = 2, p = 2 with non-symmetric B and W, and full Q, S and D.
 
     Only the output solve's algebra is under test, so the system need not
     be dissipative.  B, W and l vary with the state, so a Jacobian pass
-    carries tangents through every entry of the right-hand side."""
+    carries tangents through every entry of the right-hand side.  With
+    ``declared``, B, D and W are constants declared as ConstantMap, so the
+    output gains are formed once, from a Q D + S whose entries are not
+    powers of two."""
     p_rows = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]]
 
     def gradient(z):
@@ -1436,7 +1478,7 @@ def two_channel_system():
         diff = [y - x for x, y in zip(a, b)]
         return 0.5 * dot(diff, gradient([x + y for x, y in zip(a, b)]))
 
-    return QsrSystem(
+    system = QsrSystem(
         storage=StorageFunction(
             value=lambda z: difference([0.0] * 3, z),
             gradient=gradient,
@@ -1455,15 +1497,29 @@ def two_channel_system():
         loss_state=lambda z: [z[0] * z[1], gm.sin(z[2]) + 0.5],
         loss_input=lambda z: [[0.3, -1.1], [0.8, 0.25 * z[1] + 1.0]],
     )
+    if not declared:
+        return system
+    return dataclasses.replace(
+        system,
+        input_map=ConstantMap(((1.0, -0.3), (0.7, 2.0), (0.5, -0.4))),
+        feedthrough=ConstantMap(((0.4, -0.7), (0.2, 0.9))),
+        loss_input=ConstantMap(((0.3, -1.1), (0.8, 1.3))),
+    )
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
 def test_two_channel_output_solve_matches_numpy(kind, rng):
     # every other multi-channel system in the suite has B = I and W = 0,
-    # so a transposed index in the right-hand side B^T dg / 2 + W^T l or
-    # in the quadratic form would pass there
-    system = two_channel_system()
+    # so a transposed index in the gains A and C or in the quadratic form
+    # would pass there; the declared variant forms its gains once
+    for declared in (False, True):
+        _check_two_channel_output_solve(two_channel_system(declared), kind, rng)
+
+
+def _check_two_channel_output_solve(system, kind, rng):
     stepper = integrators._DgQsrStepper(system, SchemeConfig(dg_kind=kind))
+    declared = isinstance(system.feedthrough, ConstantMap)
+    assert (stepper.constants is not None) == declared
     q, s = system.supply.q, system.supply.s
     for _ in range(10):
         z = rng.uniform(-1.0, 1.0, 3)
@@ -1642,8 +1698,8 @@ def test_varying_feedthrough_residual_jacobian_matches_central_differences(rng):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.variant)
 def test_shared_mutated_feedthrough_list_gives_the_same_bits(kind):
-    # the output solve keys its factors on the feedthrough's values, so a
-    # map that returns one list and mutates it must not reuse stale ones
+    # an undeclared feedthrough's gains are formed from each call's values,
+    # so a map that returns one list and mutates it gives the same run
     grid = TimeGrid.with_step(0.02, 50)
     config = SchemeConfig(dg_kind=kind)
     fresh, shared = (
@@ -1699,3 +1755,74 @@ def test_varying_feedthrough_is_factored_on_every_call(monkeypatch):
     # residual call evaluates it once more, at its midpoint, and refactors
     assert feedthrough_calls[0] == [1.0]
     assert len(calls) == len(feedthrough_calls) - 1 > 20
+
+
+_DECLARED = ("input_map", "feedthrough", "loss_input")
+
+
+def _plain(system):
+    """``system`` with its declared B, D and W re-wrapped as plain
+    functions that return the same rows."""
+    return dataclasses.replace(
+        system,
+        **{
+            name: (lambda rows: lambda z: rows)(getattr(system, name).rows)
+            for name in _DECLARED
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    (
+        *(SchemeConfig(dg_kind=k) for k in ALL_KINDS),
+        SchemeConfig(scheme=IMPLICIT_MIDPOINT),
+    ),
+    ids=(*(k.variant for k in ALL_KINDS), "midpoint"),
+)
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_declared_and_plain_maps_give_the_same_run(name, config, monkeypatch):
+    # a declared run forms its output gains once and reads B, D and W as
+    # data; the plain one calls the maps and forms the gains on every
+    # residual call, from the same values
+    case = benchmark_settings(name)
+    assert all(isinstance(getattr(case.system, n), ConstantMap) for n in _DECLARED)
+    grid = TimeGrid.with_step(0.05, 40)
+    calls = []
+    call = ConstantMap.__call__
+    monkeypatch.setattr(
+        ConstantMap, "__call__", lambda self, z: calls.append(z) or call(self, z)
+    )
+    runs = []
+    for system in (case.system, _plain(case.system)):
+        traj = integrate(system, config, grid, case.control, case.initial_state)
+        runs.append((traj, discrete_power_balance_residuals(system, traj)))
+    # the shape check calls each declared map once at z0, and nothing else does
+    assert len(calls) == 3
+    (declared, defects), (plain, plain_defects) = runs
+    for field in (
+        "states", "averaged_inputs", "discrete_outputs", "newton_residuals",
+    ):
+        np.testing.assert_allclose(
+            getattr(declared, field), getattr(plain, field), rtol=1e-14, atol=0.0,
+            err_msg=field,
+        )
+    assert np.array_equal(declared.newton_iterations, plain.newton_iterations)
+    np.testing.assert_allclose(defects, plain_defects, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("declare", (True, False), ids=("declared", "plain"))
+def test_a_singular_output_matrix_fails_step_0(declare):
+    # synthetic has Q = -1 and S = 0, so D = 0 makes Q D + S singular
+    case = benchmark_settings("synthetic")
+    zero = ConstantMap(((0.0,),))
+    system = dataclasses.replace(
+        case.system, feedthrough=zero if declare else (lambda z: zero.rows)
+    )
+    with pytest.raises(IntegrationError, match="step 0 ") as info:
+        integrate(
+            system, SchemeConfig(), TimeGrid.with_step(0.1, 3), case.control,
+            case.initial_state,
+        )
+    assert isinstance(info.value.__cause__, SingularMatrix)
+    assert info.value.state.tolist() == case.initial_state.tolist()

@@ -1,5 +1,6 @@
 """Supply rates, dissipation, and the structure identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from qsrdg.dgradients import StorageFunction
 from qsrdg.model import (
+    ConstantMap,
     QsrSystem,
     SupplyRate,
     continuous_power_balance_residual,
@@ -188,3 +190,39 @@ def test_system_dimension_inference_and_validation():
         loss_input=lambda z: [[0.0]],
     )
     assert sys_.n == 1 and sys_.m == 1
+
+
+def test_constant_map_returns_its_rows_as_floats_at_any_state():
+    b = ConstantMap(np.array([[0.0], [1.0]]))
+    assert b.rows == ((0.0,), (1.0,))
+    assert all(type(v) is float for row in b.rows for v in row)
+    assert b([0.3, -2.0]) is b.rows and b(None) is b.rows
+
+
+@pytest.mark.parametrize(
+    "name, rows, match",
+    (
+        ("input_map", ((0.0,), (math.nan,)), "input_map has non-finite"),
+        ("feedthrough", ((math.inf,),), "feedthrough has non-finite"),
+        ("loss_input", ((0.0,), (0.0, 1.0)), "loss_input has ragged rows"),
+        ("input_map", ((0.0,), (1.0, 2.0)), "input_map has ragged rows"),
+        ("input_map", ((0.0, 1.0),), r"input_map .* \(1, 2\), expected \(2, 1\)"),
+        ("input_map", ((1.0,),), r"input_map .* \(1, 1\), expected \(2, 1\)"),
+        ("feedthrough", ((0.0,), (0.0,)), r"feedthrough .* \(2, 1\), expected"),
+        ("feedthrough", ((0.0, 0.0),), r"feedthrough .* \(1, 2\), expected"),
+        ("loss_input", ((0.0, 0.0), (1.0, 1.0)), r"loss_input .* \(2, 2\), exp"),
+        ("loss_input", (), r"loss_input has shape \(0,\), expected \(p, 1\)"),
+    ),
+)
+def test_system_rejects_a_bad_declared_map(name, rows, match):
+    # the pendulum: n = 2, m = 1
+    system = make_pendulum()
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(system, **{name: ConstantMap(rows)})
+
+
+def test_system_accepts_a_declared_loss_input_with_any_number_of_rows():
+    system = dataclasses.replace(
+        make_pendulum(), loss_input=ConstantMap(((0.0,), (0.0,), (0.0,)))
+    )
+    assert system.loss_input(None) == ((0.0,), (0.0,), (0.0,))
