@@ -11,10 +11,12 @@ mean value property exactly.  Itoh-Abe telescopes coordinate-wise
 difference quotients (exact as well, but not symmetric in z and w).  The
 mean-value kind integrates the gradient along the segment by composite
 five-point Gauss-Legendre quadrature.  It starts from one panel and
-doubles the number of equal panels until the secant defect, computed in
-floats, is at most 1e-12 (or a few ulps of the magnitudes entering it,
-whichever is larger); it raises :class:`QuadratureNotConverged` if the
-panel cap is reached first.
+doubles the number of equal panels until the secant defect is at most
+1e-12 (or a few ulps of the magnitudes entering it, whichever is larger);
+it raises :class:`QuadratureNotConverged` if the panel cap is reached
+first.  The search runs on the scalars it is given, floats or the complex
+scalars of a Jacobian pass, and tests the defect on value parts, so both
+choose the same panel count.
 
 All three take H(w) - H(z) from the storage's ``difference``, never as a
 difference of two values: that one cancels as w -> z, and the quotients
@@ -183,28 +185,24 @@ def _composite_gauss(storage, z, w, delta, panels):
 
 
 def _mean_value(storage, z, w):
-    # ``.real`` is the value part of floats and complex pass scalars alike
-    w_vals = [b.real for b in w]
+    # ``.real`` is the value part of floats and complex pass scalars
+    # alike; a pass's value parts are the float results bit for bit, so a
+    # Jacobian pass and the float evaluation choose the same panel count
     delta = [b - a for a, b in zip(z, w)]
-    step = [dk.real for dk in delta]
-    dh = storage.difference(z, w_vals)
-    # the panel count is chosen on value parts only, so a Jacobian pass
-    # and the float evaluation agree on it; past the first panel it is
-    # searched in floats, and a complex ``w`` gets its composite once, at
-    # the chosen count
-    d = _composite_gauss(storage, z, w, delta, 1)
+    dh = storage.difference(z, w).real
     panels = 1
     while True:
-        terms = [dk.real * sk for dk, sk in zip(d, step)]
+        d = _composite_gauss(storage, z, w, delta, panels)
+        terms = [dk.real * sk.real for dk, sk in zip(d, delta)]
         defect = abs(dh - sum(terms))
         # the tolerance is the larger of the two, so meeting the fixed one
         # settles it without the rounding floor
         if defect <= _MEAN_VALUE_TOL:
-            break
+            return d
         scale = abs(dh) + sum(abs(t) for t in terms)
         tol = max(_MEAN_VALUE_TOL, _ULP_FLOOR * scale)
         if defect <= tol:
-            break
+            return d
         if not math.isfinite(defect):
             raise NonFiniteEvaluation(f"mean-value secant defect is {defect!r}")
         if panels >= _MAX_PANELS:
@@ -213,10 +211,6 @@ def _mean_value(storage, z, w):
                 f"with {panels} panels"
             )
         panels *= 2
-        d = _composite_gauss(storage, z, w_vals, step, panels)
-    if panels > 1 and any(isinstance(b, complex) for b in w):
-        return _composite_gauss(storage, z, w, delta, panels)
-    return d
 
 
 def _evaluate(kind, storage, z, w, mid):

@@ -136,7 +136,7 @@ class TimeGrid:
         num_steps = operator.index(num_steps)
         if num_steps < 1 or not 0.0 < horizon < math.inf:
             raise ValueError("need at least one step and a finite positive horizon")
-        return cls(np.arange(num_steps + 1) * (horizon / num_steps))
+        return cls.with_step(horizon / num_steps, num_steps)
 
     @classmethod
     def with_step(cls, stepsize, num_steps):
@@ -420,22 +420,23 @@ def _output(hv, dv, ubar):
 
 def _control_values(control, t, m):
     """The control's ``m`` values at ``t`` as floats.  A control that
-    raises one of ``_MAP_ERRORS`` raises :class:`NonFiniteEvaluation`
-    chained to it; one that returns another number of values raises
-    ``ValueError``."""
+    raises one of ``_MAP_ERRORS``, or whose values raise one when
+    converted (an int too large for a float), raises
+    :class:`NonFiniteEvaluation` chained to it; one that returns another
+    number of values raises ``ValueError``."""
     try:
         out = control(t)
+        if isinstance(out, (int, float)):
+            vals = (float(out),)
+        elif isinstance(out, numbers.Real) or getattr(out, "shape", None) == ():
+            # any other real scalar, numpy scalars and 0-d arrays included
+            vals = (float(out),)
+        else:
+            vals = tuple(float(v) for v in out)
     except _MAP_ERRORS as exc:
         raise NonFiniteEvaluation(
             f"control raised {type(exc).__name__} at t = {t!r}: {exc}"
         ) from exc
-    if isinstance(out, (int, float)):
-        vals = (float(out),)
-    elif isinstance(out, numbers.Real) or getattr(out, "shape", None) == ():
-        # any other real scalar, numpy scalars and 0-d arrays included
-        vals = (float(out),)
-    else:
-        vals = tuple(float(v) for v in out)
     if len(vals) != m:
         raise ValueError(f"control returned {len(vals)} values, expected {m}")
     return vals
@@ -726,17 +727,14 @@ def relative_error(trajectory, reference):
     largest reference state norm over the shared nodes.
     """
     rp = reference.grid.points
-    indices = []
-    for t in trajectory.grid.points:
-        j = int(np.searchsorted(rp, t))
-        best = -1
-        for cand in (j - 1, j, j + 1):
-            if 0 <= cand < rp.size and abs(rp[cand] - t) <= _NODE_TOLERANCE:
-                best = cand
-                break
-        if best < 0:
-            raise GridMismatch(f"node t = {t!r} not on the reference grid")
-        indices.append(best)
+    tp = trajectory.grid.points
+    # the first reference node at or past t - tol is the one to match; an
+    # index past the last node meets the appended inf and does not match
+    indices = np.searchsorted(rp, tp - _NODE_TOLERANCE)
+    matched = np.abs(np.append(rp, np.inf)[indices] - tp) <= _NODE_TOLERANCE
+    if not matched.all():
+        t = tp[np.argmin(matched)]
+        raise GridMismatch(f"node t = {t!r} not on the reference grid")
     ref_states = reference.states[indices]
     num = float(np.max(np.linalg.norm(ref_states - trajectory.states, axis=1)))
     den = float(np.max(np.linalg.norm(ref_states, axis=1)))

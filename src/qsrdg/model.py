@@ -79,9 +79,6 @@ class ConstantMap:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        # an array converts faster through its own tolist
-        if isinstance(rows, np.ndarray):
-            rows = rows.tolist()
         self.rows = tuple(tuple(map(float, row)) for row in rows)
 
     def __call__(self, z):

@@ -837,13 +837,17 @@ def test_control_with_the_wrong_number_of_values_raises(sample):
         (lambda t: 1.0 / (1.0 - t), ZeroDivisionError),
         (lambda t: math.log(1.0 - t), ValueError),
         (lambda t: 0.0 * math.exp(800.0 * t), OverflowError),
+        # values that overflow when converted to floats
+        (lambda t: 10**400 if t >= 1.0 else 0.0, OverflowError),
+        (lambda t: [10**400] if t >= 1.0 else [0.0], OverflowError),
     ),
-    ids=("zero-division", "domain", "overflow"),
+    ids=("zero-division", "domain", "overflow", "int-overflow", "list-overflow"),
 )
 def test_a_control_that_raises_fails_the_step_with_a_typed_error(control, error):
-    # each control raises first at t = 1, the right end of step 1, where
-    # it used to escape integrate bare; a control that returns the wrong
-    # number of values there still raises its own ValueError
+    # each control raises, or returns a value that raises when converted,
+    # first at t = 1, the right end of step 1, where it used to escape
+    # integrate bare; a control that returns the wrong number of values
+    # there still raises its own ValueError
     case = benchmark_settings("synthetic")
     grid = TimeGrid.with_step(0.5, 4)
     match = f"control raised {error.__name__}"
@@ -1631,8 +1635,21 @@ def test_relative_error_rejects_disjoint_grids():
         case.control,
         case.initial_state,
     )
-    with pytest.raises(GridMismatch):
+    with pytest.raises(GridMismatch, match=r"t = .*0\.333"):
         relative_error(a, b)
+    # a node past the reference's last one matches nothing
+    c, d = (
+        integrate(
+            case.system,
+            SchemeConfig(),
+            TimeGrid.with_step(tau, steps),
+            case.control,
+            case.initial_state,
+        )
+        for tau, steps in ((0.5, 3), (0.25, 4))
+    )
+    with pytest.raises(GridMismatch, match=r"t = .*1\.5"):
+        relative_error(c, d)
 
 
 def test_second_order_convergence_short_sweep():
