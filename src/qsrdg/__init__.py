@@ -56,10 +56,6 @@ from qsrdg.riccati import solve_are
 from qsrdg.systems import (
     BenchmarkCase,
     EXAMPLE_NAMES,
-    LtiOcpParams,
-    PendulumParams,
-    PiParams,
-    SyntheticParams,
     benchmark_settings,
     make_lti_ocp,
     make_pendulum,
@@ -101,10 +97,6 @@ __all__ = [
     # riccati
     "solve_are",
     # systems
-    "PendulumParams",
-    "LtiOcpParams",
-    "PiParams",
-    "SyntheticParams",
     "make_pendulum",
     "make_lti_ocp",
     "make_pi",

@@ -33,7 +33,6 @@ __all__ = [
     "Dual",
     "value",
     "dot",
-    "norm_sq",
     "matvec",
     "factor",
     "substitute",
@@ -64,10 +63,6 @@ def dot(x, y):
     for k in range(1, len(x)):
         acc = acc + x[k] * y[k]
     return acc
-
-
-def norm_sq(x):
-    return dot(x, x)
 
 
 def matvec(a, x):

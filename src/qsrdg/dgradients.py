@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from qsrdg._kernels import dot, norm_sq, value
+from qsrdg._kernels import dot, value
 from qsrdg.errors import NonFiniteEvaluation, QuadratureNotConverged
 
 __all__ = [
@@ -128,7 +128,7 @@ def mean_value():
 def _gonzalez(storage, z, w, mid):
     g_mid = storage.gradient(mid)
     d = [b - a for a, b in zip(z, w)]
-    d_sq = norm_sq(d)
+    d_sq = dot(d, d)
     if value(d_sq) == 0.0:
         return g_mid
     c = (storage.difference(z, w) - dot(g_mid, d)) / d_sq

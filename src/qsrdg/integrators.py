@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsrdg._kernels import dot, factor, norm_sq, substitute
+from qsrdg._kernels import dot, factor, substitute
 
 # the layer trace of perfbench looks this name up here; the dg-qsr step
 # forms its output gains with factor and substitute instead, so the
@@ -712,7 +712,7 @@ def discrete_power_balance_residuals(system, trajectory):
         mid = [(a + b) * 0.5 for a, b in zip(z0, z1)]
         wv = system.loss_input(mid) if w_rows is None else w_rows
         sig = [lk + dot(row, u) for lk, row in zip(system.loss_state(mid), wv)]
-        diss = norm_sq(sig)
+        diss = dot(sig, sig)
         dh = (h[i + 1] - h[i]) / tau
         out.append(abs(dh - sup + diss))
     return np.array(out)

@@ -79,7 +79,12 @@ class ConstantMap:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(map(float, row)) for row in rows)
+        try:
+            self.rows = tuple(tuple(map(float, row)) for row in rows)
+        except TypeError:
+            raise ValueError(
+                f"ConstantMap needs a sequence of rows of numbers, got {rows!r}"
+            ) from None
 
     def __call__(self, z):
         return self.rows

@@ -1,9 +1,11 @@
 """Benchmark systems: pendulum, LTI optimal control, PI controller, and a
 scalar saturating nonlinearity.
 
-Every factory returns a :class:`~qsrdg.model.QsrSystem` whose maps are
-written against :mod:`qsrdg.gmath`, so they compose with the automatic
-differentiation used by the implicit solvers.  All four have a constant
+Every factory takes its parameters as keyword arguments only, with the
+defaults the shipped experiments use.  It returns a
+:class:`~qsrdg.model.QsrSystem` whose maps are written against
+:mod:`qsrdg.gmath`, so they compose with the automatic differentiation
+used by the implicit solvers.  All four have a constant
 input map, feedthrough and loss input, and declare them as
 :class:`~qsrdg.model.ConstantMap`.  The structure identities
 hold exactly for all four (see the tests), which is what entitles them to
@@ -15,7 +17,6 @@ control signal used throughout the shipped experiments.
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,10 +29,6 @@ from qsrdg.model import ConstantMap, QsrSystem, SupplyRate
 from qsrdg.riccati import solve_are
 
 __all__ = [
-    "PendulumParams",
-    "LtiOcpParams",
-    "PiParams",
-    "SyntheticParams",
     "make_pendulum",
     "make_lti_ocp",
     "make_pi",
@@ -44,21 +41,15 @@ __all__ = [
 EXAMPLE_NAMES = ("pendulum", "lti-ocp", "pi", "synthetic")
 
 
-@dataclass(frozen=True)
-class PendulumParams:
-    gravity: float = 9.81
-    damping: float = 0.2
-
-
-def make_pendulum(params=PendulumParams()):
+def make_pendulum(*, gravity=9.81, damping=0.2):
     """Damped pendulum with velocity output.
 
     State (angle, velocity); the damping coefficient enters the supply
     rate as the quadratic output weight, so the undamped case is the
     energy-conserving limit.
     """
-    g = float(params.gravity)
-    lam = float(params.damping)
+    g = float(gravity)
+    lam = float(damping)
     if not 0.0 < g < math.inf:
         raise ValueError(f"gravity must be positive and finite, got {g}")
     if not 0.0 <= lam < math.inf:
@@ -99,14 +90,9 @@ def make_pendulum(params=PendulumParams()):
     )
 
 
-@dataclass(frozen=True)
-class LtiOcpParams:
-    a: tuple = ((0.1, 1.0), (-1.0, 0.1))
-    b: tuple = ((0.0,), (1.0,))
-    c: tuple = ((1.0, 0.0),)
-
-
-def make_lti_ocp(params=LtiOcpParams()):
+def make_lti_ocp(
+    *, a=((0.1, 1.0), (-1.0, 0.1)), b=((0.0,), (1.0,)), c=((1.0, 0.0),)
+):
     """Linear system with the value function of its regulator problem.
 
     The storage is one half of the quadratic form of the stabilizing
@@ -116,9 +102,9 @@ def make_lti_ocp(params=LtiOcpParams()):
     B^T P z rather than the measured output C z, which enters the loss map
     instead.
     """
-    a = np.asarray(params.a, dtype=float)
-    b = np.asarray(params.b, dtype=float)
-    c = np.asarray(params.c, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
     n = a.shape[0]
     m = b.shape[1]
     p_out = c.shape[0]
@@ -132,10 +118,10 @@ def make_lti_ocp(params=LtiOcpParams()):
     def value(z):
         return 0.5 * dot(z, matvec(p_rows, z))
 
-    # P is symmetric, so b^T P b - a^T P a = (b - a)^T P (b + a)
-    def difference(a, b):
-        diff = [y - x for x, y in zip(a, b)]
-        return 0.5 * dot(diff, matvec(p_rows, [y + x for x, y in zip(a, b)]))
+    # P is symmetric, so z1^T P z1 - z0^T P z0 = (z1 - z0)^T P (z1 + z0)
+    def difference(z0, z1):
+        diff = [y - x for x, y in zip(z0, z1)]
+        return 0.5 * dot(diff, matvec(p_rows, [y + x for x, y in zip(z0, z1)]))
 
     def gradient(z):
         return matvec(p_rows, z)
@@ -162,20 +148,14 @@ def make_lti_ocp(params=LtiOcpParams()):
     )
 
 
-@dataclass(frozen=True)
-class PiParams:
-    integral_gain: float = 1.0
-    proportional_gain: float = 1.0
-
-
-def make_pi(params=PiParams(), channels=1):
+def make_pi(*, integral_gain=1.0, proportional_gain=1.0, channels=1):
     """PI controller as a dissipative system (negative input weight).
 
     Scalar by default; ``channels`` stacks independent copies with a
     diagonal feedthrough for the vector-valued variant.
     """
-    ki = float(params.integral_gain)
-    kp = float(params.proportional_gain)
+    ki = float(integral_gain)
+    kp = float(proportional_gain)
     n = operator.index(channels)
     if not 0.0 < ki < math.inf:
         raise ValueError(f"integral_gain must be positive and finite, got {ki}")
@@ -224,21 +204,15 @@ def make_pi(params=PiParams(), channels=1):
     )
 
 
-@dataclass(frozen=True)
-class SyntheticParams:
-    alpha: float = 2.0
-    lam: float = 1.0
-
-
-def make_synthetic(params=SyntheticParams()):
+def make_synthetic(*, alpha=2.0, lam=1.0):
     """Scalar saturating nonlinearity with state-dependent loss.
 
     The output sign is fixed by the structure identities: with input map
     2*lam and feedthrough lam, the second identity forces the output to
     be the negative storage gradient.
     """
-    alpha = float(params.alpha)
-    lam = float(params.lam)
+    alpha = float(alpha)
+    lam = float(lam)
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not (math.isfinite(lam) and lam != 0.0):

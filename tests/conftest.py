@@ -12,6 +12,17 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def lti_ocp_matrices():
+    """The regulator example's default A, B and C, written out here so that
+    a change to the defaults of ``make_lti_ocp`` shows in the tests."""
+    return {
+        "a": ((0.1, 1.0), (-1.0, 0.1)),
+        "b": ((0.0,), (1.0,)),
+        "c": ((1.0, 0.0),),
+    }
+
+
 def _scheme_oracle(system, kind, z, w):
     """Recovered output and drift coefficient of the dg-qsr step for the
     pair (z, w), read off the scheme's own two-point terms.

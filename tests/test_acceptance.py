@@ -28,8 +28,6 @@ from qsrdg.integrators import (
 from qsrdg.riccati import solve_are
 from qsrdg.systems import (
     EXAMPLE_NAMES,
-    LtiOcpParams,
-    PendulumParams,
     benchmark_settings,
     make_pendulum,
 )
@@ -84,7 +82,7 @@ def test_criterion_2_second_order_accuracy():
 
 
 def test_criterion_3_exact_conservation_in_conservative_limit():
-    sys_ = make_pendulum(PendulumParams(damping=0.0))
+    sys_ = make_pendulum(damping=0.0)
     z0 = (math.pi / 4.0, -1.0)
     h0 = sys_.storage.value(z0)
 
@@ -210,11 +208,8 @@ def test_criterion_5_structure_identities():
     assert worst_pb <= 1e-10
 
 
-def test_criterion_6_riccati_correctness():
-    params = LtiOcpParams()
-    a = np.asarray(params.a, dtype=float)
-    b = np.asarray(params.b, dtype=float)
-    c = np.asarray(params.c, dtype=float)
+def test_criterion_6_riccati_correctness(lti_ocp_matrices):
+    a, b, c = (np.array(lti_ocp_matrices[k]) for k in "abc")
     p = solve_are(a, b, c)
     asym = float(np.max(np.abs(p - p.T)))
     residual = float(

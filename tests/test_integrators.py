@@ -46,7 +46,6 @@ from qsrdg.model import (
 from qsrdg.numerics import _H, NewtonSettings, _jacobian_with_values, _tolerance
 from qsrdg.systems import (
     EXAMPLE_NAMES,
-    PendulumParams,
     benchmark_settings,
     make_pendulum,
     make_pi,
@@ -291,7 +290,7 @@ def test_pi_stays_at_fixed_point_with_zero_input():
 
 
 def test_conservative_pendulum_single_step_preserves_energy():
-    sys_ = make_pendulum(PendulumParams(damping=0.0))
+    sys_ = make_pendulum(damping=0.0)
     config = SchemeConfig()
     z0 = (math.pi / 4.0, -1.0)
     h0 = sys_.storage.value(z0)
@@ -422,7 +421,7 @@ def test_midpoint_balance_defect_is_visible():
 
 
 def test_conservative_pendulum_long_run_drift_and_midpoint_comparison():
-    sys_ = make_pendulum(PendulumParams(damping=0.0))
+    sys_ = make_pendulum(damping=0.0)
     grid = TimeGrid.equidistant(10.0, 100)
     z0 = (math.pi / 4.0, -1.0)
     h0 = sys_.storage.value(z0)

@@ -16,7 +16,6 @@ from qsrdg._kernels import (
     dot,
     factor,
     matvec,
-    norm_sq,
     solve_generic,
     substitute,
     value,
@@ -233,7 +232,6 @@ def test_vector_helpers_match_numpy(rng):
     x = rng.standard_normal(3)
     y = rng.standard_normal(3)
     assert math.isclose(dot(list(x), list(y)), float(x @ y), rel_tol=1e-15)
-    assert math.isclose(norm_sq(list(x)), float(x @ x), rel_tol=1e-15)
     np.testing.assert_allclose(matvec(a.tolist(), x.tolist()), a @ x, rtol=1e-14)
 
 

@@ -199,6 +199,15 @@ def test_constant_map_returns_its_rows_as_floats_at_any_state():
     assert b([0.3, -2.0]) is b.rows and b(None) is b.rows
 
 
+@pytest.mark.parametrize("rows", ((0.0, 1.0), 1.0), ids=("flat-row", "scalar"))
+def test_constant_map_needs_a_sequence_of_rows(rows):
+    # a flat row is a plausible typo for a column B; it once raised a bare
+    # TypeError from inside the row conversion
+    with pytest.raises(ValueError, match=r"sequence of rows of numbers, got") as info:
+        ConstantMap(rows)
+    assert str(info.value).endswith(repr(rows))
+
+
 @pytest.mark.parametrize(
     "name, rows, match",
     (

@@ -18,10 +18,6 @@ from qsrdg.numerics import _H
 from qsrdg.riccati import solve_are
 from qsrdg.systems import (
     EXAMPLE_NAMES,
-    LtiOcpParams,
-    PendulumParams,
-    PiParams,
-    SyntheticParams,
     benchmark_settings,
     make_lti_ocp,
     make_pendulum,
@@ -59,10 +55,13 @@ def test_pendulum_factory():
     assert sys_.supply.q[0, 0] == -0.2
     assert sys_.supply.s[0, 0] == 0.5
 
-    frictionless = make_pendulum(PendulumParams(damping=0.0))
+    frictionless = make_pendulum(damping=0.0)
     assert frictionless.supply.q[0, 0] == 0.0
     with pytest.raises(ValueError):
-        make_pendulum(PendulumParams(gravity=-1.0))
+        make_pendulum(gravity=-1.0)
+    # parameters are keyword-only, so a positional value is refused
+    with pytest.raises(TypeError):
+        make_pendulum(9.81)
 
 
 def test_pendulum_velocity_axis_energy():
@@ -88,15 +87,24 @@ def test_lti_ocp_factory_uses_riccati_storage():
     )
 
 
-def test_lti_ocp_maps_equal_their_matrix_products():
+def test_lti_ocp_defaults_are_the_shipped_matrices(lti_ocp_matrices):
+    # the keyword defaults stay the matrices written out for the tests
+    given = make_lti_ocp(**lti_ocp_matrices)
+    default = make_lti_ocp()
+    sampler = np.random.default_rng(5)
+    for z in sampler.uniform(-3.0, 3.0, (20, 2)).tolist():
+        for name in ("drift", "input_map", "output_map", "loss_state", "loss_input"):
+            assert getattr(default, name)(z) == getattr(given, name)(z)
+        assert default.storage.value(z) == given.storage.value(z)
+        assert default.storage.gradient(z) == given.storage.gradient(z)
+
+
+def test_lti_ocp_maps_equal_their_matrix_products(lti_ocp_matrices):
     # each map is a matrix product over the factory's row tuples; the
     # error scale of a product is |M| |z|, so the bound is relative to it
-    params = LtiOcpParams()
-    a = np.array(params.a)
-    b = np.array(params.b)
-    c = np.array(params.c)
+    a, b, c = (np.array(lti_ocp_matrices[k]) for k in "abc")
     p = solve_are(a, b, c)
-    sys_ = make_lti_ocp(params)
+    sys_ = make_lti_ocp(**lti_ocp_matrices)
     sampler = np.random.default_rng(7)
     for _ in range(100):
         z = sampler.uniform(-3.0, 3.0, 2)
@@ -139,12 +147,12 @@ def test_pi_factory_scalar_and_multichannel():
     assert sys_.supply.r[0, 0] == -1.0
 
     # the loss signal stays scalar (and zero) for the stacked variant
-    wide = make_pi(PiParams(integral_gain=2.0, proportional_gain=0.5), channels=3)
+    wide = make_pi(integral_gain=2.0, proportional_gain=0.5, channels=3)
     assert (wide.n, wide.m, len(wide.loss_state((0.0,) * 3))) == (3, 3, 1)
     assert wide.storage.value((1.0, 1.0, 1.0)) == 3.0
     np.testing.assert_allclose(np.asarray(wide.feedthrough((0.0,) * 3)), 0.5 * np.eye(3))
     with pytest.raises(ValueError):
-        make_pi(PiParams(integral_gain=-1.0))
+        make_pi(integral_gain=-1.0)
 
 
 def test_pi_channels_must_be_an_integer():
@@ -164,7 +172,7 @@ def test_synthetic_factory():
     assert sys_.input_map((0.0,))[0][0] == 2.0
     assert sys_.feedthrough((0.0,))[0][0] == 1.0
 
-    custom = make_synthetic(SyntheticParams(alpha=1.0, lam=2.0))
+    custom = make_synthetic(alpha=1.0, lam=2.0)
     assert custom.supply.r[0, 0] == 4.0
 
 
@@ -210,22 +218,31 @@ def test_storage_difference_keeps_its_accuracy_near_coincidence(storage):
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 @pytest.mark.parametrize(
-    "factory, params, field",
+    "factory, field",
     [
-        pytest.param(factory, params, field, id=field)
-        for factory, params, fields in (
-            (make_pendulum, PendulumParams, ("gravity", "damping")),
-            (make_pi, PiParams, ("integral_gain", "proportional_gain")),
-            (make_synthetic, SyntheticParams, ("alpha", "lam")),
+        pytest.param(factory, field, id=field)
+        for factory, fields in (
+            (make_pendulum, ("gravity", "damping")),
+            (make_pi, ("integral_gain", "proportional_gain")),
+            (make_synthetic, ("alpha", "lam")),
         )
         for field in fields
     ],
 )
-def test_factories_reject_non_finite_parameters(factory, params, field, bad):
+def test_factories_reject_non_finite_parameters(factory, field, bad):
     # each check once compared with <= or ==, which NaN fails, so a NaN
     # parameter built a system
     with pytest.raises(ValueError, match=f"^{field} must be"):
-        factory(params(**{field: bad}))
+        factory(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize("field", ("a", "b", "c"))
+def test_lti_ocp_rejects_a_non_finite_matrix_entry(lti_ocp_matrices, field, bad):
+    mat = np.array(lti_ocp_matrices[field])
+    mat[0, 0] = bad
+    with pytest.raises(ValueError, match=f"^{field.upper()} has non-finite entries"):
+        make_lti_ocp(**{**lti_ocp_matrices, field: mat})
 
 
 def test_benchmark_controls_frozen_values():
@@ -264,11 +281,8 @@ def test_are_scalar_oracles():
     assert math.isclose(p[0, 0], 0.41421356237309515, rel_tol=1e-12)
 
 
-def test_are_regulator_frozen_solution():
-    params = LtiOcpParams()
-    a = np.asarray(params.a, dtype=float)
-    b = np.asarray(params.b, dtype=float)
-    c = np.asarray(params.c, dtype=float)
+def test_are_regulator_frozen_solution(lti_ocp_matrices):
+    a, b, c = (np.array(lti_ocp_matrices[k]) for k in "abc")
     p = solve_are(a, b, c)
     np.testing.assert_allclose(p, REGULATOR_P, rtol=1e-11)
     # defining equation and structure
@@ -294,15 +308,14 @@ def are_residual(a, b, c, p):
     return a.T @ p + p @ a - p @ b @ b.T @ p + c.T @ c
 
 
-DOUBLE_INTEGRATOR = LtiOcpParams(a=((0.0, 1.0), (0.0, 0.0)))
+@pytest.fixture
+def double_integrator(lti_ocp_matrices):
+    return {**lti_ocp_matrices, "a": ((0.0, 1.0), (0.0, 0.0))}
 
 
-def test_are_double_integrator():
+def test_are_double_integrator(double_integrator):
     # open-loop poles at 0 on the imaginary axis, yet stabilizable
-    p = solve_are(
-        np.array(DOUBLE_INTEGRATOR.a), np.array(DOUBLE_INTEGRATOR.b),
-        np.array(DOUBLE_INTEGRATOR.c),
-    )
+    p = solve_are(*(np.array(double_integrator[k]) for k in "abc"))
     root2 = math.sqrt(2.0)
     np.testing.assert_allclose(p, [[root2, 1.0], [1.0, root2]], rtol=0.0, atol=1e-12)
 
@@ -359,8 +372,8 @@ def test_are_rejects_non_finite_input(name, bad):
         solve_are(mats["A"], mats["B"], mats["C"])
 
 
-def test_lti_ocp_double_integrator_run():
-    sys_ = make_lti_ocp(DOUBLE_INTEGRATOR)
+def test_lti_ocp_double_integrator_run(double_integrator):
+    sys_ = make_lti_ocp(**double_integrator)
     sampler = np.random.default_rng(11)
     for z in sampler.uniform(-2.0, 2.0, (50, 2)):
         assert max(hill_moylan_residual(sys_, z)) <= 1e-12
