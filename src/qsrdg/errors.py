@@ -38,7 +38,8 @@ class IntegrationError(QsrdgError):
     and, when the caller knows it, ``state``: the last good state, from
     which the step started (None otherwise).
 
-    The original error is attached as ``__cause__``.
+    ``__cause__`` is what a map or the control raised, if one did, or
+    else the library's typed error that failed the step.
     """
 
     def __init__(self, step_index, time, message, state=None):

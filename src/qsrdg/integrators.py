@@ -39,12 +39,14 @@ pendulum.  Nor can the residual fall far below the ulp of the state, so
 for states beyond about 112 the tolerance is 4 ulps of the state's
 largest entry, and the defect bound grows with it.
 
-Both schemes end a step the same way: :meth:`_Stepper._solve` runs
-Newton from a start extrapolated through up to eight step increments
-(see :func:`integrate`), carries its factors to the next step while that
-saves residual calls, solves a stalled step once more from its own state
-and warns when that stalls too, and :func:`_output` forms y = h + D ubar
-in floats.
+Both schemes take a step through :meth:`_Stepper.step` and differ only
+in their residual.  It runs Newton from a start extrapolated through up
+to eight step increments (see :func:`integrate`), carries its factors to
+the next step while that saves residual calls, solves a stalled step
+once more from its own state and warns when that stalls too.
+:func:`_output` forms y = h + D ubar in floats from the terms that the
+last residual call left, at the accepted state: no map is called outside
+Newton.
 
 All two-point averages are midpoint evaluations, phi((z + w) / 2); the
 averaged input is the trapezoidal endpoint mean (u(t_i) + u(t_{i+1})) / 2.
@@ -208,18 +210,20 @@ class Trajectory:
 class _Stepper:
     """Per-run Newton state of a scheme: the factored Jacobian that the
     next step's solve starts from, if any, and whether the run still
-    carries factors across steps (see :meth:`_solve`)."""
+    carries factors across steps (see :meth:`step`).  A scheme adds only
+    ``_residual(z, ubar, tau, last)``, whose calls leave h and D in ``last``."""
 
     def __init__(self, system):
         self.system = system
         self._factors = None
         self._carrying = True
 
-    def _solve(self, residual, z, start):
-        """Newton from ``start``: the iterate as a float list, the iteration
-        count, the residual and the residual's values there, from which
-        :func:`integrate` forms the step's increment.  The last call to
-        ``residual`` is at the returned iterate.
+    def step(self, z, ubar, tau, start):
+        """One step from ``z``, Newton from ``start``: ``(w, ybar, residual,
+        its, values)``, with ``values`` the residual vector at ``w``, from
+        which :func:`integrate` forms the step's increment.  The last
+        residual call is at ``w`` (or is a pass's probe there), and
+        ``ybar`` is :func:`_output` of the terms it left.
 
         A solve stalls when its residual is above the tolerance of
         :func:`qsrdg.numerics.newton_solve` at its iterate.  A solve that
@@ -230,8 +234,8 @@ class _Stepper:
         the lower residual, calling ``residual`` once more at it when that
         is the first one, and counts the updates of both solves.  Smooth
         runs never stall, so they never retry.  A stall of the kept result
-        warns at the line that called :func:`integrate`, three frames
-        above this one.
+        warns at the line that called :func:`integrate`, two frames above
+        this one.
 
         A solve starts from the factors the last step kept, if any.  Such
         a carried solve costs one float call plus one per stale update; a
@@ -243,6 +247,8 @@ class _Stepper:
         took a pass cost more than a pass alone, and the run takes a pass
         on every later step.  A retried step keeps no factors.
         """
+        last = []
+        residual = self._residual(z, ubar, tau, last)
         carried = self._factors
         w, its, res, lu, vals = newton_solve(residual, start, _NEWTON, carried)
         stalled = _stalled(w, res)
@@ -260,14 +266,14 @@ class _Stepper:
             warnings.warn(
                 f"Newton stalled at residual {res:.3e}",
                 NewtonDidNotConverge,
-                stacklevel=4,
+                stacklevel=3,
             )
         if carried is None:
             keep = self._carrying and its <= 1 and not stalled
         else:
             keep = self._carrying = lu is carried
         self._factors = lu if keep and not retried else None
-        return w, its, res, vals
+        return w, _output(*last, ubar), res, its, vals
 
 
 def _stalled(w, res):
@@ -370,14 +376,6 @@ class _DgQsrStepper(_Stepper):
 
         return residual
 
-    def step(self, z, ubar, tau, start):
-        """One step from ``z``, Newton from ``start``: ``(w, ybar, residual,
-        its, values)``, with ``values`` the residual vector at ``w``."""
-        last = []
-        w, its, res, vals = self._solve(self._residual(z, ubar, tau, last), z, start)
-        # ``last`` holds hbar and dv of newton_solve's last call, at ``w``
-        return w, _output(*last, ubar), res, its, vals
-
 
 class _MidpointStepper(_Stepper):
     """Implicit midpoint over the same averaged maps (reference scheme).
@@ -388,29 +386,24 @@ class _MidpointStepper(_Stepper):
         self.b_rows = _rows(system.input_map)
         self.d_rows = _rows(system.feedthrough)
 
-    def _residual(self, z, ubar, tau):
-        drift = self.system.drift
-        input_map = self.system.input_map
-        b_rows = self.b_rows
+    def _residual(self, z, ubar, tau, last):
+        """As :meth:`_DgQsrStepper._residual`, with h and D at the midpoint."""
+        system = self.system
+        drift, input_map = system.drift, system.input_map
+        output_map, feedthrough = system.output_map, system.feedthrough
+        b_rows, d_rows = self.b_rows, self.d_rows
 
         def residual(w):
             mid = [(a + b) * 0.5 for a, b in zip(z, w)]
             fv = drift(mid)
             bv = input_map(mid) if b_rows is None else b_rows
+            last[:] = (output_map(mid), feedthrough(mid) if d_rows is None else d_rows)
             return [
                 wk - zk - tau * (fk + dot(row, ubar))
                 for wk, zk, fk, row in zip(w, z, fv, bv)
             ]
 
         return residual
-
-    def step(self, z, ubar, tau, start):
-        """As :meth:`_DgQsrStepper.step`."""
-        w, its, res, vals = self._solve(self._residual(z, ubar, tau), z, start)
-        mid = [(a + b) * 0.5 for a, b in zip(z, w)]
-        hv = self.system.output_map(mid)
-        dv = self.system.feedthrough(mid) if self.d_rows is None else self.d_rows
-        return w, _output(hv, dv, ubar), res, its, vals
 
 
 def _output(hv, dv, ubar):
@@ -474,7 +467,8 @@ def _check_map_shapes(system, z):
     """Raise ``ValueError`` naming the first map whose value at ``z`` has
     the wrong shape: the step loops would index past a short one and
     ``zip`` would cut a long one.  A map that raises one of
-    ``_MAP_ERRORS`` at ``z`` fails step 0 with :class:`IntegrationError`."""
+    ``_MAP_ERRORS`` at ``z`` raises :class:`NonFiniteEvaluation` chained
+    to it, which fails step 0."""
     n, m = system.n, system.m
     maps = {
         "storage gradient": system.storage.gradient,
@@ -488,7 +482,7 @@ def _check_map_shapes(system, z):
     try:
         shapes = {name: _shape(f(z)) for name, f in maps.items()}
     except _MAP_ERRORS as exc:
-        raise IntegrationError(0, 0.0, str(_raised(exc)), np.array(z)) from exc
+        raise _raised(exc) from exc
     l_shape = shapes["loss_state"]
     # l may have any length p; W must have p rows
     p = l_shape[0] if l_shape and l_shape != "ragged" else 1
@@ -561,13 +555,13 @@ def integrate(system, config, grid, control, z0):
     """March the configured scheme over ``grid`` from ``z0``.
 
     Hard step failures (singular Jacobian, non-finite evaluations, a map
-    that raises ``OverflowError``, ``ValueError`` or ``ZeroDivisionError``,
-    mean-value quadrature that misses its secant tolerance at the panel
-    cap) are re-raised as :class:`IntegrationError` carrying the failing
-    step index and the last good state z_i, chained to the original
-    error; so is a control that raises one of those three.  A map that
-    raises at ``z0`` in the shape check, and a declared Q D + S that is
-    singular, fail step 0.
+    or the control that raises ``OverflowError``, ``ValueError`` or
+    ``ZeroDivisionError``, mean-value quadrature that misses its secant
+    tolerance at the panel cap) are re-raised as :class:`IntegrationError`
+    carrying the failing step index and the last good state z_i, caused
+    by what the map or control raised, or else by the typed error.  A map
+    that raises at ``z0`` in the shape check, and a declared Q D + S that
+    is singular, fail step 0.
     Newton stalls only warn, each at the line that called ``integrate``,
     and are visible in the returned residuals.  A non-finite ``z0``, or a
     map whose value at ``z0`` has the wrong shape, a ragged row or a
@@ -608,7 +602,7 @@ def integrate(system, config, grid, control, z0):
     starts from z_0; with one increment the start is the linear
     extrapolation of the states and with two the quadratic, up to the
     residual term.  A step whose solve stalls from such a start is solved
-    again from z_i (see :meth:`_Stepper._solve`).  An unmoved run records
+    again from z_i (see :meth:`_Stepper.step`).  An unmoved run records
     zero increments, so its start is z_i bit for bit and fixed points
     stay exact.
     """
@@ -617,15 +611,6 @@ def integrate(system, config, grid, control, z0):
         raise ValueError(f"initial state must have shape ({system.n},)")
     if not np.all(np.isfinite(z0)):
         raise ValueError(f"initial state must be finite, got {z0.tolist()}")
-    _check_map_shapes(system, z0.tolist())
-    if config.scheme == DG_QSR:
-        try:
-            stepper = _DgQsrStepper(system, config)
-        except SingularMatrix as exc:
-            # a declared Q D + S is singular: no step can recover its output
-            raise IntegrationError(0, 0.0, str(exc), z0.copy()) from exc
-    else:
-        stepper = _MidpointStepper(system)
     m = system.m
     pts = grid.points.tolist()
     z = start = z0.tolist()
@@ -640,44 +625,44 @@ def integrate(system, config, grid, control, z0):
     widths = deque(maxlen=_INCREMENTS)
     weights = None
     left = None
-    for i in range(grid.num_steps):
-        t = pts[i]
-        tau = pts[i + 1] - t
-        try:
+    # a failure before the loop fails step 0
+    i, t = 0, pts[0]
+    try:
+        _check_map_shapes(system, z)
+        if config.scheme == DG_QSR:
+            stepper = _DgQsrStepper(system, config)
+        else:
+            stepper = _MidpointStepper(system)
+        for i in range(grid.num_steps):
+            t = pts[i]
+            tau = pts[i + 1] - t
             ubar, left = _averaged_input(control, t, tau, m, left)
-        except NonFiniteEvaluation as exc:
-            # the control raised; a wrong number of values is a ValueError
-            raise IntegrationError(i, t, str(exc), np.array(z)) from exc.__cause__
-        if widths:
-            # a step as long as the last one after eight equal steps keeps
-            # their weights: the tolerance only grows with t
-            if weights is not _EQUAL_STEP_WEIGHTS[-1] or tau != widths[-1]:
-                weights = _start_weights(widths, tau, pts[i + 1])
-            l0, l1, l2, l3, l4, l5, l6, l7 = weights
-            start = [
-                zk
-                + tau
-                * (
-                    l0 * a + l1 * b + l2 * c + l3 * d
-                    + l4 * e + l5 * f + l6 * g + l7 * h
-                )
-                for zk, a, b, c, d, e, f, g, h in zip(z, *increments)
-            ]
-        try:
+            if widths:
+                # a step as long as the last one after eight equal steps
+                # keeps their weights: the tolerance only grows with t
+                if weights is not _EQUAL_STEP_WEIGHTS[-1] or tau != widths[-1]:
+                    weights = _start_weights(widths, tau, pts[i + 1])
+                l0, l1, l2, l3, l4, l5, l6, l7 = weights
+                start = [
+                    zk
+                    + tau
+                    * (
+                        l0 * a + l1 * b + l2 * c + l3 * d
+                        + l4 * e + l5 * f + l6 * g + l7 * h
+                    )
+                    for zk, a, b, c, d, e, f, g, h in zip(z, *increments)
+                ]
             w, ybar, res, its, vals = stepper.step(z, ubar, tau, start)
-        except (SingularMatrix, NonFiniteEvaluation, QuadratureNotConverged) as exc:
-            raise IntegrationError(i, t, str(exc), np.array(z)) from exc
-        except _MAP_ERRORS as exc:
-            # a map called outside Newton: the midpoint step's output
-            raise IntegrationError(i, t, str(_raised(exc)), np.array(z)) from exc
-        increments.append([(a - b - r) / tau for a, b, r in zip(w, z, vals)])
-        widths.append(tau)
-        z = w
-        states.append(z)
-        inputs.append(ubar)
-        outputs.append(ybar)
-        residuals.append(res)
-        iterations.append(its)
+            increments.append([(a - b - r) / tau for a, b, r in zip(w, z, vals)])
+            widths.append(tau)
+            z = w
+            states.append(z)
+            inputs.append(ubar)
+            outputs.append(ybar)
+            residuals.append(res)
+            iterations.append(its)
+    except (SingularMatrix, NonFiniteEvaluation, QuadratureNotConverged) as exc:
+        raise IntegrationError(i, t, str(exc), np.array(z)) from (exc.__cause__ or exc)
     return Trajectory(
         grid,
         np.array(states, dtype=float),

@@ -105,10 +105,11 @@ def make_lti_ocp(
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
+    # solve_are checks the shapes, so read them only after it
+    p_c = solve_are(a, b, c)
     n = a.shape[0]
     m = b.shape[1]
     p_out = c.shape[0]
-    p_c = solve_are(a, b, c)
 
     a_rows = tuple(tuple(row) for row in a.tolist())
     p_rows = tuple(tuple(row) for row in p_c.tolist())

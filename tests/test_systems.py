@@ -245,6 +245,21 @@ def test_lti_ocp_rejects_a_non_finite_matrix_entry(lti_ocp_matrices, field, bad)
         make_lti_ocp(**{**lti_ocp_matrices, field: mat})
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    (
+        ({"b": (0.0, 1.0)}, r"needs B with 2 rows and C with 2 columns; got B \(2,\)"),
+        ({"a": 1.0}, "A must be square"),
+    ),
+    ids=("flat-b", "scalar-a"),
+)
+def test_lti_ocp_rejects_matrices_of_the_wrong_shape(bad, message):
+    # the shapes were once read before solve_are checked them, so both
+    # raised a bare IndexError
+    with pytest.raises(ValueError, match=message):
+        make_lti_ocp(**bad)
+
+
 def test_benchmark_controls_frozen_values():
     pend = benchmark_settings("pendulum")
     np.testing.assert_allclose(pend.initial_state, [math.pi / 4.0, -1.0])
