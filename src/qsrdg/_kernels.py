@@ -10,11 +10,13 @@ Vectors are plain sequences of scalars and matrices are sequences of row
 sequences.  numpy arrays of floats are accepted anywhere a sequence is;
 the hot loops deliberately avoid numpy because the state dimensions of
 interest are tiny (one or two) and per-call array overhead dominates at
-that size.  For the same reason the dg-qsr residual forms its quadratic
-forms in its own loops, with the accumulation order of :func:`dot`,
-instead of calling a helper per vector of length one or two (see
-:mod:`qsrdg.integrators`).  These pure-Python kernels
-are the only backend; ``BACKEND`` names it for run records.
+that size.  So the dg-qsr residual calls :func:`dot` for every vector
+it contracts (dg . dg, A dg, C l, each row of Q with hbar, l . l,
+dg . f and each row of B with ubar; see :mod:`qsrdg.integrators`), and
+only the sum hbar . Q hbar is written out, in dot's accumulation order.
+The balance audit works on a whole trajectory, so it contracts with
+numpy over all steps at once, in the same order.  These pure-Python
+kernels are the only backend; ``BACKEND`` names it for run records.
 
 Dense solves have one elimination code, in two halves.  :func:`factor`
 eliminates a matrix once: it records the pivot row of each step, that

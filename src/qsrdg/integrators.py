@@ -152,7 +152,8 @@ class TimeGrid:
 
     @property
     def steps(self):
-        return np.diff(self.points)
+        pts = self.points
+        return pts[1:] - pts[:-1]
 
     @property
     def num_steps(self):
@@ -680,27 +681,68 @@ def discrete_power_balance_residuals(system, trajectory):
     are re-evaluated at the state midpoints.  For the structure-preserving
     scheme these are at Newton-residual level; for the midpoint scheme
     they are O(tau^2).
+
+    Per step it calls only the maps the balance needs: ``storage.value``
+    once per node, and ``loss_state``, plus ``loss_input`` unless W is
+    declared as a :class:`ConstantMap`, once per midpoint.  Everything else
+    is formed over the whole run at once in numpy, in the float operations
+    and order of the step-by-step formula: H(z_{i+1}) - H(z_i) from two
+    values (never the storage's ``difference``, so the audit checks that
+    independently), W ubar and |l + W ubar|^2 with :func:`dot`'s
+    accumulation order, and the supply from the stacked
+    :func:`~qsrdg.model.supply_value`.  Where H, a midpoint or the
+    dissipation overflows, the defect is the one that float arithmetic
+    gives step by step, without a warning.  Raises
+    ``ValueError`` when the trajectory's state, input or output width is
+    not the system's.
     """
-    states = trajectory.states.tolist()
-    inputs = trajectory.averaged_inputs.tolist()
-    taus = trajectory.grid.steps.tolist()
-    supplies = supply_value(
-        system.supply, trajectory.averaged_inputs, trajectory.discrete_outputs
-    ).tolist()
-    hval = system.storage.value
-    h = [hval(z) for z in states]
-    w_rows = _rows(system.loss_input)
-    out = []
-    for i, (z0, z1, u, tau, sup) in enumerate(
-        zip(states, states[1:], inputs, taus, supplies)
+    states = trajectory.states
+    inputs = trajectory.averaged_inputs
+    outputs = trajectory.discrete_outputs
+    for name, array, dim in (
+        ("states", states, "n"),
+        ("averaged inputs", inputs, "m"),
+        ("discrete outputs", outputs, "m"),
     ):
-        mid = [(a + b) * 0.5 for a, b in zip(z0, z1)]
-        wv = system.loss_input(mid) if w_rows is None else w_rows
-        sig = [lk + dot(row, u) for lk, row in zip(system.loss_state(mid), wv)]
-        diss = dot(sig, sig)
-        dh = (h[i + 1] - h[i]) / tau
-        out.append(abs(dh - sup + diss))
-    return np.array(out)
+        width = getattr(system, dim)
+        if array.shape[1:] != (width,):
+            raise ValueError(
+                f"trajectory {name} have shape {array.shape}, "
+                f"but the system has {dim} = {width}"
+            )
+    sup = supply_value(system.supply, inputs, outputs)
+    hval = system.storage.value
+    h = np.array([hval(z) for z in states.tolist()], dtype=float)
+    # numpy warns where float arithmetic overflows quietly; the maps are
+    # called outside these blocks, so their own warnings still show
+    with np.errstate(over="ignore", invalid="ignore"):
+        mids = ((states[:-1] + states[1:]) * 0.5).tolist()
+    # flat lists take each map value's entries at once, so a map that
+    # refills one list on every call is read correctly
+    loss_state = system.loss_state
+    lv = np.array([v for z in mids for v in loss_state(z)], dtype=float)
+    lv = lv.reshape(len(mids), -1)
+    wv = _rows(system.loss_input)
+    if wv is None:
+        loss_input = system.loss_input
+        wv = [v for z in mids for row in loss_input(z) for v in row]
+    # W is (p, m) declared or (steps, p, m) per midpoint; ubar rows
+    # broadcast over its p rows
+    wv = np.array(wv, dtype=float).reshape(-1, *lv.shape[1:], system.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig = lv + _dot_last(wv, inputs[:, None, :])
+        diss = _dot_last(sig, sig)
+        dh = (h[1:] - h[:-1]) / trajectory.grid.steps
+        return np.abs(dh - sup + diss)
+
+
+def _dot_last(a, b):
+    """:func:`dot` over the last axis of two broadcastable arrays, in its
+    accumulation order, so each entry has dot's float result."""
+    acc = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        acc = acc + a[..., k] * b[..., k]
+    return acc
 
 
 def relative_error(trajectory, reference):

@@ -33,6 +33,7 @@ from qsrdg.integrators import (
     IMPLICIT_MIDPOINT,
     SchemeConfig,
     TimeGrid,
+    Trajectory,
     discrete_power_balance_residuals,
     integrate,
     relative_error,
@@ -1473,21 +1474,132 @@ def _audit_per_step(system, trajectory):
     return np.array(out)
 
 
-@pytest.mark.parametrize("scheme", (DG_QSR, IMPLICIT_MIDPOINT))
-@pytest.mark.parametrize("name", ("pendulum", "lti-ocp", "pi", "synthetic"))
+def _audit_case(name):
+    """System, control and initial state of an audit test run: the four
+    examples, and systems whose W is undeclared, state-dependent or has
+    several rows, or whose inputs have several channels."""
+    if name in EXAMPLE_NAMES:
+        case = benchmark_settings(name)
+        return case.system, case.control, case.initial_state
+    if name.startswith("two-channel"):
+        return (
+            two_channel_system(declared=name.endswith("declared")),
+            lambda t: (0.1 * math.sin(t), 0.1 * math.cos(t)),
+            (0.3, -0.2, 0.5),
+        )
+    if name == "pi-3":
+        return make_pi(channels=3), lambda t: (math.cos(t), 0.5, -t), (1.0, -0.5, 0.25)
+    return varying_feedthrough_system(), pushing_control, (1.0,)
+
+
+# two_channel_system is not dissipative: a dg-qsr step there can call for
+# H below its minimum and stalls, so only its midpoint runs are audited.
+# Its defects are near 1, and it runs near the origin, where the oracle's
+# supply, summed in another order than the stacked supply_value, stays
+# within 1e-15 of it
+@pytest.mark.parametrize(
+    "name, scheme",
+    [
+        (name, scheme)
+        for name in (
+            "pendulum", "lti-ocp", "pi", "synthetic", "pi-3", "varying-feedthrough"
+        )
+        for scheme in (DG_QSR, IMPLICIT_MIDPOINT)
+    ]
+    + [
+        ("two-channel", IMPLICIT_MIDPOINT),
+        ("two-channel-declared", IMPLICIT_MIDPOINT),
+    ],
+)
 def test_balance_audit_matches_per_step_formula(name, scheme):
-    case = benchmark_settings(name)
+    system, control, z0 = _audit_case(name)
     traj = integrate(
-        case.system,
-        SchemeConfig(scheme=scheme),
-        TimeGrid.with_step(0.05, 40),
-        case.control,
-        case.initial_state,
+        system, SchemeConfig(scheme=scheme), TimeGrid.with_step(0.05, 40), control, z0
     )
-    got = discrete_power_balance_residuals(case.system, traj)
+    got = discrete_power_balance_residuals(system, traj)
     np.testing.assert_allclose(
-        got, _audit_per_step(case.system, traj), rtol=0.0, atol=1e-15
+        got, _audit_per_step(system, traj), rtol=0.0, atol=1e-15
     )
+
+
+def _hand_trajectory(states, inputs, tau=0.1):
+    """A trajectory with the given states and averaged inputs, zero
+    outputs and no Newton record."""
+    states = np.array(states, dtype=float)
+    inputs = np.array(inputs, dtype=float)
+    steps = len(inputs)
+    return Trajectory(
+        TimeGrid.with_step(tau, steps),
+        states,
+        inputs,
+        np.zeros_like(inputs),
+        np.zeros(steps),
+        np.zeros(steps, dtype=int),
+    )
+
+
+def test_balance_audit_keeps_ieee_results_where_terms_overflow():
+    # H(1e160) overflows to inf in the storage's own float arithmetic, so
+    # step 0 subtracts inf from inf and step 1 finite from inf; the suite
+    # turns numpy's warnings into errors, so none may be emitted
+    traj = _hand_trajectory([[1e160], [2e160], [1.0], [2.0]], np.zeros((3, 1)))
+    got = discrete_power_balance_residuals(make_pi(), traj)
+    np.testing.assert_array_equal(got, [math.nan, math.inf, 1.5 / traj.grid.steps[2]])
+    # l_0 = z_0 z_1 = 1e160 is finite at the midpoint, so |l|^2 overflows
+    # in the audit's own numpy arithmetic
+    z = [1e100, 1e60, 0.0]
+    traj = _hand_trajectory([z, z], np.zeros((1, 2)))
+    got = discrete_power_balance_residuals(two_channel_system(), traj)
+    np.testing.assert_array_equal(got, [math.inf])
+    # q_0 + q_1 overflows to an infinite midpoint angle, but H reads q
+    # only through a bounded sine and l = 0, so the defect stays finite
+    traj = _hand_trajectory([[1.5e308, 0.5], [1.5e308, 0.25]], np.zeros((1, 1)))
+    got = discrete_power_balance_residuals(make_pendulum(), traj)
+    np.testing.assert_array_equal(got, [0.9375])
+
+
+def test_balance_audit_reads_loss_maps_that_refill_one_list():
+    # each map value is read before the next midpoint's call refills it
+    system = varying_feedthrough_system()
+    l_buf, w_buf = [0.0], [[0.0]]
+
+    def loss_state(z):
+        l_buf[:] = system.loss_state(z)
+        return l_buf
+
+    def loss_input(z):
+        w_buf[0][:] = system.loss_input(z)[0]
+        return w_buf
+
+    shared = dataclasses.replace(system, loss_state=loss_state, loss_input=loss_input)
+    traj = integrate(
+        system, SchemeConfig(), TimeGrid.with_step(0.05, 40), pushing_control, (1.0,)
+    )
+    assert (
+        discrete_power_balance_residuals(shared, traj).tobytes()
+        == discrete_power_balance_residuals(system, traj).tobytes()
+    )
+
+
+def _audit_run(name):
+    """The system of :func:`_audit_case` and a four-step dg-qsr run of it."""
+    system, control, z0 = _audit_case(name)
+    return system, integrate(
+        system, SchemeConfig(), TimeGrid.with_step(0.05, 4), control, z0
+    )
+
+
+def test_balance_audit_rejects_a_trajectory_of_another_system():
+    pendulum, pendulum_run = _audit_run("pendulum")
+    pi, pi_run = _audit_run("pi")
+    with pytest.raises(ValueError, match=r"shape \(5, 2\), but the system has n = 1"):
+        discrete_power_balance_residuals(pi, pendulum_run)
+    with pytest.raises(ValueError, match=r"shape \(5, 1\), but the system has n = 2"):
+        discrete_power_balance_residuals(pendulum, pi_run)
+    # n = 3 on both sides, but three input channels against two
+    _, pi3_run = _audit_run("pi-3")
+    with pytest.raises(ValueError, match=r"inputs have shape \(4, 3\), but .* m = 2"):
+        discrete_power_balance_residuals(two_channel_system(), pi3_run)
 
 
 @pytest.mark.parametrize("drift", ("pi", "coupled"))
