@@ -12,11 +12,13 @@ the hot loops deliberately avoid numpy because the state dimensions of
 interest are tiny (one or two) and per-call array overhead dominates at
 that size.  So the dg-qsr residual calls :func:`dot` for every vector
 it contracts (dg . dg, A dg, C l, each row of Q with hbar, l . l,
-dg . f and each row of B with ubar; see :mod:`qsrdg.integrators`), and
-only the sum hbar . Q hbar is written out, in dot's accumulation order.
-The balance audit works on a whole trajectory, so it contracts with
-numpy over all steps at once, in the same order.  These pure-Python
-kernels are the only backend; ``BACKEND`` names it for run records.
+dg . f and, for an undeclared B, each row of B with ubar; see
+:mod:`qsrdg.integrators`), and only the sum hbar . Q hbar is written
+out, in dot's accumulation order.  A declared B gives B ubar, and a
+declared D gives D ubar, once per step.  The balance audit works on a
+whole trajectory, so it contracts with numpy over all steps at once, in
+the same order.  These pure-Python kernels are the only backend;
+``BACKEND`` names it for run records.
 
 Dense solves have one elimination code, in two halves.  :func:`factor`
 eliminates a matrix once: it records the pivot row of each step, that
@@ -61,8 +63,14 @@ def value(x):
 
 
 def dot(x, y):
-    acc = x[0] * y[0]
-    for k in range(1, len(x)):
+    # the left fold x0*y0 + x1*y1 + ...; one or two entries skip the loop
+    n = len(x)
+    if n == 1:
+        return x[0] * y[0]
+    acc = x[0] * y[0] + x[1] * y[1]
+    if n == 2:
+        return acc
+    for k in range(2, n):
         acc = acc + x[k] * y[k]
     return acc
 

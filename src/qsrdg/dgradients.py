@@ -129,7 +129,7 @@ def _gonzalez(storage, z, w, mid):
     g_mid = storage.gradient(mid)
     d = [b - a for a, b in zip(z, w)]
     d_sq = dot(d, d)
-    if value(d_sq) == 0.0:
+    if d_sq.real == 0.0:
         return g_mid
     c = (storage.difference(z, w) - dot(g_mid, d)) / d_sq
     return [g + c * dk for g, dk in zip(g_mid, d)]
@@ -139,7 +139,7 @@ def _itoh_abe(storage, z, w):
     v = list(z)
     out = []
     for k, (zk, wk) in enumerate(zip(z, w)):
-        if value(wk) == zk:
+        if wk.real == zk:
             # 0/0 quotient: partial derivative at the partially-updated point
             out.append(storage.gradient(v)[k])
             v[k] = wk

@@ -43,10 +43,11 @@ Both schemes take a step through :meth:`_Stepper.step` and differ only
 in their residual.  It runs Newton from a start extrapolated through up
 to eight step increments (see :func:`integrate`), carries its factors to
 the next step while that saves residual calls, solves a stalled step
-once more from its own state and warns when that stalls too.
-:func:`_output` forms y = h + D ubar in floats from the terms that the
-last residual call left, at the accepted state: no map is called outside
-Newton.
+once more from its own state and warns when that stalls too.  The
+output y = h + D ubar is formed in floats from the terms that the last
+residual call left, at the accepted state: no map is called outside
+Newton.  A declared B or D gives B ubar or D ubar once per step, outside
+the residual calls.
 
 All two-point averages are midpoint evaluations, phi((z + w) / 2); the
 averaged input is the trapezoidal endpoint mean (u(t_i) + u(t_{i+1})) / 2.
@@ -216,6 +217,8 @@ class _Stepper:
 
     def __init__(self, system):
         self.system = system
+        self.b_rows = _rows(system.input_map)
+        self.d_rows = _rows(system.feedthrough)
         self._factors = None
         self._carrying = True
 
@@ -224,7 +227,7 @@ class _Stepper:
         its, values)``, with ``values`` the residual vector at ``w``, from
         which :func:`integrate` forms the step's increment.  The last
         residual call is at ``w`` (or is a pass's probe there), and
-        ``ybar`` is :func:`_output` of the terms it left.
+        ``ybar`` is h + D ubar from the terms it left.
 
         A solve stalls when its residual is above the tolerance of
         :func:`qsrdg.numerics.newton_solve` at its iterate.  A solve that
@@ -274,7 +277,12 @@ class _Stepper:
         else:
             keep = self._carrying = lu is carried
         self._factors = lu if keep and not retried else None
-        return w, _output(*last, ubar), res, its, vals
+        hv, dv = last
+        if self.d_rows is None:
+            ybar = _output(hv, dv, ubar)
+        else:
+            ybar = [h.real + dot(row, ubar) for h, row in zip(hv, self.d_rows)]
+        return w, ybar, res, its, vals
 
 
 def _stalled(w, res):
@@ -364,15 +372,17 @@ class _DgQsrStepper(_Stepper):
         """The step's Newton residual; each call leaves the output terms
         ``hbar`` and ``dv`` at its point in ``last``."""
         terms = self._terms
+        b_ubar = _products(self.b_rows, ubar)
 
         def residual(w):
             dg, g2, fv, bv, dv, hbar, gam_num = terms(z, w)
             last[:] = (hbar, dv)
             # where |dg|^2 is 0.0 in floats the step is implicit midpoint
             coef = 0.0 if g2.real == 0.0 else (gam_num - dot(dg, fv)) / g2
+            bu = [dot(row, ubar) for row in bv] if b_ubar is None else b_ubar
             return [
-                wk - zk - tau * (coef * dk + fk + dot(row, ubar))
-                for wk, zk, dk, fk, row in zip(w, z, dg, fv, bv)
+                wk - zk - tau * (coef * dk + fk + b)
+                for wk, zk, dk, fk, b in zip(w, z, dg, fv, bu)
             ]
 
         return residual
@@ -382,29 +392,29 @@ class _MidpointStepper(_Stepper):
     """Implicit midpoint over the same averaged maps (reference scheme).
     It reads the rows of a declared B or D instead of calling the map."""
 
-    def __init__(self, system):
-        super().__init__(system)
-        self.b_rows = _rows(system.input_map)
-        self.d_rows = _rows(system.feedthrough)
-
     def _residual(self, z, ubar, tau, last):
         """As :meth:`_DgQsrStepper._residual`, with h and D at the midpoint."""
         system = self.system
         drift, input_map = system.drift, system.input_map
         output_map, feedthrough = system.output_map, system.feedthrough
-        b_rows, d_rows = self.b_rows, self.d_rows
+        d_rows = self.d_rows
+        b_ubar = _products(self.b_rows, ubar)
 
         def residual(w):
             mid = [(a + b) * 0.5 for a, b in zip(z, w)]
             fv = drift(mid)
-            bv = input_map(mid) if b_rows is None else b_rows
+            bu = b_ubar
+            if bu is None:
+                bu = [dot(row, ubar) for row in input_map(mid)]
             last[:] = (output_map(mid), feedthrough(mid) if d_rows is None else d_rows)
-            return [
-                wk - zk - tau * (fk + dot(row, ubar))
-                for wk, zk, fk, row in zip(w, z, fv, bv)
-            ]
+            return [wk - zk - tau * (fk + b) for wk, zk, fk, b in zip(w, z, fv, bu)]
 
         return residual
+
+
+def _products(rows, ubar):
+    """``rows`` times ``ubar``; None where a map is not declared."""
+    return None if rows is None else [dot(row, ubar) for row in rows]
 
 
 def _output(hv, dv, ubar):
@@ -694,21 +704,27 @@ def discrete_power_balance_residuals(system, trajectory):
     dissipation overflows, the defect is the one that float arithmetic
     gives step by step, without a warning.  Raises
     ``ValueError`` when the trajectory's state, input or output width is
-    not the system's.
+    not the system's, or its row count not the grid's.
     """
     states = trajectory.states
     inputs = trajectory.averaged_inputs
     outputs = trajectory.discrete_outputs
-    for name, array, dim in (
-        ("states", states, "n"),
-        ("averaged inputs", inputs, "m"),
-        ("discrete outputs", outputs, "m"),
+    steps = trajectory.grid.num_steps
+    for name, array, dim, rows in (
+        ("states", states, "n", steps + 1),
+        ("averaged inputs", inputs, "m", steps),
+        ("discrete outputs", outputs, "m", steps),
     ):
         width = getattr(system, dim)
         if array.shape[1:] != (width,):
             raise ValueError(
                 f"trajectory {name} have shape {array.shape}, "
                 f"but the system has {dim} = {width}"
+            )
+        if len(array) != rows:
+            raise ValueError(
+                f"trajectory {name} have {len(array)} rows, "
+                f"but the grid's {steps} steps need {rows}"
             )
     sup = supply_value(system.supply, inputs, outputs)
     hval = system.storage.value

@@ -74,23 +74,25 @@ def _raised(exc):
 
 
 def _values_of(f, x):
-    """Value parts of ``f`` at ``x``; raises :class:`NonFiniteEvaluation`
-    on a NaN or infinite entry, and in place of one of ``_MAP_ERRORS``
-    that ``f`` raises.
+    """Value parts of ``f`` at ``x`` and their Euclidean norm; raises
+    :class:`NonFiniteEvaluation` on a NaN or infinite entry, and in place
+    of one of ``_MAP_ERRORS`` that ``f`` raises.
 
-    One finiteness test of the sum stands for all entries; only when the
-    sum is not finite, which a sum of large finite entries can be, are the
-    entries tested one by one."""
+    The norm is finite only if every entry is; only when it is not are
+    the entries tested, since finite entries near the largest float give
+    an infinite norm too.  hypot scales internally, so entries above
+    1e154 whose squares overflow still give a finite norm."""
     try:
         out = f(x)
     except _MAP_ERRORS as exc:
         raise _raised(exc) from exc
     vals = [c.real for c in out]
-    if not math.isfinite(sum(vals)):
+    norm = math.hypot(*vals)
+    if not math.isfinite(norm):
         for v in vals:
             if not math.isfinite(v):
                 raise NonFiniteEvaluation(f"map produced {v!r}")
-    return vals
+    return vals, norm
 
 
 # the complex step and its reciprocal, both exact powers of two
@@ -235,22 +237,20 @@ def newton_solve(
     x = [float(v) for v in x0]
     if factors is None:
         lu, vals = _factored_pass(f, x)
+        res = math.hypot(*vals)
         passes_left -= 1
         reuses, cap = 0, _REUSES_PER_PASS
     else:
-        lu, vals = factors, _values_of(f, x)
+        lu = factors
+        vals, res = _values_of(f, x)
         reuses, cap = 1, len(x)
-    # hypot scales internally, so finite entries above 1e154 whose squares
-    # overflow still give a finite norm
-    res = math.hypot(*vals)
     its = 0
     # a start on the rounding floor is kept
     if res <= atol * _POLISH and res <= _ULPS * max(map(abs, x)):
         return NewtonResult(x, its, res, lu, vals)
     while True:
         x_new = [a - b for a, b in zip(x, substitute(lu, vals))]
-        vals_new = _values_of(f, x_new)
-        res_new = math.hypot(*vals_new)
+        vals_new, res_new = _values_of(f, x_new)
         kept = not reuses or res_new < res
         if kept:
             x, vals, res_old, res = x_new, vals_new, res, res_new

@@ -1600,6 +1600,28 @@ def test_balance_audit_rejects_a_trajectory_of_another_system():
     _, pi3_run = _audit_run("pi-3")
     with pytest.raises(ValueError, match=r"inputs have shape \(4, 3\), but .* m = 2"):
         discrete_power_balance_residuals(two_channel_system(), pi3_run)
+    # widths of the system, row counts not of the grid's five steps
+    grid = TimeGrid.with_step(0.1, 5)
+
+    def by_hand(nodes, steps):
+        return Trajectory(
+            grid,
+            np.zeros((nodes, 1)),
+            np.zeros((steps, 1)),
+            np.zeros((5, 1)),
+            np.zeros(5),
+            np.zeros(5, dtype=int),
+        )
+
+    with pytest.raises(
+        ValueError, match=r"^trajectory states have 4 rows, but the grid's 5 steps need 6$"
+    ):
+        discrete_power_balance_residuals(make_pi(), by_hand(4, 5))
+    with pytest.raises(
+        ValueError,
+        match=r"^trajectory averaged inputs have 3 rows, but the grid's 5 steps need 5$",
+    ):
+        discrete_power_balance_residuals(make_pi(), by_hand(6, 3))
 
 
 @pytest.mark.parametrize("drift", ("pi", "coupled"))
@@ -1995,6 +2017,62 @@ def test_declared_and_plain_maps_give_the_same_run(name, config, monkeypatch):
         )
     assert np.array_equal(declared.newton_iterations, plain.newton_iterations)
     np.testing.assert_allclose(defects, plain_defects, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "config",
+    (SchemeConfig(), SchemeConfig(scheme=IMPLICIT_MIDPOINT)),
+    ids=("dg-qsr", "midpoint"),
+)
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_products_with_the_averaged_input_are_formed_once_per_step(
+    name, config, monkeypatch
+):
+    # B ubar and D ubar depend on no iterate: with B and D declared, a step
+    # forms each row's product once, outside its residual calls, Jacobian
+    # probes included; plain maps give one product per row of B in every
+    # residual call and one per row of D per step, from the last call's D
+    case = benchmark_settings(name)
+    n, m = case.system.n, case.system.m
+    step = {"ubar": None, "inside": False}
+    counts = {"inside": 0, "outside": 0, "calls": 0}
+    averaged_input = integrators._averaged_input
+    dot = integrators.dot
+    newton_solve = integrators.newton_solve
+
+    def averaged(*args):
+        step["ubar"], right = averaged_input(*args)
+        return step["ubar"], right
+
+    def counted_dot(x, y):
+        if y is step["ubar"]:
+            counts["inside" if step["inside"] else "outside"] += 1
+        return dot(x, y)
+
+    def newton(f, *args):
+        def residual(w):
+            counts["calls"] += 1
+            step["inside"] = True
+            try:
+                return f(w)
+            finally:
+                step["inside"] = False
+
+        return newton_solve(residual, *args)
+
+    monkeypatch.setattr(integrators, "_averaged_input", averaged)
+    monkeypatch.setattr(integrators, "dot", counted_dot)
+    monkeypatch.setattr(integrators, "newton_solve", newton)
+    grid = TimeGrid.with_step(0.05, 20)
+    seen = []
+    for system in (case.system, _plain(case.system)):
+        counts.update(inside=0, outside=0, calls=0)
+        integrate(system, config, grid, case.control, case.initial_state)
+        seen.append(dict(counts))
+    declared, plain = seen
+    assert declared["calls"] > 20
+    assert (declared["outside"], declared["inside"]) == ((n + m) * 20, 0)
+    assert (plain["outside"], plain["inside"]) == (m * 20, n * plain["calls"])
 
 
 @pytest.mark.parametrize("declare", (True, False), ids=("declared", "plain"))

@@ -3,6 +3,8 @@ solves."""
 
 import math
 import operator
+import struct
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -233,6 +235,46 @@ def test_vector_helpers_match_numpy(rng):
     y = rng.standard_normal(3)
     assert math.isclose(dot(list(x), list(y)), float(x @ y), rel_tol=1e-15)
     np.testing.assert_allclose(matvec(a.tolist(), x.tolist()), a @ x, rtol=1e-14)
+
+
+# signed zeros, infinities, NaN and subnormals, besides any other float
+_edge_floats = st.one_of(
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310)),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+def _vector_pairs(entries):
+    """Two vectors of one length from 1 to 5."""
+    return st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(entries, min_size=n, max_size=n),
+            st.lists(entries, min_size=n, max_size=n),
+        )
+    )
+
+
+def _bits(v):
+    """The bytes of each part of a float or complex; None for a NaN part."""
+    parts = (v.real, v.imag) if isinstance(v, complex) else (v,)
+    return type(v), [None if math.isnan(p) else struct.pack("<d", p) for p in parts]
+
+
+# moderate entries make rounding, and so the order of the sums, show
+@given(
+    st.one_of(
+        _vector_pairs(finite),
+        _vector_pairs(st.builds(seeded, finite, finite)),
+        _vector_pairs(
+            st.one_of(_edge_floats, st.builds(seeded, _edge_floats, finite))
+        ),
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_dot_is_the_left_fold_bit_for_bit(xy):
+    x, y = xy
+    fold = reduce(lambda acc, k: acc + x[k] * y[k], range(1, len(x)), x[0] * y[0])
+    assert _bits(dot(x, y)) == _bits(fold)
 
 
 def test_solve_generic_oracle_cases():
