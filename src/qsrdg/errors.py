@@ -49,9 +49,7 @@ class IntegrationError(QsrdgError):
         self.state = state
 
 
-class NewtonDidNotConverge(UserWarning):
-    """Newton residual still above tolerance after the iteration cap.
-
-    This is a warning, not an error: the step result is returned anyway and
-    the residual is recorded in the trajectory.
-    """
+class NewtonDidNotConverge(QsrdgError):
+    """A step's Newton residual stayed above tolerance, also when the step
+    was solved again from its own state; ``integrate`` fails the step with
+    :class:`IntegrationError` caused by it."""

@@ -43,7 +43,7 @@ Both schemes take a step through :meth:`_Stepper.step` and differ only
 in their residual.  It runs Newton from a start extrapolated through up
 to eight step increments (see :func:`integrate`), carries its factors to
 the next step while that saves residual calls, solves a stalled step
-once more from its own state and warns when that stalls too.  The
+once more from its own state and raises when that stalls too.  The
 output y = h + D ubar is formed in floats from the terms that the last
 residual call left, at the accepted state: no map is called outside
 Newton.  A declared B or D gives B ubar or D ubar once per step, outside
@@ -68,7 +68,6 @@ import itertools
 import math
 import numbers
 import operator
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -197,8 +196,10 @@ class Trajectory:
     fresh or with reused factors, including the stale updates of a step
     that started from the factors the last step kept.  A step whose solve
     stalled and was solved again from its own state counts the updates of
-    both solves, whichever result it kept.  A count of 0 means the start
-    was accepted as it was: its residual was on the rounding floor.
+    both solves.  A count of 0 means the start was accepted as it was:
+    its residual was on the rounding floor.  Every recorded step met
+    Newton's tolerance: a step that does not fails the run (see
+    :func:`integrate`).
     """
 
     grid: TimeGrid
@@ -234,12 +235,13 @@ class _Stepper:
         stalls and did not start from ``z`` with a fresh pass is solved
         once more from ``z`` with a fresh pass (Deuflhard 2004, ch. 3): an
         extrapolated or carried start can be worse than the step's own
-        state when the steps are coarse.  The step keeps the result with
-        the lower residual, calling ``residual`` once more at it when that
-        is the first one, and counts the updates of both solves.  Smooth
-        runs never stall, so they never retry.  A stall of the kept result
-        warns at the line that called :func:`integrate`, two frames above
-        this one.
+        state when the steps are coarse.  The step keeps the result of
+        that second solve and counts the updates of both.  Smooth runs
+        never stall, so they never retry.  A step whose last solve stalls
+        raises :class:`NewtonDidNotConverge`, so no accepted step breaks
+        the balance by more than its Newton residual allows (a step whose
+        Newton iteration fails is rejected, as in Hairer & Wanner,
+        *Solving ODEs II* §IV.8).
 
         A solve starts from the factors the last step kept, if any.  Such
         a carried solve costs one float call plus one per stale update; a
@@ -258,22 +260,13 @@ class _Stepper:
         stalled = _stalled(w, res)
         retried = stalled and (carried is not None or start != z)
         if retried:
-            x, more, res_z, _, vals_z = newton_solve(residual, z, _NEWTON)
+            w, more, res, _, vals = newton_solve(residual, z, _NEWTON)
             its += more
-            if res_z < res:
-                w, res, vals = x, res_z, vals_z
-            else:
-                # the step reads the output terms of the last call
-                residual(w)
             stalled = _stalled(w, res)
         if stalled:
-            warnings.warn(
-                f"Newton stalled at residual {res:.3e}",
-                NewtonDidNotConverge,
-                stacklevel=3,
-            )
+            raise NewtonDidNotConverge(f"Newton stalled at residual {res:.3e}")
         if carried is None:
-            keep = self._carrying and its <= 1 and not stalled
+            keep = self._carrying and its <= 1
         else:
             keep = self._carrying = lu is carried
         self._factors = lu if keep and not retried else None
@@ -315,9 +308,7 @@ class _DgQsrStepper(_Stepper):
         # the supply weights are 2-D float arrays (see SupplyRate)
         self.q_rows = system.supply.q.tolist()
         self.s_rows = system.supply.s.tolist()
-        bv, dv, wv = (
-            _rows(system.input_map), _rows(system.feedthrough), _rows(system.loss_input)
-        )
+        bv, dv, wv = self.b_rows, self.d_rows, _rows(system.loss_input)
         if bv is None or dv is None or wv is None:
             self.constants = None
         else:
@@ -565,21 +556,20 @@ def _start_weights(widths, tau, t_next):
 def integrate(system, config, grid, control, z0):
     """March the configured scheme over ``grid`` from ``z0``.
 
-    Hard step failures (singular Jacobian, non-finite evaluations, a map
-    or the control that raises ``OverflowError``, ``ValueError`` or
+    Step failures (singular Jacobian, non-finite evaluations, a map or
+    the control that raises ``OverflowError``, ``ValueError`` or
     ``ZeroDivisionError``, mean-value quadrature that misses its secant
-    tolerance at the panel cap) are re-raised as :class:`IntegrationError`
-    carrying the failing step index and the last good state z_i, caused
-    by what the map or control raised, or else by the typed error.  A map
-    that raises at ``z0`` in the shape check, and a declared Q D + S that
-    is singular, fail step 0.
-    Newton stalls only warn, each at the line that called ``integrate``,
-    and are visible in the returned residuals.  A non-finite ``z0``, or a
-    map whose value at ``z0`` has the wrong shape, a ragged row or a
-    nested entry included, raises ``ValueError`` before the first step.
+    tolerance at the panel cap, a Newton solve that stalls even when
+    retried from z_i) are re-raised as :class:`IntegrationError` carrying
+    the failing step index and the last good state z_i, caused by what
+    the map or control raised, or else by the typed error.  A map that
+    raises at ``z0`` in the shape check, and a declared Q D + S that is
+    singular, fail step 0.  A non-finite ``z0``, or a map whose value at
+    ``z0`` has the wrong shape, a ragged row or a nested entry included,
+    raises ``ValueError`` before the first step.
 
-    The loop works on Python lists and builds the five arrays of the
-    :class:`Trajectory` once, after the last step.
+    The loop works on Python lists, keeps one record per step and builds
+    the five arrays of the :class:`Trajectory` once, after the last step.
 
     Newton starts each step from an extrapolation of the step increments
     already computed.  Step i records its increment
@@ -625,11 +615,8 @@ def integrate(system, config, grid, control, z0):
     m = system.m
     pts = grid.points.tolist()
     z = start = z0.tolist()
-    states = [z]
-    inputs = []
-    outputs = []
-    residuals = []
-    iterations = []
+    # (state, averaged input, output, Newton residual, iterations) per step
+    records = []
     # the last eight increments and their step lengths, oldest first; until
     # eight steps are done, zero increments with zero weights fill the rest
     increments = deque([[0.0] * system.n] * _INCREMENTS, maxlen=_INCREMENTS)
@@ -667,16 +654,15 @@ def integrate(system, config, grid, control, z0):
             increments.append([(a - b - r) / tau for a, b, r in zip(w, z, vals)])
             widths.append(tau)
             z = w
-            states.append(z)
-            inputs.append(ubar)
-            outputs.append(ybar)
-            residuals.append(res)
-            iterations.append(its)
-    except (SingularMatrix, NonFiniteEvaluation, QuadratureNotConverged) as exc:
+            records.append((w, ubar, ybar, res, its))
+    except (
+        SingularMatrix, NonFiniteEvaluation, QuadratureNotConverged, NewtonDidNotConverge
+    ) as exc:
         raise IntegrationError(i, t, str(exc), np.array(z)) from (exc.__cause__ or exc)
+    states, inputs, outputs, residuals, iterations = zip(*records)
     return Trajectory(
         grid,
-        np.array(states, dtype=float),
+        np.array((z0.tolist(), *states), dtype=float),
         np.array(inputs, dtype=float),
         np.array(outputs, dtype=float),
         np.array(residuals, dtype=float),

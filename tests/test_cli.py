@@ -291,6 +291,19 @@ def test_integration_failure_maps_to_exit_three(monkeypatch, tmp_path):
     assert code == 3
 
 
+def test_a_stalled_step_exits_three(tmp_path, capsys):
+    # two synthetic steps of 10: step 0 starts from z, so its stalled
+    # solve has no retry, and the run fails there instead of writing a
+    # trajectory that breaks the balance
+    out = tmp_path / "s.csv"
+    code = run(["simulate", "--example", "synthetic", "--q", 2, "--T", 20, "--out", out])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "integration failed: step 0" in err
+    assert "Newton stalled" in err
+    assert not out.exists()
+
+
 def test_grid_mismatch_maps_to_exit_four(monkeypatch, tmp_path):
     def mismatch(trajectory, reference):
         raise GridMismatch("node not on the reference grid")
