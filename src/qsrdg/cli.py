@@ -25,8 +25,9 @@ tests call too: :func:`reference_trajectory` and
 :func:`structure_checks` for ``checks``.
 
 Exit codes: 0 success, 1 a quality gate failed, 2 bad arguments (among
-them a negative ``--seed`` and an ``--s-max`` below 2 or with a coarsest
-step longer than ``--T``), 3 the integration broke down, 4 incompatible
+them a negative ``--seed``, an ``--s-max`` below 2 or with a coarsest
+step longer than ``--T``, and an ``--out`` that cannot be written, in a
+missing directory say), 3 the integration broke down, 4 incompatible
 grids.
 """
 
@@ -83,20 +84,25 @@ def _report(args, header, rows, meta, verdict=None):
     ``qsr-dg-<command>-<example>.csv`` in the working directory, and
     ``{command, example, **meta, version}`` to the ``.meta.json`` beside
     it.  ``verdict`` is ``(passed, gate_text)`` for a gated command;
-    prints PASS or FAIL with the gate.  Returns the exit code.
+    prints PASS or FAIL with the gate.  Returns the exit code: 2, after a
+    one-line message, when a file cannot be written.
     """
     out = args.out
     if out is None:
         out = Path.cwd() / f"qsr-dg-{args.command}-{args.example}.csv"
     lines = [",".join(row) + "\n" for row in [header, *rows]]
-    out.write_text("".join(lines), encoding="ascii", newline="\n")
     meta_path = out.with_suffix(".meta.json")
     payload = {
         "command": args.command, "example": args.example, **meta,
         "version": __version__,
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    meta_path.write_text(text, encoding="ascii", newline="\n")
+    try:
+        out.write_text("".join(lines), encoding="ascii", newline="\n")
+        meta_path.write_text(text, encoding="ascii", newline="\n")
+    except OSError as exc:
+        print(f"cannot write the output: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {out} and {meta_path}")
     if verdict is None:
         return 0

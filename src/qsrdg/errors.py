@@ -50,6 +50,6 @@ class IntegrationError(QsrdgError):
 
 
 class NewtonDidNotConverge(QsrdgError):
-    """A step's Newton residual stayed above tolerance, also when the step
-    was solved again from its own state; ``integrate`` fails the step with
-    :class:`IntegrationError` caused by it."""
+    """``newton_solve`` ran out of passes above its residual tolerance.  A
+    step that meets it from its own state fails the run: ``integrate``
+    raises :class:`IntegrationError` caused by it."""

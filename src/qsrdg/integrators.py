@@ -42,8 +42,8 @@ largest entry, and the defect bound grows with it.
 Both schemes take a step through :meth:`_Stepper.step` and differ only
 in their residual.  It runs Newton from a start extrapolated through up
 to eight step increments (see :func:`integrate`), carries its factors to
-the next step while that saves residual calls, solves a stalled step
-once more from its own state and raises when that stalls too.  The
+the next step while that saves residual calls, and solves a step whose
+solve failed from such a start once more from its own state.  The
 output y = h + D ubar is formed in floats from the terms that the last
 residual call left, at the accepted state: no map is called outside
 Newton.  A declared B or D gives B ubar or D ubar once per step, outside
@@ -89,13 +89,7 @@ from qsrdg.errors import (
     SingularMatrix,
 )
 from qsrdg.model import ConstantMap, supply_value
-from qsrdg.numerics import (
-    _MAP_ERRORS,
-    NewtonSettings,
-    _raised,
-    _tolerance,
-    newton_solve,
-)
+from qsrdg.numerics import _MAP_ERRORS, NewtonSettings, _raised, newton_solve
 
 __all__ = [
     "TimeGrid",
@@ -112,6 +106,10 @@ IMPLICIT_MIDPOINT = "implicit-midpoint"
 _NEWTON = NewtonSettings()
 # grid nodes this close coincide
 _NODE_TOLERANCE = 1e-12
+# the typed errors that fail a solve, retried from z (see _Stepper.step)
+_STEP_ERRORS = (
+    SingularMatrix, NonFiniteEvaluation, QuadratureNotConverged, NewtonDidNotConverge
+)
 
 
 @dataclass(frozen=True)
@@ -195,9 +193,9 @@ class Trajectory:
     An iteration count is the number of kept Newton updates of the step,
     fresh or with reused factors, including the stale updates of a step
     that started from the factors the last step kept.  A step whose solve
-    stalled and was solved again from its own state counts the updates of
-    both solves.  A count of 0 means the start was accepted as it was:
-    its residual was on the rounding floor.  Every recorded step met
+    failed and was solved again from its own state counts the updates of
+    the second solve only.  A count of 0 means the start was accepted as
+    it was: its residual was on the rounding floor.  Every recorded step met
     Newton's tolerance: a step that does not fails the run (see
     :func:`integrate`).
     """
@@ -230,18 +228,16 @@ class _Stepper:
         residual call is at ``w`` (or is a pass's probe there), and
         ``ybar`` is h + D ubar from the terms it left.
 
-        A solve stalls when its residual is above the tolerance of
-        :func:`qsrdg.numerics.newton_solve` at its iterate.  A solve that
-        stalls and did not start from ``z`` with a fresh pass is solved
-        once more from ``z`` with a fresh pass (Deuflhard 2004, ch. 3): an
-        extrapolated or carried start can be worse than the step's own
-        state when the steps are coarse.  The step keeps the result of
-        that second solve and counts the updates of both.  Smooth runs
-        never stall, so they never retry.  A step whose last solve stalls
-        raises :class:`NewtonDidNotConverge`, so no accepted step breaks
-        the balance by more than its Newton residual allows (a step whose
-        Newton iteration fails is rejected, as in Hairer & Wanner,
-        *Solving ODEs II* §IV.8).
+        A solve that fails with one of ``_STEP_ERRORS`` and did not start
+        from ``z`` with a fresh pass is solved once more from ``z`` with a
+        fresh pass (Deuflhard 2004, ch. 3): the start failed, not the step,
+        since an extrapolated or carried start can be worse than the
+        step's own state when the steps are coarse.  The step keeps that
+        second solve's result and update count.  Smooth runs never retry.
+        Any other failure, or one of the retry, propagates: a step whose
+        Newton iteration fails is rejected (Hairer & Wanner, *Solving ODEs
+        II* §IV.8), so no accepted step breaks the balance by more than its
+        Newton residual allows.
 
         A solve starts from the factors the last step kept, if any.  Such
         a carried solve costs one float call plus one per stale update; a
@@ -251,37 +247,32 @@ class _Stepper:
         start was on the rounding floor), or when it was carried and took
         no pass (it then made at most n updates).  A carried solve that
         took a pass cost more than a pass alone, and the run takes a pass
-        on every later step.  A retried step keeps no factors.
+        on every later step.  A retried step keeps no factors, and a
+        failed carried start ends the carry too.
         """
         last = []
         residual = self._residual(z, ubar, tau, last)
         carried = self._factors
-        w, its, res, lu, vals = newton_solve(residual, start, _NEWTON, carried)
-        stalled = _stalled(w, res)
-        retried = stalled and (carried is not None or start != z)
-        if retried:
-            w, more, res, _, vals = newton_solve(residual, z, _NEWTON)
-            its += more
-            stalled = _stalled(w, res)
-        if stalled:
-            raise NewtonDidNotConverge(f"Newton stalled at residual {res:.3e}")
-        if carried is None:
-            keep = self._carrying and its <= 1
+        try:
+            w, its, res, lu, vals = newton_solve(residual, start, _NEWTON, carried)
+        except _STEP_ERRORS:
+            if carried is None and start == z:
+                raise
+            w, its, res, _, vals = newton_solve(residual, z, _NEWTON)
+            self._factors = None
+            self._carrying = self._carrying and carried is None
         else:
-            keep = self._carrying = lu is carried
-        self._factors = lu if keep and not retried else None
+            if carried is None:
+                keep = self._carrying and its <= 1
+            else:
+                keep = self._carrying = lu is carried
+            self._factors = lu if keep else None
         hv, dv = last
         if self.d_rows is None:
             ybar = _output(hv, dv, ubar)
         else:
             ybar = [h.real + dot(row, ubar) for h, row in zip(hv, self.d_rows)]
         return w, ybar, res, its, vals
-
-
-def _stalled(w, res):
-    """Whether the residual ``res`` at ``w`` is above the tolerance of
-    :func:`qsrdg.numerics.newton_solve` there."""
-    return res > _NEWTON.residual_tolerance and res > _tolerance(_NEWTON, w)
 
 
 def _rows(f):
@@ -421,10 +412,8 @@ def _control_values(control, t, m):
     number of values raises ``ValueError``."""
     try:
         out = control(t)
-        if isinstance(out, (int, float)):
-            vals = (float(out),)
-        elif isinstance(out, numbers.Real) or getattr(out, "shape", None) == ():
-            # any other real scalar, numpy scalars and 0-d arrays included
+        # a real scalar, numpy's and 0-d arrays included; int and float first
+        if isinstance(out, (int, float, numbers.Real)) or getattr(out, "shape", None) == ():
             vals = (float(out),)
         else:
             vals = tuple(float(v) for v in out)
@@ -559,10 +548,11 @@ def integrate(system, config, grid, control, z0):
     Step failures (singular Jacobian, non-finite evaluations, a map or
     the control that raises ``OverflowError``, ``ValueError`` or
     ``ZeroDivisionError``, mean-value quadrature that misses its secant
-    tolerance at the panel cap, a Newton solve that stalls even when
-    retried from z_i) are re-raised as :class:`IntegrationError` carrying
-    the failing step index and the last good state z_i, caused by what
-    the map or control raised, or else by the typed error.  A map that
+    tolerance at the panel cap, a Newton solve that stalls) that no retry
+    from z_i mends (see :meth:`_Stepper.step`) are re-raised as
+    :class:`IntegrationError` carrying the failing step index and the
+    last good state z_i, caused by what the map or control raised, or
+    else by the typed error.  A map that
     raises at ``z0`` in the shape check, and a declared Q D + S that is
     singular, fail step 0.  A non-finite ``z0``, or a map whose value at
     ``z0`` has the wrong shape, a ragged row or a nested entry included,
@@ -602,7 +592,7 @@ def integrate(system, config, grid, control, z0):
     as in DASSL; Brenan, Campbell & Petzold 1996).  The first step
     starts from z_0; with one increment the start is the linear
     extrapolation of the states and with two the quadratic, up to the
-    residual term.  A step whose solve stalls from such a start is solved
+    residual term.  A step whose solve fails from such a start is solved
     again from z_i (see :meth:`_Stepper.step`).  An unmoved run records
     zero increments, so its start is z_i bit for bit and fixed points
     stay exact.
@@ -655,9 +645,7 @@ def integrate(system, config, grid, control, z0):
             widths.append(tau)
             z = w
             records.append((w, ubar, ybar, res, its))
-    except (
-        SingularMatrix, NonFiniteEvaluation, QuadratureNotConverged, NewtonDidNotConverge
-    ) as exc:
+    except _STEP_ERRORS as exc:
         raise IntegrationError(i, t, str(exc), np.array(z)) from (exc.__cause__ or exc)
     states, inputs, outputs, residuals, iterations = zip(*records)
     return Trajectory(

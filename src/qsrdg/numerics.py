@@ -36,10 +36,12 @@ one pass and one float call, or two float calls from carried factors;
 see :func:`newton_solve` for when a pass is taken.  The stop is relative
 where the iterate is large: a residual need not fall below 4 ulps of the
 iterate's largest entry, which exceeds the absolute tolerance only above
-about 112.
+about 112.  A solve whose passes run out above the tolerance raises
+:class:`~qsrdg.errors.NewtonDidNotConverge`.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -52,7 +54,7 @@ from qsrdg._kernels import factor, substitute
 # absent; Newton solves with factor/substitute, so the traced calls of
 # this name read 0
 from qsrdg._kernels import solve_generic as lu_solve  # noqa: F401
-from qsrdg.errors import NonFiniteEvaluation, SingularMatrix
+from qsrdg.errors import NewtonDidNotConverge, NonFiniteEvaluation, SingularMatrix
 
 __all__ = [
     "NewtonSettings",
@@ -60,6 +62,7 @@ __all__ = [
     "newton_solve",
     "SingularMatrix",
     "NonFiniteEvaluation",
+    "NewtonDidNotConverge",
 ]
 
 
@@ -131,6 +134,7 @@ class NewtonSettings:
 
     ``max_iterations`` caps the passes, not the updates: each pass may
     serve a few reused updates besides its own (see :func:`newton_solve`).
+    It must be an integer; anything else raises ``TypeError``.
     ``residual_tolerance`` is absolute; a solve stops at 4 ulps of the
     iterate where that is larger.
     """
@@ -139,7 +143,7 @@ class NewtonSettings:
     residual_tolerance: float = 1e-13
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        if operator.index(self.max_iterations) < 1:
             raise ValueError("max_iterations must be at least 1")
         if not self.residual_tolerance > 0.0:
             raise ValueError("residual_tolerance must be positive")
@@ -167,13 +171,6 @@ _REUSES_PER_PASS = 4
 _ULPS = 4.0 * np.finfo(float).eps
 
 
-def _tolerance(settings, x):
-    """The residual a solve must reach at ``x``: ``residual_tolerance``, or
-    4 ulps of the largest entry of ``x`` where that is larger, since a
-    residual w - z - tau F rounds at the scale of w."""
-    return max(settings.residual_tolerance, _ULPS * max(map(abs, x)))
-
-
 def _factored_pass(f, x):
     """Factors of the Jacobian at ``x`` and the map values there."""
     rows, vals = _jacobian_with_values(f, x)
@@ -195,7 +192,8 @@ def newton_solve(
     update substitutes the current values into the current factors and
     evaluates ``F`` in floats at the new iterate.  It is fresh when the
     factors come from a pass at the iterate it starts from, reused
-    otherwise.  With tol the :func:`_tolerance` at the iterate:
+    otherwise.  With tol the larger of ``residual_tolerance`` and 4 ulps
+    of the iterate's largest entry:
 
     - after an update that took the residual from r_old to r, with
       theta = r / r_old, the next update reuses the factors when
@@ -218,19 +216,21 @@ def newton_solve(
     a start that is tiny in absolute terms but wrong by O(1) still gets
     its updates.  Every other start gets at least one, so a start inside
     the tolerance but above the floor still moves to it.
-    ``max_iterations`` caps the passes; once they are used up, the solve
-    returns the last kept iterate and its residual.  The iterate ``x`` is
-    a list of floats.  ``iterations`` counts the kept updates, fresh and
-    reused; 0 means ``x0`` was kept.
+    ``max_iterations`` caps the passes.  Once they are used up, the solve
+    returns the last kept iterate if its residual meets tol there, even
+    short of the polish, and otherwise raises
+    :class:`NewtonDidNotConverge` with that residual.  The iterate ``x``
+    is a list of floats.  ``iterations`` counts the kept updates, fresh
+    and reused; 0 means ``x0`` was kept.
 
     The last call to ``f`` is always at the returned iterate, and
     ``values`` are its value parts: the first call at ``x0`` when that
     start is kept, else the float call after the last kept update, or one
-    more float call there when the passes run out on a discarded update.
-    Non-convergence is not an error here; callers decide.  A NaN or
-    infinite value or derivative raises :class:`NonFiniteEvaluation`, and
-    so does an ``OverflowError``, ``ValueError`` or ``ZeroDivisionError``
-    that a call to ``f`` raises, chained to it.
+    more float call there when the passes run out on a discarded update
+    and the iterate is returned.  A NaN or infinite value or derivative
+    raises :class:`NonFiniteEvaluation`, and so does an ``OverflowError``,
+    ``ValueError`` or ``ZeroDivisionError`` that a call to ``f`` raises,
+    chained to it.
     """
     atol = settings.residual_tolerance
     passes_left = settings.max_iterations
@@ -268,6 +268,8 @@ def newton_solve(
                 reuses += 1
                 continue
         if not passes_left:
+            if res > atol and res > _ULPS * max(map(abs, x)):
+                raise NewtonDidNotConverge(f"Newton stalled at residual {res:.3e}")
             if not kept:
                 # callers read the terms of the last call as the result's
                 _values_of(f, x)

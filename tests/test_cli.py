@@ -304,6 +304,18 @@ def test_a_stalled_step_exits_three(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_out_in_a_missing_directory_exits_two(tmp_path, capsys):
+    # the run integrates, then cannot write its CSV: a bad argument, not
+    # a failed gate and not a traceback
+    out = tmp_path / "missing" / "x.csv"
+    code = run(["simulate", "--example", "pi", "--q", 5, "--T", 1, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write the output: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert not out.parent.exists()
+
+
 def test_grid_mismatch_maps_to_exit_four(monkeypatch, tmp_path):
     def mismatch(trajectory, reference):
         raise GridMismatch("node not on the reference grid")

@@ -44,7 +44,7 @@ from qsrdg.model import (
     hill_moylan_residual,
     supply_value,
 )
-from qsrdg.numerics import _H, NewtonSettings, _jacobian_with_values, _tolerance
+from qsrdg.numerics import _H, NewtonSettings, _jacobian_with_values
 from qsrdg.systems import (
     EXAMPLE_NAMES,
     benchmark_settings,
@@ -1132,6 +1132,31 @@ def test_a_carried_start_that_needs_a_pass_ends_the_carry(monkeypatch):
     assert not any(carried[carried.index(True) + 1:])
 
 
+def test_a_failed_carried_start_is_retried_and_ends_the_carry(monkeypatch):
+    # the reference run carries factors from its first steps on; the
+    # first carried solve is made to fail.  The step solves again from z
+    # with a fresh pass, and the run takes a pass on every later step, as
+    # after a carried start that needs one
+    real = integrators.newton_solve
+    carried = []
+
+    def newton(f, x0, settings, factors=None):
+        carried.append(factors is not None)
+        if carried.count(True) == 1 and factors is not None:
+            raise NonFiniteEvaluation("a failed carried start")
+        return real(f, x0, settings, factors)
+
+    monkeypatch.setattr(integrators, "newton_solve", newton)
+    case = benchmark_settings("pendulum")
+    config = SchemeConfig(scheme=IMPLICIT_MIDPOINT)
+    grid = TimeGrid.with_step(1e-3 / 8, 50)
+    traj = integrate(case.system, config, grid, case.control, case.initial_state)
+    first = carried.index(True)
+    assert first > 0 and len(carried) == grid.num_steps + 1
+    assert not any(carried[first + 1:])
+    assert np.all(traj.newton_residuals <= 1e-13)
+
+
 def test_no_newton_state_leaks_between_runs():
     # each run starts without factors and with the carry on: a run after
     # one that ended carrying (lti-ocp), or one that ended the carry
@@ -1269,39 +1294,97 @@ def test_steps_equal_up_to_the_rounding_of_the_nodes_count_as_equal():
         assert all(type(x) is float for x in row)
 
 
+def _logging_newton(monkeypatch):
+    """Logs each Newton solve of a run as a dict: its start, whether it
+    was carried, and its result or the typed step error it raised."""
+    solves = []
+    real = integrators.newton_solve
+
+    def newton(f, x0, settings, factors=None):
+        solve = {"start": [float(v) for v in x0], "carried": factors is not None}
+        solves.append(solve)
+        try:
+            solve["result"] = real(f, x0, settings, factors)
+        except integrators._STEP_ERRORS as exc:
+            solve["raised"] = exc
+            raise
+        return solve["result"]
+
+    monkeypatch.setattr(integrators, "newton_solve", newton)
+    return solves
+
+
+def _within_tolerance(residual, w):
+    """Whether ``residual`` meets Newton's stop rule at ``w``: 1e-13, or 4
+    ulps of the largest entry of ``w`` where that is larger."""
+    ulps = 4.0 * np.finfo(float).eps * max(map(abs, w))
+    return residual <= max(SchemeConfig.newton.residual_tolerance, ulps)
+
+
+def _retried_steps(traj, solves):
+    """The steps whose first solve raised and was solved again from z
+    without factors; checks that each such step records the retry's
+    residual, within tolerance, and its update count, and that the next
+    step starts without factors."""
+    z = traj.states.tolist()
+    steps = traj.grid.num_steps
+    retried, j = [], 0
+    for i in range(steps):
+        first = solves[j]
+        j += 1
+        if "raised" in first:
+            retry = solves[j]
+            j += 1
+            assert retry["start"] == z[i] and not retry["carried"]
+            result = retry["result"]
+            assert traj.newton_iterations[i] == result.iterations
+            assert traj.newton_residuals[i] == result.residual
+            assert _within_tolerance(result.residual, z[i + 1])
+            if i + 1 < steps:
+                assert not solves[j]["carried"]
+            retried.append((i, type(first["raised"])))
+    assert j == len(solves)
+    return retried
+
+
 def test_a_stalled_step_is_retried_once_from_z_with_a_fresh_pass(monkeypatch):
     # at tau = 1 from this box state five steps stall from their
     # extrapolated or carried start.  Each is solved once more from z
     # without factors and ends within tolerance; the step keeps that
-    # result, counts the updates of both solves, and the next step starts
-    # without factors.  Step 0 starts from z without factors, so it is
-    # not retried
-    counts = _counting_newton(monkeypatch)
+    # result and its update count, and the next step starts without
+    # factors.  Step 0 starts from z without factors, so it is not
+    # retried
+    solves = _logging_newton(monkeypatch)
     case = benchmark_settings("pendulum")
     grid = TimeGrid.with_step(1.0, 10)
     traj = integrate(
         case.system, SchemeConfig(), grid, case.control, _box_starts(case, 1, 40)[0]
     )
-    z = traj.states.tolist()
-    starts, carried = counts["starts"], counts["carried_starts"]
-    residuals = counts["residuals"]
-    assert counts["updates"] == int(np.sum(traj.newton_iterations))
-    first, retried, j = [], [], 0
-    for i in range(grid.num_steps):
-        first.append(j)
-        j += 1
-        if j < len(starts) and starts[j] == z[i]:
-            assert not carried[j]
-            tol = _tolerance(SchemeConfig.newton, z[i + 1])
-            assert residuals[j - 1] > tol >= residuals[j] == traj.newton_residuals[i]
-            retried.append(i)
-            j += 1
-    assert j == len(starts)
+    retried = _retried_steps(traj, solves)
     assert len(retried) == 5
-    assert 0 not in retried
-    for i in retried:
-        if i + 1 < grid.num_steps:
-            assert not carried[first[i + 1]]
+    assert all(error is NewtonDidNotConverge for _, error in retried)
+    assert 0 not in dict(retried)
+
+
+@pytest.mark.parametrize("z0", (2.0, 3.0, 5.0, 8.0))
+def test_a_failure_at_a_predicted_start_is_retried_from_z(z0, monkeypatch):
+    # under u = 50 sin 3t the cosh system's steps of 1 swing z between
+    # about -z0 and 9; a start extrapolated from such steps lands where
+    # sinh overflows or is infinite, so its solve raises a
+    # NonFiniteEvaluation, and others stall.  The start failed, not the
+    # step: solved again from z, every step converges and keeps the
+    # balance
+    solves = _logging_newton(monkeypatch)
+    system = cosh_system()
+    grid = TimeGrid.with_step(1.0, 12)
+    traj = integrate(
+        system, SchemeConfig(), grid, lambda t: 50.0 * math.sin(3.0 * t), (z0,)
+    )
+    retried = _retried_steps(traj, solves)
+    assert NonFiniteEvaluation in dict(retried).values()
+    assert 0 not in dict(retried)
+    assert all(map(_within_tolerance, traj.newton_residuals, traj.states[1:]))
+    assert np.max(discrete_power_balance_residuals(system, traj)) <= 1e-13
 
 
 def _layout(traj, n, m):

@@ -1,6 +1,7 @@
 """The complex-step Jacobian pass, Newton iteration, quadrature."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from qsrdg import gmath
 from qsrdg._kernels import value
 from qsrdg.dgradients import _GAUSS_NODES, _GAUSS_WEIGHTS
-from qsrdg.errors import NonFiniteEvaluation
+from qsrdg.errors import NewtonDidNotConverge, NonFiniteEvaluation
 from qsrdg.numerics import NewtonSettings, _jacobian_with_values, newton_solve
 
 
@@ -113,13 +114,13 @@ def test_newton_exact_guess_makes_one_pass():
 
 
 def test_newton_single_update_returns_its_float_residual():
+    # one pass, one update to x = -1, and the stall reports the float
+    # residual there, exp(-1)
     f, calls, points = _recording(lambda x: (gmath.exp(x[0]),))
-    result = newton_solve(f, (0.0,), NewtonSettings(max_iterations=1))
-    assert result.iterations == 1
-    assert result.x[0] == -1.0
-    assert result.residual == math.exp(-1.0)
+    with pytest.raises(NewtonDidNotConverge, match=re.escape(f"{math.exp(-1.0):.3e}")):
+        newton_solve(f, (0.0,), NewtonSettings(max_iterations=1))
     assert calls == ["jacobian", "float"]
-    assert points[-1] == list(result.x)
+    assert points[-1] == [-1.0]
 
 
 def test_newton_call_pattern_for_x_squared_minus_four_from_three():
@@ -182,13 +183,24 @@ def test_newton_caps_jacobian_passes_not_updates():
     assert calls.count("jacobian") == 4
     assert result.iterations == 5
     assert result.residual == 0.0
-    # three passes stop at the third fresh update's residual, 4.1e-5,
+    # three passes stall at the third fresh update's residual, 4.1e-5,
     # whose contraction predicts no convergence for a reused update
-    f, calls, points = _recording(lambda x: (x[0] * x[0] - 4.0,))
-    result = newton_solve(f, (3.0,), NewtonSettings(max_iterations=3))
+    f, calls, _ = _recording(lambda x: (x[0] * x[0] - 4.0,))
+    with pytest.raises(NewtonDidNotConverge, match=re.escape("4.096e-05")):
+        newton_solve(f, (3.0,), NewtonSettings(max_iterations=3))
     assert calls == ["jacobian", "float"] * 3
-    assert result.iterations == 3
-    assert math.isclose(result.residual, 4.096e-5, rel_tol=1e-3)
+
+
+def test_newton_returns_an_iterate_within_the_tolerance_at_the_cap():
+    # as in the test below, every update halves x.  From 2**-41 the one
+    # pass's update reaches 2**-42, four reused ones 2**-46, whose
+    # residual 1.4e-14 is within the tolerance but above the polish
+    # bound 1e-15; with no pass left the solve returns it
+    f, calls, points = _recording(lambda x: (2.0 * x[0] - value(x[0]),))
+    result = newton_solve(f, (2.0**-41,), NewtonSettings(max_iterations=1))
+    assert calls == ["jacobian"] + ["float"] * 5
+    assert result.x[0] == 2.0**-46 == result.residual
+    assert result.iterations == 5
     assert points[-1] == list(result.x)
 
 
@@ -208,13 +220,15 @@ def test_newton_takes_a_fresh_pass_after_four_reused_updates():
 
 def test_newton_ends_at_the_last_kept_iterate_when_a_reuse_fails_at_the_cap():
     # with one pass allowed, the discarded reuse leaves no pass to take;
-    # one more float call puts the last call back at the returned iterate
+    # the last kept iterate, from the pass's update, is above the
+    # tolerance, so the solve stalls at its residual with no further call
     f, calls, points = _recording(_secant_slope_at_one)
-    result = newton_solve(f, (1.0 + 2.0**-22,), NewtonSettings(max_iterations=1))
-    assert calls == ["jacobian", "float", "float", "float"]
-    assert result.iterations == 1
-    assert list(result.x) == points[1] == points[-1]
-    assert result.residual == abs(_secant_slope_at_one(points[1])[0])
+    with pytest.raises(NewtonDidNotConverge) as info:
+        newton_solve(f, (1.0 + 2.0**-22,), NewtonSettings(max_iterations=1))
+    assert calls == ["jacobian", "float", "float"]
+    kept = abs(_secant_slope_at_one(points[1])[0])
+    assert f"{kept:.3e}" in str(info.value)
+    assert abs(_secant_slope_at_one(points[2])[0]) > kept > 1e-13
 
 
 def test_newton_updates_a_start_inside_the_tolerance():
@@ -232,14 +246,13 @@ def test_newton_updates_a_start_inside_the_tolerance():
 def test_newton_respects_iteration_cap():
     # exp has no root; every update subtracts one and no contraction
     # predicts convergence, so every update follows a fresh pass and the
-    # loop stops at the pass cap with the final residual
+    # loop stalls at the pass cap with the final residual
     settings = NewtonSettings(max_iterations=4)
     f, calls, points = _recording(lambda x: (gmath.exp(x[0]),))
-    result = newton_solve(f, (0.0,), settings)
-    assert result.iterations == 4
-    assert math.isclose(result.residual, math.exp(-4.0), rel_tol=1e-12)
+    with pytest.raises(NewtonDidNotConverge, match=re.escape(f"{math.exp(-4.0):.3e}")):
+        newton_solve(f, (0.0,), settings)
     assert calls == ["jacobian", "float"] * 4
-    assert points[-1] == list(result.x)
+    assert points[-1] == [-4.0]
 
 
 def test_newton_stops_at_the_rounding_floor_of_a_large_iterate():
@@ -338,16 +351,19 @@ def test_newton_accepts_finite_values_whose_sum_overflows():
     # five components 1e308 * exp(x_k): at x = 0 the values and the
     # Jacobian columns each sum past the largest float, and after the
     # first update so do the five float values of 3.7e307; every entry
-    # is finite, so neither the pass nor the float call may raise, and
-    # the recorded residual norm is finite too
+    # is finite, so neither the pass nor the float call may raise a
+    # NonFiniteEvaluation.  Two passes end in a stall at x = -2, whose
+    # residual norm, 3.0e307, is finite too
     def f(x):
         return [1e308 * gmath.exp(v) for v in x]
 
     assert 5 * 1e308 * math.exp(-1.0) > np.finfo(float).max
-    result = newton_solve(f, [0.0] * 5, NewtonSettings(max_iterations=2))
-    assert result.iterations == 2
-    assert list(result.x) == [-2.0] * 5
-    assert math.isfinite(result.residual)
+    f, calls, points = _recording(f)
+    norm = math.hypot(*[1e308 * math.exp(-2.0)] * 5)
+    with pytest.raises(NewtonDidNotConverge, match=re.escape(f"{norm:.3e}")):
+        newton_solve(f, [0.0] * 5, NewtonSettings(max_iterations=2))
+    assert calls == (["jacobian"] * 5 + ["float"]) * 2
+    assert points[-1] == [-2.0] * 5
 
 
 @pytest.mark.parametrize("where", ("jacobian pass", "float call"))
@@ -395,6 +411,10 @@ def test_newton_turns_a_map_that_raises_into_non_finite_evaluation(error, op, wh
 def test_newton_settings_validation():
     with pytest.raises(ValueError):
         NewtonSettings(max_iterations=0)
+    # a fractional cap would step past 0 and never stop the loop
+    with pytest.raises(TypeError):
+        NewtonSettings(max_iterations=2.5)
+    assert NewtonSettings(max_iterations=np.int64(3)).max_iterations == 3
     with pytest.raises(ValueError):
         NewtonSettings(residual_tolerance=0.0)
 
