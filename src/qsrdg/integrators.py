@@ -40,14 +40,14 @@ for states beyond about 112 the tolerance is 4 ulps of the state's
 largest entry, and the defect bound grows with it.
 
 Both schemes take a step through :meth:`_Stepper.step` and differ only
-in their residual.  It runs Newton from a start extrapolated through up
-to eight step increments (see :func:`integrate`), carries its factors to
-the next step while that saves residual calls, and solves a step whose
-solve failed from such a start once more from its own state.  The
-output y = h + D ubar is formed in floats from the terms that the last
-residual call left, at the accepted state: no map is called outside
-Newton.  A declared B or D gives B ubar or D ubar once per step, outside
-the residual calls.
+in their residual, built once per run.  It runs Newton from a start
+extrapolated through up to eight step increments (see :func:`integrate`),
+carries its factors to the next step while that saves residual calls,
+and solves a step whose solve failed from such a start once more from
+its own state.  The output y = h + D ubar is formed in floats from the
+terms that the last residual call left, at the accepted state: no map
+is called outside Newton.  A declared B or D gives B ubar or D ubar
+once per step, outside the residual calls.
 
 All two-point averages are midpoint evaluations, phi((z + w) / 2); the
 averaged input is the trapezoidal endpoint mean (u(t_i) + u(t_{i+1})) / 2.
@@ -212,7 +212,8 @@ class _Stepper:
     """Per-run Newton state of a scheme: the factored Jacobian that the
     next step's solve starts from, if any, and whether the run still
     carries factors across steps (see :meth:`step`).  A scheme adds only
-    ``_residual(z, ubar, tau, last)``, whose calls leave h and D in ``last``."""
+    ``_residual()``, which builds the run's one residual: it reads the
+    step from ``cell`` and leaves h and D in ``last``."""
 
     def __init__(self, system):
         self.system = system
@@ -220,6 +221,16 @@ class _Stepper:
         self.d_rows = _rows(system.feedthrough)
         self._factors = None
         self._carrying = True
+        self.cell = [None] * 4
+        self.last = []
+        self.residual = self._residual()
+
+    def prepare(self, z, ubar, tau):
+        """Set ``cell`` to the step ``tau`` from ``z`` under ``ubar``, with
+        B ubar for a declared B."""
+        rows = self.b_rows
+        bu = None if rows is None else [dot(row, ubar) for row in rows]
+        self.cell[:] = z, ubar, tau, bu
 
     def step(self, z, ubar, tau, start):
         """One step from ``z``, Newton from ``start``: ``(w, ybar, residual,
@@ -250,8 +261,8 @@ class _Stepper:
         on every later step.  A retried step keeps no factors, and a
         failed carried start ends the carry too.
         """
-        last = []
-        residual = self._residual(z, ubar, tau, last)
+        self.prepare(z, ubar, tau)
+        residual = self.residual
         carried = self._factors
         try:
             w, its, res, lu, vals = newton_solve(residual, start, _NEWTON, carried)
@@ -267,7 +278,7 @@ class _Stepper:
             else:
                 keep = self._carrying = lu is carried
             self._factors = lu if keep else None
-        hv, dv = last
+        hv, dv = self.last
         if self.d_rows is None:
             ybar = _output(hv, dv, ubar)
         else:
@@ -294,16 +305,17 @@ class _DgQsrStepper(_Stepper):
     """
 
     def __init__(self, system, config):
-        super().__init__(system)
         self.kind = config.dg_kind
         # the supply weights are 2-D float arrays (see SupplyRate)
         self.q_rows = system.supply.q.tolist()
         self.s_rows = system.supply.s.tolist()
-        bv, dv, wv = self.b_rows, self.d_rows, _rows(system.loss_input)
+        bv, dv = _rows(system.input_map), _rows(system.feedthrough)
+        wv = _rows(system.loss_input)
         if bv is None or dv is None or wv is None:
             self.constants = None
         else:
             self.constants = (bv, dv, *self._gains(bv, dv, wv))
+        super().__init__(system)
 
     def _gains(self, bv, dv, wv):
         """Rows of A = (Q D + S)^{-T} B^T / 2 and C = (Q D + S)^{-T} W^T
@@ -350,13 +362,13 @@ class _DgQsrStepper(_Stepper):
             quad = quad + hbar[i] * dot(q_rows[i], hbar)
         return dg, g2, fv, bv, dv, hbar, quad - dot(lv, lv)
 
-    def _residual(self, z, ubar, tau, last):
-        """The step's Newton residual; each call leaves the output terms
+    def _residual(self):
+        """The run's Newton residual; each call leaves the output terms
         ``hbar`` and ``dv`` at its point in ``last``."""
-        terms = self._terms
-        b_ubar = _products(self.b_rows, ubar)
+        terms, cell, last = self._terms, self.cell, self.last
 
         def residual(w):
+            z, ubar, tau, b_ubar = cell
             dg, g2, fv, bv, dv, hbar, gam_num = terms(z, w)
             last[:] = (hbar, dv)
             # where |dg|^2 is 0.0 in floats the step is implicit midpoint
@@ -374,29 +386,23 @@ class _MidpointStepper(_Stepper):
     """Implicit midpoint over the same averaged maps (reference scheme).
     It reads the rows of a declared B or D instead of calling the map."""
 
-    def _residual(self, z, ubar, tau, last):
+    def _residual(self):
         """As :meth:`_DgQsrStepper._residual`, with h and D at the midpoint."""
         system = self.system
         drift, input_map = system.drift, system.input_map
         output_map, feedthrough = system.output_map, system.feedthrough
-        d_rows = self.d_rows
-        b_ubar = _products(self.b_rows, ubar)
+        d_rows, cell, last = self.d_rows, self.cell, self.last
 
         def residual(w):
+            z, ubar, tau, bu = cell
             mid = [(a + b) * 0.5 for a, b in zip(z, w)]
             fv = drift(mid)
-            bu = b_ubar
             if bu is None:
                 bu = [dot(row, ubar) for row in input_map(mid)]
             last[:] = (output_map(mid), feedthrough(mid) if d_rows is None else d_rows)
             return [wk - zk - tau * (fk + b) for wk, zk, fk, b in zip(w, z, fv, bu)]
 
         return residual
-
-
-def _products(rows, ubar):
-    """``rows`` times ``ubar``; None where a map is not declared."""
-    return None if rows is None else [dot(row, ubar) for row in rows]
 
 
 def _output(hv, dv, ubar):
@@ -412,6 +418,8 @@ def _control_values(control, t, m):
     number of values raises ``ValueError``."""
     try:
         out = control(t)
+        if type(out) is float and m == 1:
+            return (out,)
         # a real scalar, numpy's and 0-d arrays included; int and float first
         if isinstance(out, (int, float, numbers.Real)) or getattr(out, "shape", None) == ():
             vals = (float(out),)
@@ -431,6 +439,8 @@ def _averaged_input(control, t, tau, m, left=None):
     end value, which the next step reuses as ``left``."""
     u0 = _control_values(control, t, m) if left is None else left
     u1 = _control_values(control, t + tau, m)
+    if m == 1:
+        return (0.5 * (u0[0] + u1[0]),), u1
     return tuple([0.5 * (a + b) for a, b in zip(u0, u1)]), u1
 
 
@@ -562,13 +572,13 @@ def integrate(system, config, grid, control, z0):
     the five arrays of the :class:`Trajectory` once, after the last step.
 
     Newton starts each step from an extrapolation of the step increments
-    already computed.  Step i records its increment
-    ``V_i = (z_{i+1} - z_i - r_i) / tau_i``, r_i the residual vector of
-    the accepted state, at the abscissa ``s_i = t_i + tau_i / 2``.  That is
-    the scheme's right-hand side at the accepted state; subtracting r_i
-    keeps Newton's residual out of it, and the difference of the two
-    nearby states is exact, so V_i has the relative accuracy of the
-    right-hand side.  Step i starts from::
+    already computed, each formed in the pass of the next start.  Step i
+    has the increment ``V_i = (z_{i+1} - z_i - r_i) / tau_i``, r_i the
+    residual vector of the accepted state, at ``s_i = t_i + tau_i / 2``.
+    That is the scheme's right-hand side at the accepted state;
+    subtracting r_i keeps Newton's residual out of it, and the difference
+    of the two nearby states is exact, so V_i has the relative accuracy of
+    the right-hand side.  Step i starts from::
 
         z_i + tau_i * sum_k l_k(t_i + tau_i / 2) V_k
 
@@ -607,9 +617,10 @@ def integrate(system, config, grid, control, z0):
     z = start = z0.tolist()
     # (state, averaged input, output, Newton residual, iterations) per step
     records = []
-    # the last eight increments and their step lengths, oldest first; until
-    # eight steps are done, zero increments with zero weights fill the rest
-    increments = deque([[0.0] * system.n] * _INCREMENTS, maxlen=_INCREMENTS)
+    # the last eight increments of each coordinate and the last eight step
+    # lengths, oldest first; until eight steps are done, zero increments
+    # with zero weights fill the rest
+    history = [deque([0.0] * _INCREMENTS, maxlen=_INCREMENTS) for _ in z]
     widths = deque(maxlen=_INCREMENTS)
     weights = None
     left = None
@@ -621,29 +632,34 @@ def integrate(system, config, grid, control, z0):
             stepper = _DgQsrStepper(system, config)
         else:
             stepper = _MidpointStepper(system)
+        step = stepper.step
         for i in range(grid.num_steps):
             t = pts[i]
             tau = pts[i + 1] - t
             ubar, left = _averaged_input(control, t, tau, m, left)
             if widths:
+                tau_prev = widths[-1]
                 # a step as long as the last one after eight equal steps
                 # keeps their weights: the tolerance only grows with t
-                if weights is not _EQUAL_STEP_WEIGHTS[-1] or tau != widths[-1]:
+                if weights is not _EQUAL_STEP_WEIGHTS[-1] or tau != tau_prev:
                     weights = _start_weights(widths, tau, pts[i + 1])
                 l0, l1, l2, l3, l4, l5, l6, l7 = weights
-                start = [
-                    zk
-                    + tau
-                    * (
-                        l0 * a + l1 * b + l2 * c + l3 * d
-                        + l4 * e + l5 * f + l6 * g + l7 * h
+                # the last step's increment, then the start from all eight
+                start = []
+                for hist, zk, zp, r in zip(history, z, z_prev, vals):
+                    hist.append((zk - zp - r) / tau_prev)
+                    a, b, c, d, e, f, g, h = hist
+                    start.append(
+                        zk
+                        + tau
+                        * (
+                            l0 * a + l1 * b + l2 * c + l3 * d
+                            + l4 * e + l5 * f + l6 * g + l7 * h
+                        )
                     )
-                    for zk, a, b, c, d, e, f, g, h in zip(z, *increments)
-                ]
-            w, ybar, res, its, vals = stepper.step(z, ubar, tau, start)
-            increments.append([(a - b - r) / tau for a, b, r in zip(w, z, vals)])
+            w, ybar, res, its, vals = step(z, ubar, tau, start)
             widths.append(tau)
-            z = w
+            z_prev, z = z, w
             records.append((w, ubar, ybar, res, its))
     except _STEP_ERRORS as exc:
         raise IntegrationError(i, t, str(exc), np.array(z)) from (exc.__cause__ or exc)

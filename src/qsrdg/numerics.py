@@ -233,21 +233,21 @@ def newton_solve(
     chained to it.
     """
     atol = settings.residual_tolerance
-    passes_left = settings.max_iterations
-    x = [float(v) for v in x0]
+    x = list(map(float, x0))
     if factors is None:
         lu, vals = _factored_pass(f, x)
         res = math.hypot(*vals)
-        passes_left -= 1
-        reuses, cap = 0, _REUSES_PER_PASS
     else:
         lu = factors
         vals, res = _values_of(f, x)
-        reuses, cap = 1, len(x)
-    its = 0
     # a start on the rounding floor is kept
     if res <= atol * _POLISH and res <= _ULPS * max(map(abs, x)):
-        return NewtonResult(x, its, res, lu, vals)
+        return NewtonResult(x, 0, res, lu, vals)
+    if factors is None:
+        passes_left, reuses, cap = settings.max_iterations - 1, 0, _REUSES_PER_PASS
+    else:
+        passes_left, reuses, cap = settings.max_iterations, 1, len(x)
+    its = 0
     while True:
         x_new = [a - b for a, b in zip(x, substitute(lu, vals))]
         vals_new, res_new = _values_of(f, x_new)
